@@ -230,7 +230,7 @@ impl RocksDb {
             let pages = bytes.div_ceil(4096);
             let zero = aurora_objstore::PageRef::zero();
             for pi in 0..pages {
-                store.write_page(oid, pi, &zero)?;
+                store.write_pages(oid, &[(pi, zero.clone())])?;
             }
             let info = store.commit()?;
             let _ = info;

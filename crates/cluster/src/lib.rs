@@ -11,7 +11,7 @@
 //! A follower applies the stream, commits a record attributed to the
 //! same group (so its durable floor advances per group exactly like the
 //! leader's), and acks with that floor. The leader folds acks into the
-//! store's remote-ack table; the newest epoch acked by a configurable
+//! cluster's ack table; the newest epoch acked by a configurable
 //! quorum (leader included) is the **quorum durable watermark**, and it
 //! gates external synchrony: sealed message batches release only once
 //! their epoch is both locally durable *and* under the watermark — the
@@ -166,6 +166,9 @@ pub struct Cluster {
     pub quorum: usize,
     /// Replication counters.
     pub stats: ClusterStats,
+    /// Replication acks: group → node → the newest leader epoch that
+    /// node has applied and made durable (the leader votes for itself).
+    acks: BTreeMap<u64, BTreeMap<u64, u64>>,
     events: BinaryHeap<Reverse<Event>>,
     seq: u64,
     /// Migration progress mirrored into the gauges (set by [`migrate`]).
@@ -204,6 +207,7 @@ impl Cluster {
             nodes,
             quorum: cfg.quorum,
             stats: ClusterStats::default(),
+            acks: BTreeMap::new(),
             events: BinaryHeap::new(),
             seq: 0,
             migration_round: 0,
@@ -240,13 +244,8 @@ impl Cluster {
         gid: GroupId,
     ) -> Result<CheckpointStats, SlsError> {
         let stats = self.nodes[LEADER].sls.checkpoint_now(gid)?;
-        // The leader votes for itself at its own durable floor.
-        {
-            let store = self.nodes[LEADER].sls.store().clone();
-            let mut store = store.lock();
-            let floor = store.durable_floor(gid.0);
-            store.note_remote_ack(gid.0, LEADER as u64, stats.epoch, floor);
-        }
+        // The leader votes for itself.
+        self.note_ack(gid.0, LEADER as u64, stats.epoch);
         self.replicate(gid)?;
         self.refresh_release_gate(gid.0);
         self.update_gauges(gid.0);
@@ -401,11 +400,7 @@ impl Cluster {
                         );
                     }
                 }
-                self.nodes[ev.dst as usize]
-                    .sls
-                    .store()
-                    .lock()
-                    .note_remote_ack(group, ev.src, epoch, durable_at);
+                self.note_ack(group, ev.src, epoch);
                 self.refresh_release_gate(group);
                 self.update_gauges(group);
             }
@@ -413,16 +408,19 @@ impl Cluster {
         Ok(())
     }
 
-    /// Recomputes the quorum durable watermark from the remote-ack table
-    /// and re-gates the leader's external synchrony on it, releasing
+    /// Records that `node` has applied and made durable the replicated
+    /// commit record for `epoch` of `group`. Acks only move forward — a
+    /// late ack for an older epoch never regresses a node's entry.
+    fn note_ack(&mut self, group: u64, node: u64, epoch: u64) {
+        let acked = self.acks.entry(group).or_default().entry(node).or_insert(0);
+        *acked = (*acked).max(epoch);
+    }
+
+    /// Recomputes the quorum durable watermark from the ack table and
+    /// re-gates the leader's external synchrony on it, releasing
     /// anything newly covered.
     fn refresh_release_gate(&mut self, group: u64) {
-        let watermark = self
-            .nodes[LEADER]
-            .sls
-            .store()
-            .lock()
-            .quorum_acked_epoch(group, self.quorum);
+        let watermark = self.quorum_watermark(group);
         let sls = &mut self.nodes[LEADER].sls;
         sls.set_release_gate(Some(watermark));
         let trace = sls.kernel.charge.trace();
@@ -440,10 +438,15 @@ impl Cluster {
         self.snapshot_provenance(group);
     }
 
-    /// The newest epoch of `group` acked by a quorum (0 until one
-    /// exists).
+    /// The newest epoch of `group` acked by at least `quorum` nodes,
+    /// counting every node that has ever acked (0 until a quorum exists
+    /// — callers treat that as "nothing released yet").
     pub fn quorum_watermark(&self, group: u64) -> u64 {
-        self.nodes[LEADER].sls.store().lock().quorum_acked_epoch(group, self.quorum)
+        let quorum = self.quorum.max(1);
+        let Some(acks) = self.acks.get(&group).filter(|a| a.len() >= quorum) else { return 0 };
+        let mut epochs: Vec<u64> = acks.values().copied().collect();
+        epochs.sort_unstable_by(|a, b| b.cmp(a));
+        epochs[quorum - 1]
     }
 
     /// Every node's per-group watermark: `(node, newest leader epoch

@@ -10,17 +10,15 @@ use aurora_sim::fnv1a;
 
 const STREAM_TAG: u16 = 0x5354;
 
-/// Stream format version. v1 carries full page images; v2 delta streams
-/// carry per-page redo records (offset/payload/page-checksum), so a
-/// sealed epoch travels as exactly the records the leader logged —
-/// delta compression on the wire. Receivers accept both.
+/// Stream format version — the only one senders produce and receivers
+/// accept; anything else is a structured [`SlsError::BadImage`]. Pages
+/// travel as redo records (offset/payload/page-checksum): a full image
+/// is one full record per page, and a sealed epoch's delta is exactly
+/// the records the leader logged — delta compression on the wire.
 ///
-/// The v2 header additionally carries a trailing **provenance context**
-/// — the origin node id and the virtual send time — so a receiver can
-/// attribute the frame to its origin hop in the cross-node causal
-/// graph. The context rides *after* the original header fields inside
-/// the length-prefixed record body, so decoders that predate it (and
-/// streams that omit it) remain mutually compatible.
+/// The header carries a **provenance context** — the origin node id and
+/// the virtual send time — so a receiver can attribute the frame to its
+/// origin hop in the cross-node causal graph.
 const STREAM_VERSION: u16 = 2;
 
 /// What a delta stream carried — the replication/migration layers size
@@ -44,10 +42,9 @@ pub struct ApplyReport {
     pub manifests: Vec<Oid>,
     /// The source-side epoch stamped in the stream header.
     pub src_epoch: u64,
-    /// Origin node id from the v2 header's provenance context (0 for v1
-    /// streams and v2 streams that predate the context).
+    /// Origin node id from the header's provenance context.
     pub src_node: u64,
-    /// Virtual time the origin encoded the stream (0 when absent).
+    /// Virtual time the origin encoded the stream.
     pub sent_at: u64,
     /// The local epoch the apply committed as.
     pub local_epoch: u64,
@@ -58,17 +55,34 @@ pub struct ApplyReport {
     pub pages: u64,
 }
 
+/// One page record on the wire.
+fn put_record(e: &mut Encoder, full: bool, offset: u32, payload: &[u8], page_csum: u64) {
+    e.bool(full);
+    e.u32(offset);
+    e.bytes(payload);
+    e.u64(page_csum);
+}
+
 impl Sls {
+    /// The stream header: what it describes, stamped with the
+    /// provenance context — who encoded this stream, and when.
+    fn put_header(&self, e: &mut Encoder, epoch: u64, objects: u32) {
+        let (origin, sent_at) = (self.node_id, self.kernel.charge.clock().now());
+        e.record(STREAM_TAG, STREAM_VERSION, |e| {
+            e.u64(epoch);
+            e.u32(objects);
+            e.u64(origin);
+            e.u64(sent_at);
+        });
+    }
+
     /// Serializes the full image at `epoch` into a self-contained stream:
     /// every object's kind, metadata, and pages.
     pub fn send_stream(&self, epoch: u64) -> Result<Vec<u8>, SlsError> {
         let mut store = self.store.lock();
         let oids = store.objects_at(epoch)?;
         let mut e = Encoder::new();
-        e.record(STREAM_TAG, 1, |e| {
-            e.u64(epoch);
-            e.u32(oids.len() as u32);
-        });
+        self.put_header(&mut e, epoch, oids.len() as u32);
         for oid in oids {
             let kind = store.kind(oid)?;
             let meta = store.meta_at(oid, epoch).map(|m| m.to_vec()).unwrap_or_default();
@@ -81,7 +95,8 @@ impl Sls {
             for pi in pages {
                 let data = store.read_page(oid, pi, epoch)?;
                 body.u64(pi);
-                body.raw(data.bytes());
+                body.u32(1);
+                put_record(&mut body, true, 0, data.bytes(), fnv1a(data.bytes()));
             }
             let bytes = body.finish_vec();
             e.u32(bytes.len() as u32);
@@ -117,12 +132,13 @@ impl Sls {
         let mut pages = 0u64;
         let mut d = Decoder::new(stream);
         let (v, mut hdr) = d.record(STREAM_TAG, STREAM_VERSION)?;
+        if v != STREAM_VERSION {
+            return Err(SlsError::BadImage("unsupported stream version"));
+        }
         let src_epoch = hdr.u64()?;
         let count = hdr.u32()?;
-        // Trailing provenance context (v2, optional): origin node + send
-        // time. Older streams simply end here.
-        let src_node = if hdr.remaining() >= 8 { hdr.u64()? } else { 0 };
-        let sent_at = if hdr.remaining() >= 8 { hdr.u64()? } else { 0 };
+        let src_node = hdr.u64()?;
+        let sent_at = hdr.u64()?;
         let mut store = self.store.lock();
         let prev_staging = store.staging();
         store.stage_for(group);
@@ -137,88 +153,71 @@ impl Sls {
                 store.set_meta(oid, &meta)?;
             }
             let npages = body.u32()?;
-            if v < 2 {
-                let mut batch: Vec<(u64, aurora_objstore::PageRef)> =
-                    Vec::with_capacity(npages as usize);
-                for _ in 0..npages {
-                    let pi = body.u64()?;
-                    let page: &[u8; PAGE] =
-                        body.raw(PAGE)?.try_into().expect("exactly one page");
-                    batch.push((pi, store.arena().alloc(*page)));
-                }
-                pages += batch.len() as u64;
-                if !batch.is_empty() {
-                    // One charged bulk write per imported object.
-                    store.write_pages(oid, &batch)?;
-                }
-            } else {
-                // v2: per-page redo records. Replay them onto the local
-                // copy of the page (a follower in sync through the
-                // stream's `from` epoch holds the same base the sender
-                // chained on), verifying the materialized-page checksum
-                // at every record, then log the result locally as one
-                // combined redo write.
-                let mut batch: Vec<RedoWrite> = Vec::with_capacity(npages as usize);
-                for _ in 0..npages {
-                    let pi = body.u64()?;
-                    let nrecs = body.u32()?;
-                    let mut buf = [0u8; PAGE];
-                    let mut base_csum = 0u64;
-                    let mut span: Option<(usize, usize)> = None; // (off, end)
-                    let mut any_full = false;
-                    for r in 0..nrecs {
-                        let full = body.bool()?;
-                        let offset = body.u32()? as usize;
-                        let payload = body.bytes()?;
-                        let page_csum = body.u64()?;
-                        if full {
-                            if payload.len() != PAGE {
-                                return Err(SlsError::BadImage("short full record in stream"));
-                            }
-                            buf.copy_from_slice(payload);
-                            any_full = true;
-                        } else {
-                            if r == 0 {
-                                // Deltas only: seed with the local copy.
-                                let base = store
-                                    .last_epoch()
-                                    .and_then(|e| store.read_page(oid, pi, e).ok());
-                                if let Some(p) = &base {
-                                    buf.copy_from_slice(p.bytes());
-                                }
-                                base_csum = fnv1a(&buf);
-                            }
-                            let end = offset + payload.len();
-                            if end > PAGE {
-                                return Err(SlsError::BadImage("record overruns page"));
-                            }
-                            buf[offset..end].copy_from_slice(payload);
-                            span = Some(match span {
-                                None => (offset, end),
-                                Some((o, e)) => (o.min(offset), e.max(end)),
-                            });
+            // Per-page redo records. Replay them onto the local copy of
+            // the page (a follower in sync through the stream's `from`
+            // epoch holds the same base the sender chained on), verifying
+            // the materialized-page checksum at every record, then log
+            // the result locally as one combined redo write.
+            let mut batch: Vec<RedoWrite> = Vec::with_capacity(npages as usize);
+            for _ in 0..npages {
+                let pi = body.u64()?;
+                let nrecs = body.u32()?;
+                let mut buf = [0u8; PAGE];
+                let mut base_csum = 0u64;
+                let mut span: Option<(usize, usize)> = None; // (off, end)
+                let mut any_full = false;
+                for r in 0..nrecs {
+                    let full = body.bool()?;
+                    let offset = body.u32()? as usize;
+                    let payload = body.bytes()?;
+                    let page_csum = body.u64()?;
+                    if full {
+                        if payload.len() != PAGE {
+                            return Err(SlsError::BadImage("short full record in stream"));
                         }
-                        if fnv1a(&buf) != page_csum {
-                            return Err(SlsError::BadImage("delta stream page checksum"));
+                        buf.copy_from_slice(payload);
+                        any_full = true;
+                    } else {
+                        if r == 0 {
+                            // Deltas only: seed with the local copy.
+                            let base = store
+                                .last_epoch()
+                                .and_then(|e| store.read_page(oid, pi, e).ok());
+                            if let Some(p) = &base {
+                                buf.copy_from_slice(p.bytes());
+                            }
+                            base_csum = fnv1a(&buf);
                         }
+                        let end = offset + payload.len();
+                        if end > PAGE {
+                            return Err(SlsError::BadImage("record overruns page"));
+                        }
+                        buf[offset..end].copy_from_slice(payload);
+                        span = Some(match span {
+                            None => (offset, end),
+                            Some((o, e)) => (o.min(offset), e.max(end)),
+                        });
                     }
-                    if nrecs == 0 {
-                        continue;
+                    if fnv1a(&buf) != page_csum {
+                        return Err(SlsError::BadImage("delta stream page checksum"));
                     }
-                    let page = store.arena().alloc(buf);
-                    let delta = match (any_full, span) {
-                        // The stream began at a full image: log a full
-                        // image locally too (nothing older to chain on).
-                        (true, _) => None,
-                        (false, Some((o, e))) => Some((o as u32, buf[o..e].to_vec())),
-                        (false, None) => None,
-                    };
-                    batch.push(RedoWrite { pindex: pi, page, delta, base_csum });
                 }
-                pages += batch.len() as u64;
-                if !batch.is_empty() {
-                    store.append_redo(oid, &batch)?;
+                if nrecs == 0 {
+                    continue;
                 }
+                let page = store.arena().alloc(buf);
+                let delta = match (any_full, span) {
+                    // The stream began at a full image: log a full
+                    // image locally too (nothing older to chain on).
+                    (true, _) => None,
+                    (false, Some((o, e))) => Some((o as u32, buf[o..e].to_vec())),
+                    (false, None) => None,
+                };
+                batch.push(RedoWrite { pindex: pi, page, delta, base_csum });
+            }
+            pages += batch.len() as u64;
+            if !batch.is_empty() {
+                store.append_redo(oid, &batch)?;
             }
             if kind == ObjectKind::Posix(crate::oidmap::tag::MANIFEST) {
                 manifests.push(oid);
@@ -314,10 +313,7 @@ impl Sls {
                 body.u64(pi);
                 body.u32(recs.len() as u32);
                 for r in &recs {
-                    body.bool(r.full);
-                    body.u32(r.offset);
-                    body.bytes(&r.payload);
-                    body.u64(r.page_csum);
+                    put_record(&mut body, r.full, r.offset, &r.payload, r.page_csum);
                 }
             }
             let bytes = body.finish_vec();
@@ -325,17 +321,9 @@ impl Sls {
             bodies.raw(&bytes);
             emitted += 1;
         }
-        // Rewrite the header with the emitted count, stamping the
-        // provenance context: who encoded this stream, and when.
-        let origin = self.node_id;
-        let sent_at = self.kernel.charge.clock().now();
+        // The header goes first but needs the emitted count.
         let mut out = Encoder::new();
-        out.record(STREAM_TAG, STREAM_VERSION, |e| {
-            e.u64(to_epoch);
-            e.u32(emitted);
-            e.u64(origin);
-            e.u64(sent_at);
-        });
+        self.put_header(&mut out, to_epoch, emitted);
         out.raw(&bodies.finish_vec());
         let stream = out.finish_vec();
         let stats = DeltaStats {

@@ -583,6 +583,35 @@ fn incremental_delta_streams_feed_a_standby() {
 }
 
 #[test]
+fn a_v1_stream_is_a_bad_image_not_a_compat_path() {
+    // Stream format 2 is the only one this system produces; a v1 header
+    // (tag 0x5354, version 1: epoch + object count, full page images)
+    // must come back as a structured error, never be half-decoded.
+    let mut e = aurora_sim::Encoder::new();
+    e.record(0x5354, 1, |e| {
+        e.u64(7);
+        e.u32(0);
+    });
+    let mut dst = World::quickstart();
+    let before = dst.sls.store().lock().last_epoch();
+    let err = dst.sls.recv_stream(&e.finish_vec()).unwrap_err();
+    assert!(
+        matches!(err, aurora_core::SlsError::BadImage("unsupported stream version")),
+        "got {err}"
+    );
+    assert_eq!(dst.sls.store().lock().last_epoch(), before, "nothing was committed");
+    // What `send_stream` produces is accepted, and says so in its header.
+    let mut src = World::quickstart();
+    let pid = src.spawn_counter_app();
+    let gid = src.sls.attach(pid, SlsOptions::default()).unwrap();
+    let cp = src.sls.sls_checkpoint(gid).unwrap();
+    src.sls.sls_barrier(gid).unwrap();
+    let full = src.sls.send_stream(cp.epoch).unwrap();
+    assert_eq!(&full[..4], &[0x54, 0x53, 2, 0], "tag 0x5354, version 2");
+    assert_eq!(dst.sls.recv_stream(&full).unwrap().len(), 1);
+}
+
+#[test]
 fn restored_parent_signals_child_by_remembered_pid() {
     // §5.3 "System Wide Identifiers": the whole point of restoring PIDs —
     // a parent signals its child with the pid it knew before the

@@ -109,7 +109,9 @@ impl SimFs for AuroraFs {
         let last = (offset + len).div_ceil(PAGE);
         let zero = aurora_objstore::PageRef::zero();
         for pi in first..last {
-            self.store.write_page(oid, pi, &zero).map_err(|e| FsError::Backend(e.to_string()))?;
+            self.store
+                .write_pages(oid, &[(pi, zero.clone())])
+                .map_err(|e| FsError::Backend(e.to_string()))?;
         }
         self.maybe_checkpoint()
     }

@@ -25,7 +25,8 @@
 //! workload always issues the same write sequence, so "crash at write
 //! N" names one exact machine state.
 
-use crate::{ObjectKind, ObjectStore, Oid, PAGE};
+use crate::store::fnv1a;
+use crate::{ObjectKind, ObjectStore, Oid, PageRef, RedoWrite, PAGE};
 use aurora_sim::cost::Charge;
 use aurora_sim::rng::{DetRng, Rng};
 use aurora_sim::{Clock, CostModel};
@@ -37,13 +38,31 @@ use std::collections::{BTreeSet, HashMap};
 /// One step of a crash-exploration workload.
 #[derive(Clone, Debug)]
 pub enum WorkloadOp {
-    /// Write one page of object `obj` (objects are created on first use).
+    /// Write one full page image of object `obj` (objects are created
+    /// on first use).
     Write {
         /// Workload-local object index.
         obj: usize,
         /// Page index.
         pindex: u64,
-        /// Fill byte (the model tracks pages by fill).
+        /// Fill byte.
+        fill: u8,
+    },
+    /// Overwrite a sub-page span through `append_redo` — the default
+    /// (`CheckpointMode::Delta`) checkpoint write path. The delta is
+    /// diffed against the model's current page, so it chains on that
+    /// version as a packed redo record; a page with no version yet is
+    /// promoted to a full image by the store.
+    Delta {
+        /// Workload-local object index.
+        obj: usize,
+        /// Page index.
+        pindex: u64,
+        /// Byte offset of the span within the page.
+        off: u32,
+        /// Span length in bytes (may be zero: dirty but unchanged).
+        len: u32,
+        /// Fill byte of the span.
         fill: u8,
     },
     /// Replace object `obj`'s metadata.
@@ -76,11 +95,21 @@ pub fn workload_from_seed(seed: u64, ops: usize, with_drops: bool) -> Vec<Worklo
     let mut rng = DetRng::seed_from_u64(seed);
     (0..ops)
         .map(|_| match rng.gen_range(0..10) {
-            0..=4 => WorkloadOp::Write {
+            0..=1 => WorkloadOp::Write {
                 obj: rng.gen_range(0..4) as usize,
                 pindex: rng.gen_range(0..8),
                 fill: rng.next_u64() as u8,
             },
+            2..=4 => {
+                let off = rng.gen_range(0..PAGE as u64) as u32;
+                WorkloadOp::Delta {
+                    obj: rng.gen_range(0..4) as usize,
+                    pindex: rng.gen_range(0..8),
+                    off,
+                    len: rng.gen_range(0..(PAGE as u64 - off as u64).min(600)) as u32,
+                    fill: rng.next_u64() as u8,
+                }
+            }
             5 => WorkloadOp::SetMeta {
                 obj: rng.gen_range(0..4) as usize,
                 tag: rng.next_u64() as u8,
@@ -99,8 +128,9 @@ pub fn workload_from_seed(seed: u64, ops: usize, with_drops: bool) -> Vec<Worklo
 /// Snapshot of committed state at one epoch of the golden run.
 #[derive(Clone, Debug, Default)]
 struct EpochModel {
-    /// `(obj, pindex) -> fill` for every page written before the commit.
-    pages: HashMap<(usize, u64), u8>,
+    /// `(obj, pindex) -> content` for every page written before the
+    /// commit.
+    pages: HashMap<(usize, u64), PageRef>,
     /// `obj -> tag` for every metadata version set before the commit.
     metas: HashMap<usize, u8>,
     /// Workload objects that existed at the commit.
@@ -127,6 +157,15 @@ struct Replay {
     /// Online invariant checker armed over the whole replay (epoch
     /// monotonicity across the crash, extsync ordering, frame writes).
     checker: InvariantChecker,
+}
+
+/// The workload object in `slot`, created on first use.
+fn ensure_object(store: &mut ObjectStore, slot: &mut Option<Oid>) -> Oid {
+    *slot.get_or_insert_with(|| {
+        let o = store.alloc_oid();
+        store.create_object(o, ObjectKind::Memory).expect("create");
+        o
+    })
 }
 
 /// Runs `workload` over a faulty testbed armed with `plan`. The store is
@@ -162,22 +201,26 @@ fn replay(workload: &[WorkloadOp], plan: FaultPlan) -> Replay {
     for op in workload {
         match *op {
             WorkloadOp::Write { obj, pindex, fill } => {
-                let oid = *oids[obj].get_or_insert_with(|| {
-                    let o = store.alloc_oid();
-                    store.create_object(o, ObjectKind::Memory).expect("create");
-                    o
-                });
+                let oid = ensure_object(&mut store, &mut oids[obj]);
                 live.objects.insert(obj);
                 let p = store.arena().alloc([fill; PAGE]);
-                store.write_page(oid, pindex, &p).expect("write");
-                live.pages.insert((obj, pindex), fill);
+                store.write_pages(oid, &[(pindex, p.clone())]).expect("write");
+                live.pages.insert((obj, pindex), p);
+            }
+            WorkloadOp::Delta { obj, pindex, off, len, fill } => {
+                let oid = ensure_object(&mut store, &mut oids[obj]);
+                live.objects.insert(obj);
+                let base = live.pages.get(&(obj, pindex)).map_or([0u8; PAGE], |p| **p);
+                let mut new = base;
+                new[off as usize..(off + len) as usize].fill(fill);
+                let page = store.arena().alloc(new);
+                let delta = Some((off, vec![fill; len as usize]));
+                let w = RedoWrite { pindex, page: page.clone(), delta, base_csum: fnv1a(&base) };
+                store.append_redo(oid, &[w]).expect("append_redo");
+                live.pages.insert((obj, pindex), page);
             }
             WorkloadOp::SetMeta { obj, tag } => {
-                let oid = *oids[obj].get_or_insert_with(|| {
-                    let o = store.alloc_oid();
-                    store.create_object(o, ObjectKind::Memory).expect("create");
-                    o
-                });
+                let oid = ensure_object(&mut store, &mut oids[obj]);
                 live.objects.insert(obj);
                 store.set_meta(oid, &[tag; 32]).expect("set_meta");
                 live.metas.insert(obj, tag);
@@ -260,6 +303,10 @@ impl Explorer {
         let setup = replay(&[], FaultPlan::none());
         let first_write = setup.handle.writes_seen();
         let full = replay(&self.workload, FaultPlan::none());
+        assert!(
+            full.store.gauges().redo_appended > 0,
+            "workload never took the packed redo path — the default checkpoint write path"
+        );
         Golden { first_write, end_write: full.handle.writes_seen(), epochs: full.epochs }
     }
 
@@ -370,13 +417,13 @@ impl Explorer {
                     "crash point {cut}: epoch {epoch} object {obj} visibility mismatch"
                 );
             }
-            for (&(obj, pindex), &fill) in &model.pages {
+            for (&(obj, pindex), expected) in &model.pages {
                 let oid = oids[obj].expect("modelled object was created");
                 let page = rec
                     .read_page(oid, pindex, epoch)
                     .unwrap_or_else(|e| panic!("crash point {cut}: epoch {epoch} read: {e}"));
                 assert!(
-                    page.iter().all(|&b| b == fill),
+                    page == *expected,
                     "crash point {cut}: epoch {epoch} obj {obj} page {pindex} corrupt"
                 );
             }
@@ -582,15 +629,11 @@ fn group_replay(workload: &[GroupOp], plan: FaultPlan) -> GroupReplay {
         match *op {
             GroupOp::Write { g, obj, pindex, fill } => {
                 store.stage_for(GROUPS[g]);
-                let oid = *oids[g][obj].get_or_insert_with(|| {
-                    let o = store.alloc_oid();
-                    store.create_object(o, ObjectKind::Memory).expect("create");
-                    o
-                });
+                let oid = ensure_object(&mut store, &mut oids[g][obj]);
                 live[g].objects.insert(obj);
                 let p = store.arena().alloc([fill; PAGE]);
-                store.write_page(oid, pindex, &p).expect("write");
-                live[g].pages.insert((obj, pindex), fill);
+                store.write_pages(oid, &[(pindex, p.clone())]).expect("write");
+                live[g].pages.insert((obj, pindex), p);
             }
             GroupOp::Commit { g, wait } => {
                 let info = store.commit_for(GROUPS[g]).expect("commit");
@@ -757,13 +800,13 @@ impl GroupExplorer {
                         "crash point {cut}: group {sg} epoch {epoch} obj {obj} visibility"
                     );
                 }
-                for (&(obj, pindex), &fill) in &model.pages {
+                for (&(obj, pindex), expected) in &model.pages {
                     let oid = oids[g][obj].expect("modelled object was created");
                     let page = rec
                         .read_page(oid, pindex, epoch)
                         .unwrap_or_else(|e| panic!("crash point {cut}: group {sg}: {e}"));
                     assert!(
-                        page.iter().all(|&b| b == fill),
+                        page == *expected,
                         "crash point {cut}: group {sg} epoch {epoch} obj {obj} page {pindex}"
                     );
                 }

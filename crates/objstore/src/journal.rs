@@ -10,21 +10,14 @@
 //! scans the journal region and stops at the first invalid or stale
 //! record — no commit record needed.
 
-use crate::store::{ObjectKind, ObjectStore, Oid, Result, StoreError, PAGE};
+use crate::store::{
+    contiguous_runs, fnv1a as checksum, ObjectKind, ObjectStore, Oid, Result, StoreError, PAGE,
+};
 use aurora_sim::codec::{Decoder, Encoder};
 
 const JMAGIC: u32 = 0x4a52_4e4c; // "JRNL"
 /// Per-record header: magic, seq, len, checksum.
 const HEADER: usize = 4 + 8 + 4 + 8;
-
-fn checksum(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
 
 /// In-memory journal state.
 #[derive(Clone, Debug, Default)]
@@ -98,9 +91,7 @@ impl ObjectStore {
                     }
                 }
             }
-            for lba in rejects {
-                self.free_block(lba);
-            }
+            self.free_blocks(rejects);
         }
         self.install_journal(oid, Journal { blocks: allocated, head: 0, seq: 0, base_seq: 0 })
     }
@@ -109,44 +100,34 @@ impl ObjectStore {
     /// this is the `sls_journal` latency path). Returns the record's
     /// sequence number.
     pub fn journal_append(&mut self, oid: Oid, data: &[u8]) -> Result<u64> {
+        let j = self.obj_journal(oid)?;
+        let (head, seq) = (j.head, j.seq);
         // Frame the record.
         let mut e = Encoder::with_capacity(HEADER + data.len());
         e.u32(JMAGIC);
-        let (first_block_idx, head, seq, record) = {
-            let j = self.obj_journal(oid)?;
-            let seq = j.seq;
-            let mut enc = e;
-            enc.u64(seq);
-            enc.u32(data.len() as u32);
-            enc.u64(checksum(data));
-            enc.raw(data);
-            let record = enc.finish_vec();
-            if j.head + record.len() > j.capacity() {
-                return Err(StoreError::JournalFull(oid));
-            }
-            (j.head / PAGE, j.head, seq, record)
-        };
+        e.u64(seq);
+        e.u32(data.len() as u32);
+        e.u64(checksum(data));
+        e.raw(data);
+        let record = e.finish_vec();
+        let end = head + record.len();
+        if end > j.capacity() {
+            return Err(StoreError::JournalFull(oid));
+        }
         // In-place write of the affected whole blocks. A real
         // implementation does a read-modify-write of the first partial
         // block from its in-memory tail; we reconstruct the same bytes.
-        let end = head + record.len();
-        let last_block_idx = (end - 1) / PAGE;
-        let span = (last_block_idx - first_block_idx + 1) * PAGE;
-        let mut buf = vec![0u8; span];
+        let first = head / PAGE;
+        let blocks = j.blocks[first..=(end - 1) / PAGE].to_vec();
+        let mut buf = vec![0u8; blocks.len() * PAGE];
         // Fill the prefix of the first block from the device so the
         // already-written records survive the in-place update.
-        let (dev_first, blocks) = {
-            let j = self.obj_journal(oid)?;
-            (j.blocks[first_block_idx], j.blocks[first_block_idx..=last_block_idx].to_vec())
-        };
         if head % PAGE != 0 {
-            let existing = {
-                let mut dev = self.device().lock();
-                dev.read(dev_first, 1).map_err(StoreError::dev_err("journal-rmw", oid))?
-            };
+            let existing = self.device().lock().read(blocks[0], 1);
+            let existing = existing.map_err(StoreError::dev("journal-rmw", Some(oid), 0, 0))?;
             buf[..PAGE].copy_from_slice(&existing);
         }
-        let off = head - first_block_idx * PAGE;
+        let off = head - first * PAGE;
         buf[off..off + record.len()].copy_from_slice(&record);
         // All journal blocks sit on one stripe member (see
         // `create_journal`), so issuing the runs in order pipelines them
@@ -155,18 +136,11 @@ impl ObjectStore {
         let completion = {
             let mut dev = self.device().lock();
             let mut last = aurora_storage::Completion::immediate(0);
-            let mut i = 0usize;
-            while i < blocks.len() {
-                let mut end = i + 1;
-                while end < blocks.len() && blocks[end] == blocks[end - 1] + 1 {
-                    end += 1;
-                }
-                let bytes = &buf[i * PAGE..end * PAGE];
+            for run in contiguous_runs(&blocks) {
                 let c = dev
-                    .write(blocks[i], bytes)
-                    .map_err(StoreError::dev_err("journal-append", oid))?;
+                    .write(blocks[run.start], &buf[run.start * PAGE..run.end * PAGE])
+                    .map_err(StoreError::dev("journal-append", Some(oid), 0, 0))?;
                 last = last.join(c);
-                i = end;
             }
             last
         };
@@ -211,7 +185,7 @@ impl ObjectStore {
             let mut dev = self.device().lock();
             for &b in &blocks {
                 raw.extend_from_slice(
-                    &dev.read(b, 1).map_err(StoreError::dev_err("journal-scan", oid))?,
+                    &dev.read(b, 1).map_err(StoreError::dev("journal-scan", Some(oid), 0, 0))?,
                 );
             }
         }

@@ -64,7 +64,7 @@ fn recovery_exposes_a_committed_prefix() {
             match op {
                 Op::Write { obj, pindex, fill } => {
                     let p = aurora_objstore::PageRef::detached([*fill; 4096]);
-                    store.write_page(oids[*obj], *pindex, &p).unwrap();
+                    store.write_pages(oids[*obj], &[(*pindex, p)]).unwrap();
                     cur[*obj].insert(*pindex, *fill);
                 }
                 Op::Commit { wait } => {

@@ -123,9 +123,9 @@ fn transient_error_during_page_write_is_retryable() {
     plan.transient_writes.insert(handle.writes_seen());
     handle.set_plan(plan);
     let seven = PageRef::detached([7u8; PAGE]);
-    let err = store.write_page(oid, 0, &seven).unwrap_err();
+    let err = store.write_pages(oid, &[(0, seven.clone())]).unwrap_err();
     assert!(err.is_transient());
-    store.write_page(oid, 0, &seven).unwrap();
+    store.write_pages(oid, &[(0, seven)]).unwrap();
     let c = store.commit().unwrap();
     store.barrier(c);
     let mut rec = store.crash_and_recover().unwrap();
@@ -143,7 +143,7 @@ fn transient_error_during_commit_is_retryable() {
     let mut store = ObjectStore::format(dev, charge, 1024).unwrap();
     let oid = store.alloc_oid();
     store.create_object(oid, ObjectKind::Memory).unwrap();
-    store.write_page(oid, 0, &PageRef::detached([3u8; PAGE])).unwrap();
+    store.write_pages(oid, &[(0, PageRef::detached([3u8; PAGE]))]).unwrap();
 
     // Fail the commit's payload write once.
     let mut plan = FaultPlan::none();
@@ -177,7 +177,7 @@ fn bitflips_degrade_gracefully() {
         store.create_object(oid, ObjectKind::Memory).unwrap();
         let mut committed = Vec::new();
         for i in 0..10u8 {
-            store.write_page(oid, (i % 4) as u64, &PageRef::detached([i; PAGE])).unwrap();
+            store.write_pages(oid, &[((i % 4) as u64, PageRef::detached([i; PAGE]))]).unwrap();
             let c = store.commit().unwrap();
             store.barrier(c);
             committed.push(c.epoch);
@@ -222,12 +222,12 @@ fn bitflip_on_data_page_is_detected_at_read() {
 
     // Corrupt exactly the page-data write; the commit record stays clean.
     handle.set_plan(FaultPlan { bitflip_per_write: 1.0, seed: 7, ..FaultPlan::none() });
-    store.write_page(oid, 0, &PageRef::detached([0x5Au8; PAGE])).unwrap();
+    store.write_pages(oid, &[(0, PageRef::detached([0x5Au8; PAGE]))]).unwrap();
     handle.clear_faults();
     let c = store.commit().unwrap();
     store.barrier(c);
 
-    // The page cache still holds the clean frame handed to write_page;
+    // The page cache still holds the clean frame handed to write_pages;
     // only the device copy is flipped. Drop it so the read goes to the
     // medium — the path the checksum protects.
     store.drop_page_cache();
@@ -260,7 +260,7 @@ fn scrub_passes_on_clean_history() {
     let oid = store.alloc_oid();
     store.create_object(oid, ObjectKind::Memory).unwrap();
     for i in 0..6u8 {
-        store.write_page(oid, i as u64, &PageRef::detached([i; PAGE])).unwrap();
+        store.write_pages(oid, &[(i as u64, PageRef::detached([i; PAGE]))]).unwrap();
         let c = store.commit().unwrap();
         store.barrier(c);
     }
@@ -298,7 +298,7 @@ fn induced_invariant_failure_dumps_flight_recorder() {
     store.create_object(oid, ObjectKind::Memory).unwrap();
     let mut last_epoch = 0;
     for i in 0..3u8 {
-        store.write_page(oid, 0, &PageRef::detached([i; PAGE])).unwrap();
+        store.write_pages(oid, &[(0, PageRef::detached([i; PAGE]))]).unwrap();
         let c = store.commit().unwrap();
         store.barrier(c);
         last_epoch = c.epoch;
