@@ -1,15 +1,12 @@
 //! Shared helpers for the experiment harnesses.
 //!
-//! Every table and figure of the paper has one binary under `src/bin/`;
-//! run them with `cargo run -p aurora-bench --bin <name>` (release mode
-//! recommended). Each prints the paper's reference numbers next to the
-//! reproduction's, so the *shape* comparison is immediate.
-//!
-//! The actual experiment logic lives in [`suite`]; the binaries are thin
-//! wrappers over [`bench_main`], which adds `--json [PATH]` to every one
-//! of them (machine-readable `BENCH_<name>.json` export). The `bench_all`
-//! binary runs the whole suite and writes every report. Set
-//! `AURORA_BENCH_QUICK=1` to shrink workload sizes for smoke runs.
+//! Every table and figure of the paper has one entry in [`suite::all`];
+//! run them with `cargo run --release -p aurora-bench -- [NAME…] [--out
+//! DIR]` (the `bench_all` binary: no name runs the whole suite). Each
+//! prints the paper's reference numbers next to the reproduction's, so
+//! the *shape* comparison is immediate, and writes the same numbers as a
+//! machine-readable `BENCH_<name>.json`. Set `AURORA_BENCH_QUICK=1` to
+//! shrink workload sizes for smoke runs.
 
 pub mod memcached_sim;
 pub mod suite;
@@ -162,27 +159,6 @@ impl BenchReport {
         }
         out.push('}');
         out
-    }
-}
-
-/// Writes a report to `path` (the `--json` and `bench_all` export path).
-pub fn write_report(report: &BenchReport, path: &str) {
-    std::fs::write(path, report.to_json())
-        .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    eprintln!("wrote {path}");
-}
-
-/// Entry point for every benchmark binary: runs the suite function and
-/// honors `--json [PATH]` (default `BENCH_<name>.json`).
-pub fn bench_main(run: fn() -> BenchReport) {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let report = run();
-    if let Some(i) = args.iter().position(|a| a == "--json") {
-        let path = match args.get(i + 1) {
-            Some(p) if !p.starts_with('-') => p.clone(),
-            _ => format!("BENCH_{}.json", report.name),
-        };
-        write_report(&report, &path);
     }
 }
 

@@ -1,7 +1,9 @@
 //! The benchmark suite: one module per table/figure of the paper. Each
 //! exposes `run() -> BenchReport` — it prints the human table and
-//! returns the same numbers machine-readable. The `src/bin/` wrappers
-//! and `bench_all` both dispatch through [`all`].
+//! returns the same numbers machine-readable. [`all`] is the single
+//! table of them: `bench_all` dispatches through it by name, and
+//! `tests/bench_all.rs` holds it one-to-one with the committed
+//! `bench/snapshots/`.
 
 pub mod ablations;
 pub mod degraded_mode;

@@ -324,21 +324,6 @@ impl Cluster {
         Ok(())
     }
 
-    /// Delivers in-flight messages arriving up to virtual time `t`, then
-    /// advances the clock to `t`.
-    pub fn run_until(&mut self, t: u64) -> Result<(), SlsError> {
-        while let Some(Reverse(ev)) = self.events.peek() {
-            if ev.at > t {
-                break;
-            }
-            let Reverse(ev) = self.events.pop().expect("peeked");
-            self.clock.advance_to(ev.at);
-            self.deliver(ev)?;
-        }
-        self.clock.advance_to(t);
-        Ok(())
-    }
-
     fn deliver(&mut self, ev: Event) -> Result<(), SlsError> {
         match ev.pkt {
             Packet::Delta { group, to_epoch, stream } => {

@@ -188,20 +188,4 @@ impl Sls {
         }
         Ok(out)
     }
-
-    /// Dumps a *checkpointed* memory object's pages from the store (for
-    /// `sls dump --epoch`): returns (pindex, page) pairs.
-    pub fn dump_object_pages(
-        &self,
-        oid: Oid,
-        epoch: u64,
-    ) -> Result<Vec<(u64, [u8; PAGE_SIZE])>, SlsError> {
-        let mut store = self.store.lock();
-        let mut out = Vec::new();
-        for pi in store.pages_at(oid, epoch)? {
-            // Dump is an export boundary: copy the bytes out of the frame.
-            out.push((pi, *store.read_page(oid, pi, epoch)?.bytes()));
-        }
-        Ok(out)
-    }
 }

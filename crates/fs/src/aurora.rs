@@ -59,11 +59,6 @@ impl AuroraFs {
         self.commits
     }
 
-    /// Overrides the checkpoint period.
-    pub fn set_period(&mut self, period_ns: u64) {
-        self.period_ns = period_ns;
-    }
-
     fn maybe_checkpoint(&mut self) -> Result<()> {
         let now = self.store.charge().clock().now();
         if now.saturating_sub(self.last_commit_ns) >= self.period_ns {

@@ -29,7 +29,7 @@ pub mod journal;
 pub mod store;
 
 pub use aurora_frames::{FrameArena, FrameGauges, PageRef};
-pub use explore::{Explorer, ScheduleReport, WorkloadOp};
+pub use explore::{Explorer, OpKind, ScheduleReport, WorkloadOp};
 pub use journal::JournalStats;
 pub use store::{
     CommitInfo, ObjectKind, ObjectStore, Oid, RedoRecordOut, RedoWrite, StoreError, StoreGauges,

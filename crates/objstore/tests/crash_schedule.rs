@@ -4,12 +4,19 @@
 //! (workload seed, crash point) pair printed in the panic message, and
 //! rerunning the test reproduces it bit-for-bit.
 //!
+//! The sharded checkpoint engine keeps one draft epoch open per
+//! consistency group, so a crash can land while several groups have
+//! epochs in flight: every sweep takes a single-group and a two-group
+//! workload, and each group's four recovery invariants are asserted
+//! independently.
+//!
 //! `CRASH_SCHEDULE_CAP` (env) bounds the number of schedules per sweep
 //! for CI; unset, every write boundary is explored.
 
-use aurora_objstore::explore::Explorer;
+use aurora_objstore::explore::{workload_from_seed, Explorer, OpKind};
 use aurora_objstore::{ObjectKind, ObjectStore, PageRef, StoreError, PAGE};
 use aurora_sim::cost::Charge;
+use aurora_sim::hash::fnv1a;
 use aurora_sim::{Clock, CostModel};
 use aurora_storage::faulty::FaultPlan;
 use aurora_storage::faulty_testbed_array;
@@ -33,40 +40,81 @@ fn traced_charge(clock: &Clock) -> (Charge, InvariantChecker) {
     (charge, checker)
 }
 
+// Every sweep below takes `(seed, ops, groups)` inputs; the two-group
+// ones crash with both groups' drafts open (the golden run asserts it).
+
 #[test]
 fn every_write_boundary_recovers() {
-    let explorer = Explorer::from_seed(0xA0207A, 90, false);
-    let report = explorer.explore(cap(), None);
-    assert!(
-        report.schedules >= 100 || cap().is_some(),
-        "workload too small: only {} crash points",
-        report.schedules
-    );
-    assert!(report.cuts_fired == report.schedules, "every schedule must reach its cut");
-    assert!(report.recovered_nonempty > 0, "some schedules must recover workload epochs");
+    for (seed, ops, groups) in [(0xA0207A, 90, 1), (0x62017A, 100, 2)] {
+        let report = Explorer::from_seed(seed, ops, groups, false).explore(cap(), None);
+        assert!(
+            report.schedules >= 100 || cap().is_some(),
+            "seed {seed:#x}: workload too small: only {} crash points",
+            report.schedules
+        );
+        assert!(report.cuts_fired == report.schedules, "every schedule must reach its cut");
+        assert!(report.recovered_nonempty > 0, "some schedules must recover workload epochs");
+    }
 }
 
 #[test]
 fn every_write_boundary_recovers_with_torn_writes() {
-    let explorer = Explorer::from_seed(0xA0207B, 70, false);
-    let report = explorer.explore(cap(), Some(0x7EA2));
-    assert!(report.schedules > 0);
-    assert!(report.cuts_fired == report.schedules);
+    for (seed, ops, groups, tear_seed) in [(0xA0207B, 70, 1, 0x7EA2), (0x62017B, 70, 2, 0x7EA3)] {
+        let report = Explorer::from_seed(seed, ops, groups, false).explore(cap(), Some(tear_seed));
+        assert!(report.schedules > 0);
+        assert!(report.cuts_fired == report.schedules);
+    }
 }
 
 #[test]
 fn drop_oldest_interleaved_with_crashes_recovers() {
-    let explorer = Explorer::from_seed(0xD209, 90, true);
-    let report = explorer.explore(cap(), None);
-    assert!(report.schedules > 0);
-    assert!(report.recovered_nonempty > 0);
+    for (seed, ops, groups) in [(0xD209, 90, 1), (0x62D209, 90, 2)] {
+        let report = Explorer::from_seed(seed, ops, groups, true).explore(cap(), None);
+        assert!(report.schedules > 0);
+        assert!(report.recovered_nonempty > 0);
+    }
 }
 
 #[test]
 fn a_second_seed_also_survives() {
-    let explorer = Explorer::from_seed(0x5EED2, 80, false);
-    let report = explorer.explore(cap().map(|c| c / 2).filter(|&c| c > 0), None);
-    assert!(report.schedules > 0);
+    let cap = cap().map(|c| c / 2).filter(|&c| c > 0);
+    for (seed, ops, groups) in [(0x5EED2, 80, 1), (0x62052, 100, 2)] {
+        let report = Explorer::from_seed(seed, ops, groups, false).explore(cap, None);
+        assert!(report.schedules > 0);
+    }
+}
+
+/// The single-group seeds above name the same op streams they did
+/// before ops carried a group (constants computed at the commit that
+/// introduced groups to the generator): a changed hash means every crash
+/// point of that sweep now names a different machine state.
+#[test]
+fn single_group_seeds_name_the_same_workloads() {
+    for (seed, ops, with_drops, pinned) in [
+        (0xA0207A, 90, false, 0x03d95358ad739130u64),
+        (0xA0207B, 70, false, 0x3727fe8e5a9fc465),
+        (0xD209, 90, true, 0xf81a0605f2d0c16a),
+        (0x5EED2, 80, false, 0xda9e518db3c411cb),
+    ] {
+        let mut words: Vec<u64> = Vec::new();
+        for op in workload_from_seed(seed, ops, 1, with_drops) {
+            assert_eq!(op.group, 0);
+            match op.kind {
+                OpKind::Write { obj, pindex, fill } => {
+                    words.extend([0, obj as u64, pindex, fill as u64])
+                }
+                OpKind::Delta { obj, pindex, off, len, fill } => {
+                    words.extend([1, obj as u64, pindex, off as u64, len as u64, fill as u64])
+                }
+                OpKind::SetMeta { obj, tag } => words.extend([2, obj as u64, tag as u64]),
+                OpKind::Commit { wait } => words.extend([3, wait as u64]),
+                OpKind::JournalAppend { fill, len } => words.extend([4, fill as u64, len as u64]),
+                OpKind::DropOldest => words.push(5),
+            }
+        }
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert_eq!(fnv1a(&bytes), pinned, "seed {seed:#x}: op stream changed");
+    }
 }
 
 /// A transient device error during a synchronous journal append leaves

@@ -58,11 +58,6 @@ impl IdAllocator {
     pub fn release(&mut self, id: u32) {
         self.used.remove(&id);
     }
-
-    /// True if the id is currently allocated.
-    pub fn in_use(&self, id: u32) -> bool {
-        self.used.contains(&id)
-    }
 }
 
 /// A local→global pid/tid namespace for one restored consistency group.

@@ -150,12 +150,6 @@ impl Fifo {
     pub fn next_free(&self) -> u64 {
         self.next_free
     }
-
-    /// Blocks the server until `until` (e.g. a checkpoint stop pauses all
-    /// worker cores).
-    pub fn block_until(&mut self, until: u64) {
-        self.next_free = self.next_free.max(until);
-    }
 }
 
 /// A pool of `k` identical FIFO servers (e.g. worker threads on cores):

@@ -52,13 +52,6 @@ pub fn fmt_ops(ops_per_sec: f64) -> String {
     }
 }
 
-/// Formats a throughput in GiB/s.
-pub fn fmt_gib_per_sec(bytes: u64, ns: u64) -> String {
-    let gib = bytes as f64 / GIB as f64;
-    let sec = ns as f64 / SEC as f64;
-    format!("{:.2} GiB/s", gib / sec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,65 +1,55 @@
 #!/usr/bin/env bash
-# Bench regression gate: compare a fresh quick-mode bench run against the
-# committed snapshots in bench/snapshots/ and fail if any histogram's p95
-# latency slipped by more than 10%.
+# Bench regression gate: every fresh quick-mode BENCH_<name>.json must be
+# byte-identical to its committed snapshot in bench/snapshots/. The
+# reports run on the virtual clock and are deterministic, so any
+# difference — one digit of one metric — is a behaviour change to either
+# fix or commit on purpose.
 #
-#   usage: scripts/bench_regression_gate.sh FRESH_DIR [SNAPSHOT_DIR]
+#   usage: scripts/bench_regression_gate.sh FRESH_DIR
 #
-# Both directories hold BENCH_<name>.json reports (aurora-bench's --json
-# format). Only reports with a `histograms` block participate; a report
-# present in the snapshots but missing from the fresh run is an error
-# (a silently dropped benchmark must not pass the gate). Zero-valued
-# snapshot p95s (sub-resolution stages) only require the fresh run to
-# stay within the same lowest histogram bucket.
+# FRESH_DIR holds the reports `bench_all [NAME…] --out FRESH_DIR` wrote;
+# only those are compared, so a job that runs one benchmark gates that
+# one. A fresh report without a snapshot fails, as does an empty
+# FRESH_DIR. (The full-suite CI job additionally checks that no snapshot
+# lacks a fresh report.)
 #
-# Refresh the snapshots after an intentional perf change:
-#   AURORA_BENCH_QUICK=1 cargo run --release -p aurora-bench --bin bench_all -- --out bench/snapshots
+# Refresh the snapshots after an intentional change:
+#   AURORA_BENCH_QUICK=1 cargo run --release -p aurora-bench -- --out bench/snapshots
 set -euo pipefail
 
-fresh_dir=${1:?usage: $0 FRESH_DIR [SNAPSHOT_DIR]}
-snap_dir=${2:-$(dirname "$0")/../bench/snapshots}
-slack=${BENCH_GATE_SLACK:-1.10}
+fresh_dir=${1:?usage: $0 FRESH_DIR}
+snap_dir=$(dirname "$0")/../bench/snapshots
 
 fail=0
-checked=0
-for snap in "$snap_dir"/BENCH_*.json; do
-    name=$(basename "$snap")
-    if ! jq -e '.histograms' "$snap" >/dev/null 2>&1; then
-        continue
-    fi
-    fresh="$fresh_dir/$name"
-    if [ ! -f "$fresh" ]; then
-        echo "GATE FAIL: $name has a committed snapshot but no fresh report in $fresh_dir" >&2
+compared=0
+for fresh in "$fresh_dir"/BENCH_*.json; do
+    [ -e "$fresh" ] || break
+    name=$(basename "$fresh")
+    snap="$snap_dir/$name"
+    compared=$((compared + 1))
+    if [ ! -f "$snap" ]; then
+        echo "GATE FAIL: $name has no committed snapshot in bench/snapshots/" >&2
         fail=1
-        continue
+    elif ! cmp -s "$fresh" "$snap"; then
+        # A report is one line of JSON, so "the first differing line" is
+        # the text around the first differing byte.
+        at=$(cmp "$snap" "$fresh" 2>&1 | sed 's/.*\(byte\|char\) \([0-9]*\).*/\2/' || true)
+        from=$((at > 80 ? at - 80 : 1))
+        echo "GATE FAIL: $name differs from its snapshot at byte $at:" >&2
+        echo "  snapshot: …$(tail -c +"$from" "$snap" | head -c 120)…" >&2
+        echo "  fresh:    …$(tail -c +"$from" "$fresh" | head -c 120)…" >&2
+        fail=1
+    else
+        echo "  ok: $name"
     fi
-    for key in $(jq -r '.histograms | keys[]' "$snap"); do
-        base=$(jq -r --arg k "$key" '.histograms[$k].p95' "$snap")
-        cur=$(jq -r --arg k "$key" '.histograms[$k].p95 // empty' "$fresh")
-        if [ -z "$cur" ]; then
-            echo "GATE FAIL: $name: histogram '$key' vanished from the fresh run" >&2
-            fail=1
-            continue
-        fi
-        checked=$((checked + 1))
-        # p95s are power-of-two histogram bucket upper bounds; a zero
-        # baseline means "fastest bucket" and the fresh run must stay there.
-        if ! jq -ne --argjson b "$base" --argjson c "$cur" --argjson s "$slack" \
-            'if $b == 0 then $c == 0 else $c <= $b * $s end' >/dev/null; then
-            echo "GATE FAIL: $name: '$key' p95 ${cur}ns > ${slack}x snapshot ${base}ns" >&2
-            fail=1
-        else
-            echo "  ok: $name '$key' p95 ${cur}ns (snapshot ${base}ns)"
-        fi
-    done
 done
 
-if [ "$checked" -eq 0 ]; then
-    echo "GATE FAIL: no histograms compared — wrong directories?" >&2
+if [ "$compared" -eq 0 ]; then
+    echo "GATE FAIL: no BENCH_*.json in $fresh_dir — wrong directory?" >&2
     exit 1
 fi
 if [ "$fail" -ne 0 ]; then
-    echo "bench regression gate FAILED ($checked p95s checked)" >&2
+    echo "bench regression gate FAILED ($compared reports compared)" >&2
     exit 1
 fi
-echo "bench regression gate passed ($checked p95s checked)"
+echo "bench regression gate passed ($compared reports byte-identical)"
