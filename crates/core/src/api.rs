@@ -148,14 +148,7 @@ impl AuroraApi for Sls {
             let mut store = self.store.lock();
             // The region flush is its own draft epoch under the group.
             store.stage_for(gid.0);
-            let dirty: Vec<u64> = self
-                .kernel
-                .vm
-                .resident_page_indices(pair.old_top)?
-                .into_iter()
-                .filter(|&(_, d)| d)
-                .map(|(pi, _)| pi)
-                .collect();
+            let dirty = self.kernel.vm.dirty_page_indices(pair.old_top)?;
             let mut batch: Vec<(u64, aurora_objstore::PageRef)> =
                 Vec::with_capacity(dirty.len());
             for &pi in &dirty {

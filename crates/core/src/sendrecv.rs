@@ -6,7 +6,7 @@ use crate::restore::{RestoreMode, RestoreReport};
 use crate::{Sls, SlsError};
 use aurora_objstore::{ObjectKind, Oid, RedoWrite, PAGE};
 use aurora_sim::codec::{Decoder, Encoder};
-use aurora_sim::fnv1a;
+use aurora_sim::content_hash;
 
 const STREAM_TAG: u16 = 0x5354;
 
@@ -19,7 +19,11 @@ const STREAM_TAG: u16 = 0x5354;
 /// The header carries a **provenance context** — the origin node id and
 /// the virtual send time — so a receiver can attribute the frame to its
 /// origin hop in the cross-node causal graph.
-const STREAM_VERSION: u16 = 2;
+///
+/// Version 3 is version 2's framing with the page checksums computed by
+/// the word-wise [`content_hash`] (record format 6): a version-2 stream
+/// is refused here, by version, not at its first checksum.
+const STREAM_VERSION: u16 = 3;
 
 /// What a delta stream carried — the replication/migration layers size
 /// rounds and convergence checks on these.
@@ -96,7 +100,7 @@ impl Sls {
                 let data = store.read_page(oid, pi, epoch)?;
                 body.u64(pi);
                 body.u32(1);
-                put_record(&mut body, true, 0, data.bytes(), fnv1a(data.bytes()));
+                put_record(&mut body, true, 0, data.bytes(), content_hash(data.bytes()));
             }
             let bytes = body.finish_vec();
             e.u32(bytes.len() as u32);
@@ -186,7 +190,7 @@ impl Sls {
                             if let Some(p) = &base {
                                 buf.copy_from_slice(p.bytes());
                             }
-                            base_csum = fnv1a(&buf);
+                            base_csum = content_hash(&buf);
                         }
                         let end = offset + payload.len();
                         if end > PAGE {
@@ -198,7 +202,7 @@ impl Sls {
                             Some((o, e)) => (o.min(offset), e.max(end)),
                         });
                     }
-                    if fnv1a(&buf) != page_csum {
+                    if content_hash(&buf) != page_csum {
                         return Err(SlsError::BadImage("delta stream page checksum"));
                     }
                 }

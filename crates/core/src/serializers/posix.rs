@@ -45,7 +45,7 @@ pub(crate) fn meta(sls: &Sls, oid: Oid, epoch: u64) -> Result<Vec<u8>, SlsError>
     Ok(store.meta_at(oid, epoch)?.to_vec())
 }
 
-pub(crate) use aurora_sim::hash::fnv1a as fnv;
+pub(crate) use aurora_sim::content_hash as fnv;
 
 struct ProcSer;
 

@@ -84,19 +84,12 @@ impl Serializer for MemSer {
             let lineage = kernel.vm.object(obj)?.lineage.0;
             let oid =
                 oids.get(KObj::Mem(lineage)).ok_or(SlsError::BadImage("unassigned memory object"))?;
-            let mut dirty: Vec<u64> = kernel
-                .vm
-                .resident_page_indices(obj)?
-                .into_iter()
-                .filter(|&(_, d)| d)
-                .map(|(pi, _)| pi)
-                .collect();
+            // Ascending page order: LSN assignment is a pure function of
+            // the dirty set.
+            let dirty = kernel.vm.dirty_page_indices(obj)?;
             if dirty.is_empty() {
                 continue;
             }
-            // Flush in page order: LSN assignment becomes a pure function
-            // of the dirty set, not of hash-map iteration order.
-            dirty.sort_unstable();
             match *redo_delta_max {
                 None => {
                     // Full-page mode. Frames travel into the store by
@@ -115,25 +108,30 @@ impl Serializer for MemSer {
                         Vec::with_capacity(dirty.len());
                     for &pi in &dirty {
                         let page = kernel.vm.page_ref(obj, pi)?;
-                        let (delta, base_csum) = match kernel.vm.backer_page_ref(obj, pi)? {
+                        let base = kernel.vm.backer_page_ref(obj, pi)?;
+                        let delta = match &base {
                             // Shared frame ⇒ COW never broke ⇒ the page
                             // is byte-identical to its committed parent
                             // copy: a zero-length record marks the page
                             // dirty-but-unchanged at this consistency
                             // point without rewriting any bytes.
-                            Some(base) if aurora_objstore::PageRef::ptr_eq(&base, &page) => {
-                                (Some((0, Vec::new())), aurora_sim::fnv1a(base.bytes()))
+                            Some(base) if aurora_objstore::PageRef::ptr_eq(base, &page) => {
+                                Some((0, Vec::new()))
                             }
                             Some(base) => match diff_span(base.bytes(), page.bytes()) {
-                                None => (Some((0, Vec::new())), aurora_sim::fnv1a(base.bytes())),
+                                None => Some((0, Vec::new())),
                                 Some((off, len)) if len <= cap => {
-                                    let payload = page.bytes()[off..off + len].to_vec();
-                                    (Some((off as u32, payload)), aurora_sim::fnv1a(base.bytes()))
+                                    Some((off as u32, page.bytes()[off..off + len].to_vec()))
                                 }
                                 // Span too wide: a full image is cheaper.
-                                Some(_) => (None, 0),
+                                Some(_) => None,
                             },
-                            None => (None, 0),
+                            None => None,
+                        };
+                        // A delta names the content it was diffed against.
+                        let base_csum = match (&delta, &base) {
+                            (Some(_), Some(base)) => aurora_sim::content_hash(base.bytes()),
+                            _ => 0,
                         };
                         match &delta {
                             Some((_, p)) => {
@@ -268,7 +266,78 @@ impl Serializer for MemSer {
 /// a good trade against per-run record overhead.
 fn diff_span(base: &[u8], new: &[u8]) -> Option<(usize, usize)> {
     debug_assert_eq!(base.len(), new.len());
-    let first = base.iter().zip(new).position(|(a, b)| a != b)?;
-    let last = base.iter().zip(new).rposition(|(a, b)| a != b).expect("some byte differs");
+    // Whole chunks compare as slices (`memcmp`); only the first and the
+    // last differing chunk are scanned byte by byte.
+    const CHUNK: usize = 64;
+    let differs = |(a, b): (&[u8], &[u8])| a != b;
+    let chunks = || base.chunks(CHUNK).zip(new.chunks(CHUNK));
+    let lo = chunks().position(differs)? * CHUNK;
+    let hi = base.len().min((chunks().rposition(differs).expect("some chunk differs") + 1) * CHUNK);
+    let byte_differs = |(a, b): (&u8, &u8)| a != b;
+    let first = lo + base[lo..].iter().zip(&new[lo..]).position(byte_differs).expect("in chunk");
+    let last = base[..hi].iter().zip(&new[..hi]).rposition(byte_differs).expect("in chunk");
     Some((first, last - first + 1))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::diff_span;
+    use aurora_sim::rng::{DetRng, Rng};
+
+    /// The byte-at-a-time scan `diff_span` replaced: the reference.
+    fn diff_span_bytewise(base: &[u8], new: &[u8]) -> Option<(usize, usize)> {
+        let first = base.iter().zip(new).position(|(a, b)| a != b)?;
+        let last = base.iter().zip(new).rposition(|(a, b)| a != b).expect("some byte differs");
+        Some((first, last - first + 1))
+    }
+
+    #[test]
+    fn chunked_diff_returns_the_bytewise_span() {
+        const PAGE: usize = 4096;
+        let mut rng = DetRng::seed_from_u64(0xD1FF);
+        let base: Vec<u8> = (0..PAGE).map(|_| rng.next_u64() as u8).collect();
+        let check = |new: &[u8], what: &str| {
+            assert_eq!(diff_span(&base, new), diff_span_bytewise(&base, new), "{what}");
+        };
+        // Edges: identical, first byte, last byte, whole page, and spans
+        // ending or starting on either side of a 64-byte chunk boundary.
+        check(&base, "identical");
+        assert_eq!(diff_span(&base, &base), None);
+        let mut edges: Vec<(usize, usize)> = vec![(0, 1), (PAGE - 1, 1), (0, PAGE), (2047, 1)];
+        for boundary in [64, 2048, PAGE - 64] {
+            for start in [boundary - 2, boundary - 1, boundary, boundary + 1] {
+                for len in [1, 2, 63, 64, 65, 130] {
+                    if start + len <= PAGE {
+                        edges.push((start, len));
+                    }
+                }
+            }
+        }
+        for (off, len) in edges {
+            let mut new = base.clone();
+            new[off..off + len].iter_mut().for_each(|b| *b = !*b);
+            check(&new, &format!("edge ({off}, {len})"));
+            assert_eq!(diff_span(&base, &new), Some((off, len)));
+        }
+        // Seeded edits: one to three spans of random bytes per page, so
+        // span ends may coincide with the base and interior chunks match.
+        for case in 0..2000 {
+            let mut new = base.clone();
+            for _ in 0..rng.gen_range(1..4) {
+                let off = rng.gen_range(0..PAGE as u64) as usize;
+                let len = (rng.gen_range(1..300) as usize).min(PAGE - off);
+                new[off..off + len].iter_mut().for_each(|b| *b = rng.next_u64() as u8);
+            }
+            check(&new, &format!("seeded case {case}"));
+        }
+        // Lengths that are not a multiple of the chunk.
+        for len in [0, 1, 63, 65, 100] {
+            let mut new = base[..len].to_vec();
+            assert_eq!(diff_span(&base[..len], &new), None);
+            if let Some(b) = new.last_mut() {
+                *b ^= 1;
+                assert_eq!(diff_span(&base[..len], &new), Some((len - 1, 1)));
+            }
+        }
+    }
 }

@@ -583,31 +583,42 @@ fn incremental_delta_streams_feed_a_standby() {
 }
 
 #[test]
-fn a_v1_stream_is_a_bad_image_not_a_compat_path() {
-    // Stream format 2 is the only one this system produces; a v1 header
-    // (tag 0x5354, version 1: epoch + object count, full page images)
-    // must come back as a structured error, never be half-decoded.
-    let mut e = aurora_sim::Encoder::new();
-    e.record(0x5354, 1, |e| {
-        e.u64(7);
-        e.u32(0);
-    });
-    let mut dst = World::quickstart();
-    let before = dst.sls.store().lock().last_epoch();
-    let err = dst.sls.recv_stream(&e.finish_vec()).unwrap_err();
-    assert!(
-        matches!(err, aurora_core::SlsError::BadImage("unsupported stream version")),
-        "got {err}"
-    );
-    assert_eq!(dst.sls.store().lock().last_epoch(), before, "nothing was committed");
-    // What `send_stream` produces is accepted, and says so in its header.
+fn a_stream_of_another_version_is_a_bad_image_not_a_compat_path() {
+    // Stream format 3 is the only one this system produces. What
+    // `send_stream` produces is accepted, and says so in its header.
     let mut src = World::quickstart();
     let pid = src.spawn_counter_app();
     let gid = src.sls.attach(pid, SlsOptions::default()).unwrap();
     let cp = src.sls.sls_checkpoint(gid).unwrap();
     src.sls.sls_barrier(gid).unwrap();
     let full = src.sls.send_stream(cp.epoch).unwrap();
-    assert_eq!(&full[..4], &[0x54, 0x53, 2, 0], "tag 0x5354, version 2");
+    assert_eq!(&full[..4], &[0x54, 0x53, 3, 0], "tag 0x5354, version 3");
+
+    // The same bytes claiming version 2 (format 3's framing, page
+    // checksums by byte-wise FNV-1a) and a v1 header (epoch + object
+    // count, full page images) must come back as a structured error by
+    // version — never half-decoded, never a checksum mismatch.
+    let mut v2 = full.clone();
+    v2[2..4].copy_from_slice(&2u16.to_le_bytes());
+    let mut v1 = aurora_sim::Encoder::new();
+    v1.record(0x5354, 1, |e| {
+        e.u64(7);
+        e.u32(0);
+    });
+    let mut dst = World::quickstart();
+    let store_state = |w: &World| {
+        let s = w.sls.store().lock();
+        (s.last_epoch(), s.gauges().objects, s.gauges().open_drafts)
+    };
+    let before = store_state(&dst);
+    for (v, stream) in [(2, v2), (1, v1.finish_vec())] {
+        let err = dst.sls.recv_stream(&stream).unwrap_err();
+        assert!(
+            matches!(err, aurora_core::SlsError::BadImage("unsupported stream version")),
+            "version {v}: got {err}"
+        );
+        assert_eq!(store_state(&dst), before, "version {v}: nothing was installed");
+    }
     assert_eq!(dst.sls.recv_stream(&full).unwrap().len(), 1);
 }
 

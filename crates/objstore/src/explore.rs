@@ -30,7 +30,7 @@
 //! workload always issues the same write sequence, so "crash at write
 //! N" names one exact machine state.
 
-use crate::store::fnv1a;
+use crate::store::content_hash;
 use crate::{ObjectKind, ObjectStore, Oid, PageRef, RedoWrite, PAGE};
 use aurora_sim::cost::Charge;
 use aurora_sim::rng::{DetRng, Rng};
@@ -273,7 +273,8 @@ fn replay(workload: &[WorkloadOp], groups: usize, plan: FaultPlan) -> Replay {
                 new[off as usize..(off + len) as usize].fill(fill);
                 let page = store.arena().alloc(new);
                 let delta = Some((off, vec![fill; len as usize]));
-                let w = RedoWrite { pindex, page: page.clone(), delta, base_csum: fnv1a(&base) };
+                let base_csum = content_hash(&base);
+                let w = RedoWrite { pindex, page: page.clone(), delta, base_csum };
                 store.append_redo(oid, &[w]).expect("append_redo");
                 g.live.pages.insert((obj, pindex), page);
             }

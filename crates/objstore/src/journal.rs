@@ -11,7 +11,8 @@
 //! record — no commit record needed.
 
 use crate::store::{
-    contiguous_runs, fnv1a as checksum, ObjectKind, ObjectStore, Oid, Result, StoreError, PAGE,
+    content_hash as checksum, contiguous_runs, ObjectKind, ObjectStore, Oid, Result, StoreError,
+    PAGE,
 };
 use aurora_sim::codec::{Decoder, Encoder};
 

@@ -2,19 +2,22 @@
 //! payload) and packed redo record — each encoded and decoded in exactly
 //! one place, here. Pure byte ↔ struct functions; the engine does the I/O.
 //!
-//! Record format 5 is the only one. No image outlives a process in this
+//! Record format 6 is the only one. No image outlives a process in this
 //! system, so a header with any other version is simply "not a record",
-//! like garbage.
+//! like garbage. Format 6 is format 5 with every stored digest computed
+//! by the 4-lane word-wise [`content_hash`] instead of byte-wise FNV-1a:
+//! same layout, same lengths — the version is what refuses an older
+//! image before any of its checksums is compared.
 
 use super::index::PageVersion;
-use super::{fnv1a, Result, StoreError, PAGE};
+use super::{content_hash, Result, StoreError, PAGE};
 use aurora_sim::codec::{Decoder, Encoder};
 
 const MAGIC: u64 = 0x4155_524f_5241_5354; // "AURORAST"
 const SUPERBLOCK_TAG: u16 = 0x5350;
 const SUPERBLOCK_VERSION: u16 = 1;
 const COMMIT_TAG: u16 = 0x434b;
-const RECORD_VERSION: u16 = 5;
+const RECORD_VERSION: u16 = 6;
 
 /// `(meta_start, data_start)`: the metadata log occupies
 /// `[meta_start, data_start)`, data blocks everything above.
@@ -42,7 +45,7 @@ fn padded(mut bytes: Vec<u8>, nblocks: u64) -> Vec<u8> {
 }
 
 /// A commit record's header block — the commit point. The payload
-/// (`nblocks` blocks, `len` meaningful bytes, FNV-1a `checksum`) sits in
+/// (`nblocks` blocks, `len` meaningful bytes, their `checksum`) sits in
 /// the blocks right after it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct CommitHeader {
@@ -70,7 +73,7 @@ impl CommitHeader {
         floor: u64,
         payload: Vec<u8>,
     ) -> (Self, Vec<u8>) {
-        let (len, checksum) = (payload.len() as u64, fnv1a(&payload));
+        let (len, checksum) = (payload.len() as u64, content_hash(&payload));
         let nblocks = len.max(1).div_ceil(PAGE as u64);
         (Self { epoch, group, cpl, floor, nblocks, len, checksum }, padded(payload, nblocks))
     }
@@ -95,7 +98,7 @@ impl CommitHeader {
         padded(e.finish_vec(), 1)
     }
 
-    /// `None` when the block does not hold a format-5 commit header — a
+    /// `None` when the block does not hold a format-6 commit header — a
     /// commit that raced the crash, another format, or plain garbage.
     pub(crate) fn decode(block: &[u8]) -> Option<Self> {
         let (v, mut body) = Decoder::new(block).record(COMMIT_TAG, RECORD_VERSION).ok()?;
@@ -115,7 +118,7 @@ impl CommitHeader {
     /// checksum — the commit's data raced the crash.
     pub(crate) fn payload<'a>(&self, blocks: &'a [u8]) -> Option<&'a [u8]> {
         let payload = blocks.get(..usize::try_from(self.len).ok()?)?;
-        (fnv1a(payload) == self.checksum).then_some(payload)
+        (content_hash(payload) == self.checksum).then_some(payload)
     }
 }
 
@@ -200,7 +203,7 @@ pub(crate) fn decode_payload(payload: &[u8], epoch: u64) -> Result<Vec<ObjRecord
 }
 
 /// One packed redo record: a sub-page change to one page, self-checked
-/// by a trailing FNV-1a over the encoded body.
+/// by a trailing checksum over the encoded body.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct RedoRecord<'a> {
     pub lsn: u64,
@@ -211,7 +214,7 @@ pub(crate) struct RedoRecord<'a> {
     /// Byte offset of `payload` within the page.
     pub offset: u32,
     pub payload: &'a [u8],
-    /// FNV-1a of the page after applying this record.
+    /// Checksum of the page after applying this record.
     pub page_csum: u64,
 }
 
@@ -232,7 +235,7 @@ impl<'a> RedoRecord<'a> {
         e.u64(self.page_csum);
         let body = e.finish_vec();
         buf.extend_from_slice(&body);
-        buf.extend_from_slice(&fnv1a(&body).to_le_bytes());
+        buf.extend_from_slice(&content_hash(&body).to_le_bytes());
         body.len() as u32 + 8
     }
 
@@ -244,7 +247,7 @@ impl<'a> RedoRecord<'a> {
         let Some((body, csum)) = rec.split_last_chunk::<8>() else {
             return Err(StoreError::Corrupt("redo record out of bounds"));
         };
-        if fnv1a(body) != u64::from_le_bytes(*csum) {
+        if content_hash(body) != u64::from_le_bytes(*csum) {
             return Err(RECORD_CHECKSUM);
         }
         let mut d = Decoder::new(body);
@@ -328,7 +331,10 @@ mod tests {
         let (header, on_disk) = CommitHeader::seal(9, 2, 12, 4, payload.clone());
         let block = header.encode();
         // The version field sits in bytes 2..4 of the record frame.
-        for v in [0u16, 4, 6] {
+        // 5 had this exact layout with byte-wise FNV-1a digests: refused
+        // by version, before any checksum is looked at.
+        for v in [0u16, 4, 5, 7] {
+            assert_ne!(v, RECORD_VERSION);
             let mut other = block.clone();
             other[2..4].copy_from_slice(&v.to_le_bytes());
             assert_eq!(CommitHeader::decode(&other), None, "version {v} is not a record");

@@ -46,7 +46,7 @@ pub(crate) struct PageVersion {
     /// Packed redo record (parse at `block`+`byte_off`) vs a raw page
     /// block holding exactly the page bytes.
     pub redo: bool,
-    /// FNV-1a of the materialized page.
+    /// Checksum of the materialized page.
     pub csum: u64,
 }
 

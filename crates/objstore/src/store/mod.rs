@@ -42,11 +42,9 @@ struct DirtyState {
     max_completion: u64,
 }
 
-/// FNV-1a 64-bit (the workspace [`ContentHasher`]): validates metadata
-/// records at recovery, every data page, and journal records.
-///
-/// [`ContentHasher`]: aurora_sim::hash::ContentHasher
-pub(crate) use aurora_sim::hash::fnv1a;
+/// The workspace's 64-bit content hash ([`aurora_sim::hash`]): validates
+/// metadata records at recovery, every data page, and journal records.
+pub(crate) use aurora_sim::content_hash;
 
 /// The Aurora object store.
 pub struct ObjectStore {
@@ -787,8 +785,9 @@ mod tests {
     fn a_header_of_another_record_version_is_not_a_record() {
         let (s, oid, head) = two_epochs();
         // Bytes 2..4 of the record frame hold the version: make epoch 2's
-        // header claim format 4. Recovery must treat it as garbage.
-        let mut s = tamper_and_reopen(s, head, |b| b[2..4].copy_from_slice(&4u16.to_le_bytes()));
+        // header claim format 5 (this layout, byte-wise FNV-1a digests).
+        // Recovery must treat it as garbage.
+        let mut s = tamper_and_reopen(s, head, |b| b[2..4].copy_from_slice(&5u16.to_le_bytes()));
         assert_eq!(s.epochs(), &[1], "recovery exposes the prior epoch");
         assert_eq!(s.read_page(oid, 0, 1).unwrap(), page(1));
         assert!(s.read_page(oid, 0, 2).is_err());

@@ -6,7 +6,7 @@ use super::alloc::contiguous_runs;
 use super::cache::PageCache;
 use super::format::{self, RedoRecord};
 use super::index::{PageVersion, View, PROV_BASE};
-use super::{fnv1a, ObjectKind, ObjectStore, Oid, RedoRecordOut, Result, StoreError, PAGE};
+use super::{content_hash, ObjectKind, ObjectStore, Oid, RedoRecordOut, Result, StoreError, PAGE};
 use aurora_frames::PageRef;
 use aurora_storage::device::DeviceError;
 
@@ -158,7 +158,7 @@ impl ObjectStore {
         v: &PageVersion,
         page: &[u8],
     ) -> Result<()> {
-        if fnv1a(page) == v.csum {
+        if content_hash(page) == v.csum {
             Ok(())
         } else {
             Err(self.checksum_mismatch(op, oid, epoch, v.block))

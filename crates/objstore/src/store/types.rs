@@ -171,7 +171,7 @@ pub struct RedoWrite {
     /// image. Deltas require a prior version to chain on — the store
     /// promotes chain-less deltas to full images.
     pub delta: Option<(u32, Vec<u8>)>,
-    /// FNV-1a of the base content the delta was diffed against (ignored
+    /// Checksum of the base content the delta was diffed against (ignored
     /// for full images). The store demotes the record to a full image
     /// when this doesn't match the version it would chain on: a stale
     /// diff base must never enter a chain, or replay would materialize
@@ -191,7 +191,7 @@ pub struct RedoRecordOut {
     pub offset: u32,
     /// The changed bytes.
     pub payload: Vec<u8>,
-    /// FNV-1a of the page after applying this record.
+    /// Checksum of the page after applying this record.
     pub page_csum: u64,
 }
 

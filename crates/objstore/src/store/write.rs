@@ -8,7 +8,9 @@ use super::alloc::contiguous_runs;
 use super::cache::PageCache;
 use super::format::{self, CommitHeader, ObjRecord, RedoRecord};
 use super::index::{prov_tag, PageVersion, View};
-use super::{fnv1a, CommitInfo, ObjectKind, ObjectStore, Oid, RedoWrite, Result, StoreError, PAGE};
+use super::{
+    content_hash, CommitInfo, ObjectKind, ObjectStore, Oid, RedoWrite, Result, StoreError, PAGE,
+};
 use aurora_frames::PageRef;
 use aurora_storage::device::Completion;
 use std::collections::HashMap;
@@ -107,7 +109,7 @@ impl ObjectStore {
             // Checksum the clean page as handed to the device; anything
             // the medium flips afterwards is caught at read time.
             // Computed once per frame write — cache hits never re-verify.
-            let entry = PageVersion::raw(prov, self.next_lsn, block, fnv1a(data.bytes()));
+            let entry = PageVersion::raw(prov, self.next_lsn, block, content_hash(data.bytes()));
             self.next_lsn += 1;
             self.marks.wrote(entry.lsn, max_done);
             superseded.extend(o.stage(*pindex, entry));
@@ -187,7 +189,7 @@ impl ObjectStore {
                 Some(earlier) => earlier,
                 None => o.visible(w.pindex, view).map_or(0, |v| v.lsn),
             };
-            let page_csum = fnv1a(w.page.bytes());
+            let page_csum = content_hash(w.page.bytes());
             let (pindex, at) = (w.pindex, buf.len());
             let rec = RedoRecord { lsn, pindex, prev_lsn, full: false, offset, payload, page_csum };
             let rec_len = rec.encode_into(&mut buf);

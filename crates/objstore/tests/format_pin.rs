@@ -5,6 +5,13 @@
 //! before it was split into modules. A refactor that moves a block,
 //! reorders an LSN or changes one encoded byte fails here.
 //!
+//! Three pins, hashed by a byte-wise FNV-1a local to this test so they
+//! do not move when the store's own content hash does. Record format 6
+//! (the word-wise content hash) changed the digests *inside* blocks and
+//! nothing else: `DEVICE_HASH` was re-pinned for it, while
+//! `COMMITS_HASH` (LSNs, placement, timing) and `WRITTEN_LBAS_HASH`
+//! (which blocks exist) are the format-5 constants, untouched.
+//!
 //! The workload avoids history reclamation and aborts: those return
 //! blocks to the allocator, whose free order was `HashMap`-dependent
 //! before the split and is deliberately ascending-LBA since.
@@ -12,16 +19,25 @@
 use aurora_objstore::store::RedoWrite;
 use aurora_objstore::{ObjectKind, ObjectStore, Oid, PAGE};
 use aurora_sim::cost::Charge;
-use aurora_sim::hash::{ContentHasher, Fnv1a};
 use aurora_sim::rng::{DetRng, Rng};
-use aurora_sim::{fnv1a, Clock, CostModel};
+use aurora_sim::{content_hash, Clock, CostModel};
 use aurora_storage::testbed_array;
 use std::collections::BTreeMap;
 
 /// FNV-1a over every device block after the workload.
-const DEVICE_HASH: u64 = 0xc14d_9c57_d30d_d83c;
+const DEVICE_HASH: u64 = 0x6c0f_166d_aaf5_7ebb;
 /// FNV-1a over every commit's `(epoch, durable_at, meta_bytes)`.
 const COMMITS_HASH: u64 = 0x0bde_03d2_f041_118d;
+/// FNV-1a over the LBA of every block holding a non-zero byte.
+const WRITTEN_LBAS_HASH: u64 = 0x6b40_af8d_68e3_bdb5;
+
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Byte-wise FNV-1a (with the multiplier the tree's hash had through
+/// record format 5), folding `data` into `h`.
+fn fnv(h: u64, data: &[u8]) -> u64 {
+    data.iter().fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x1000_0000_01b3))
+}
 
 const GROUPS: [u64; 2] = [1, 2];
 const PAGES: u64 = 24;
@@ -50,7 +66,7 @@ fn device_image_and_commit_times_match_the_pinned_format() {
     }
     // The model: current content of every page, for delta bases.
     let mut model: BTreeMap<(Oid, u64), [u8; PAGE]> = BTreeMap::new();
-    let mut commits = Fnv1a::reset();
+    let mut commits = FNV_BASIS;
 
     for round in 0..16u64 {
         for (gi, &g) in GROUPS.iter().enumerate() {
@@ -89,7 +105,7 @@ fn device_image_and_commit_times_match_the_pinned_format() {
                         pindex: pi,
                         page: store.arena().alloc(new),
                         delta: Some((off as u32, new[off..off + len].to_vec())),
-                        base_csum: fnv1a(&base),
+                        base_csum: content_hash(&base),
                     });
                 }
                 store.append_redo(oid, &writes).unwrap();
@@ -115,7 +131,7 @@ fn device_image_and_commit_times_match_the_pinned_format() {
             let g = GROUPS[(round as usize + k) % 2];
             let info = store.commit_for(g).unwrap();
             for x in [info.epoch, info.durable_at, info.meta_bytes] {
-                commits.update(&x.to_le_bytes());
+                commits = fnv(commits, &x.to_le_bytes());
             }
             if rng.gen_range(0..3) == 0 {
                 store.barrier(info);
@@ -127,17 +143,19 @@ fn device_image_and_commit_times_match_the_pinned_format() {
     // Let every in-flight write land, then hash the whole device.
     let settle = GROUPS.iter().map(|&g| store.durable_floor(g)).max().unwrap();
     store.charge().clock().advance_to(settle);
-    let mut image = Fnv1a::reset();
+    let (mut image, mut written) = (FNV_BASIS, FNV_BASIS);
     let mut d = dev.lock();
-    let blocks = d.capacity_blocks();
-    for lba in (0..blocks).step_by(64) {
-        image.update(&d.read(lba, 64.min(blocks - lba)).unwrap());
+    for lba in 0..d.capacity_blocks() {
+        let block = d.read(lba, 1).unwrap();
+        image = fnv(image, &block);
+        if block.iter().any(|&b| b != 0) {
+            written = fnv(written, &lba.to_le_bytes());
+        }
     }
     assert_eq!(
-        (image.digest(), commits.digest()),
-        (DEVICE_HASH, COMMITS_HASH),
-        "device image or commit timing changed: (device, commits) = ({:#x}, {:#x})",
-        image.digest(),
-        commits.digest()
+        (image, commits, written),
+        (DEVICE_HASH, COMMITS_HASH, WRITTEN_LBAS_HASH),
+        "device image, commit timing or block placement changed: \
+         (device, commits, written LBAs) = ({image:#x}, {commits:#x}, {written:#x})"
     );
 }

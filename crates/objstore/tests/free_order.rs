@@ -10,8 +10,7 @@
 use aurora_objstore::store::RedoWrite;
 use aurora_objstore::{CommitInfo, ObjectKind, ObjectStore, PageRef, PAGE};
 use aurora_sim::cost::Charge;
-use aurora_sim::hash::{ContentHasher, Fnv1a};
-use aurora_sim::{fnv1a, Clock, CostModel};
+use aurora_sim::{content_hash, Clock, CostModel};
 use aurora_storage::testbed_array;
 
 const PAGES: u64 = 96;
@@ -56,7 +55,7 @@ fn drive() -> (Vec<CommitInfo>, u64) {
                 pindex: pi,
                 page: s.arena().alloc(new),
                 delta: Some((100, new[100..164].to_vec())),
-                base_csum: fnv1a(&base),
+                base_csum: content_hash(&base),
             }
         })
         .collect();
@@ -78,13 +77,10 @@ fn drive() -> (Vec<CommitInfo>, u64) {
         commit(&mut s);
     }
 
-    let mut image = Fnv1a::reset();
     let mut d = dev.lock();
     let blocks = d.capacity_blocks();
-    for lba in (0..blocks).step_by(64) {
-        image.update(&d.read(lba, 64.min(blocks - lba)).unwrap());
-    }
-    (commits, image.digest())
+    let image = d.read(0, blocks).unwrap();
+    (commits, content_hash(&image))
 }
 
 #[test]

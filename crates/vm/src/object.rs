@@ -303,6 +303,17 @@ impl Vm {
             })
             .collect())
     }
+
+    /// The resident dirty pages of an object, ascending — what a
+    /// checkpoint flushes.
+    pub fn dirty_page_indices(&self, obj: ObjId) -> Result<Vec<u64>, VmError> {
+        let o = self.objects.get(&obj).ok_or(VmError::NoSuchObject(obj))?;
+        Ok(o.pages
+            .iter()
+            .filter(|(_, s)| matches!(s, PageSlot::Resident { dirty: true, .. }))
+            .map(|(&pi, _)| pi)
+            .collect())
+    }
 }
 
 #[cfg(test)]
