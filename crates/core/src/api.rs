@@ -134,9 +134,7 @@ impl AuroraApi for Sls {
         let oid = {
             let g = self.groups.get_mut(&gid).expect("checked");
             let mut store = self.store.lock();
-            let oid = g
-                .oidmap
-                .get_or_create(&mut store, crate::oidmap::KObj::Mem(lineage))?;
+            let oid = g.oidmap.get_or_create(&mut store, crate::KObj(crate::Kind::Mem, lineage))?;
             self.lineage_oids
                 .lock()
                 .entry(lineage)

@@ -1,7 +1,7 @@
 //! Checkpoint entry point and the shared reachability scan (§4–6). The
 //! actual work happens in [`crate::pipeline::CheckpointPipeline`]; every
-//! per-object-kind operation dispatches through the
-//! [`crate::registry::SerializerRegistry`].
+//! per-object-kind operation goes through the [`crate::kinds::KINDS`]
+//! table.
 
 use crate::{GroupId, Sls, SlsError};
 use aurora_posix::file::FileKind;

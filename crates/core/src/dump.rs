@@ -2,13 +2,13 @@
 //! state can be extracted as an ELF64 core file for debugging.
 
 use crate::checkpoint::Reach;
-use crate::oidmap::OidMap;
-use crate::registry::KObjKind;
+use crate::kinds::KINDS;
+use crate::oidmap::{Kind, OidMap};
 use crate::{Sls, SlsError};
 use aurora_objstore::Oid;
 use aurora_posix::Pid;
 use aurora_sim::codec::Encoder;
-use aurora_vm::{ObjId, PageSlot, PAGE_SIZE};
+use aurora_vm::PAGE_SIZE;
 
 const EHDR_SIZE: usize = 64;
 const PHDR_SIZE: usize = 56;
@@ -16,43 +16,8 @@ const PT_LOAD: u32 = 1;
 const PT_NOTE: u32 = 4;
 const NT_PRSTATUS: u32 = 1;
 /// Aurora extension note: the process record in the checkpoint image
-/// format, produced by the same serializer registry checkpoints use
-/// ("AURA").
+/// format, produced by the same kind table checkpoints use ("AURA").
 const NT_AURORA_PROC: u32 = 0x4155_5241;
-
-/// Reads `[addr, addr+len)` of a space without faulting: missing or
-/// swapped pages read as zeros (they are holes in the dump).
-fn read_region_nofault(
-    sls: &Sls,
-    space: aurora_vm::SpaceId,
-    top: ObjId,
-    offset_pages: u64,
-    start: u64,
-    len: u64,
-) -> Result<Vec<u8>, SlsError> {
-    let _ = space;
-    let mut out = vec![0u8; len as usize];
-    let pages = len / PAGE_SIZE as u64;
-    let chain = sls.kernel.vm.chain_of(top)?;
-    for i in 0..pages {
-        let pindex = offset_pages + i;
-        for &obj in &chain {
-            let o = sls.kernel.vm.object(obj)?;
-            match o.pages.get(&pindex) {
-                Some(PageSlot::Resident { .. }) => {
-                    let data = sls.kernel.vm.page_bytes(obj, pindex)?;
-                    let off = (i as usize) * PAGE_SIZE;
-                    out[off..off + PAGE_SIZE].copy_from_slice(data);
-                    break;
-                }
-                Some(PageSlot::Swapped) => break, // hole in the dump
-                None => continue,
-            }
-        }
-    }
-    let _ = start;
-    Ok(out)
-}
 
 impl Sls {
     /// The OID map [`coredump`](Sls::coredump) encodes process records
@@ -60,15 +25,14 @@ impl Sls {
     /// otherwise a temporary map fake-bound over the process's reachable
     /// objects (the OIDs only name cross-references inside the note).
     fn dump_oidmap(&self, pid: Pid) -> Result<OidMap, SlsError> {
-        let registry = self.registry.clone();
         let mut oids = OidMap::default();
         let reach = Reach::collect(&self.kernel, &[pid])?;
         // Fake bindings live above bit 48 so they can never collide with
         // a store-allocated OID carried over from a group's live map.
         let mut next = 1u64 << 48;
-        for ser in registry.iter() {
-            for id in ser.collect(&self.kernel, &reach)? {
-                let key = ser.key_of(&self.kernel, id)?;
+        for ops in &KINDS {
+            for id in (ops.collect)(&reach) {
+                let key = (ops.key_of)(&self.kernel, id)?;
                 let bound = self
                     .groups
                     .values()
@@ -87,7 +51,7 @@ impl Sls {
 
     /// Produces an ELF64 core image of a running process: one PT_NOTE
     /// with an NT_PRSTATUS per thread plus an NT_AURORA_PROC carrying
-    /// the registry-encoded process record, one PT_LOAD per map entry.
+    /// the checkpoint-format process record, one PT_LOAD per map entry.
     pub fn coredump(&self, pid: Pid) -> Result<Vec<u8>, SlsError> {
         let p = self.kernel.proc(pid)?;
         let entries: Vec<_> = self.kernel.vm.entries(p.space)?.to_vec();
@@ -118,12 +82,11 @@ impl Sls {
             let desc = desc.finish_vec();
             push_note(&mut notes, NT_PRSTATUS, &desc);
         }
-        // The checkpoint-format process record, via the same serializer
-        // the checkpoint pipeline dispatches through.
+        // The checkpoint-format process record, via the same table row
+        // the checkpoint pipeline encodes through.
         {
             let oids = self.dump_oidmap(pid)?;
-            let rec =
-                self.registry.get(KObjKind::Proc)?.encode(&self.kernel, pid.0 as u64, &oids)?;
+            let rec = (Kind::Proc.ops().encode)(&self.kernel, pid.0 as u64, &oids)?;
             push_note(&mut notes, NT_AURORA_PROC, &rec);
         }
         let notes = notes.finish_vec();
@@ -132,14 +95,9 @@ impl Sls {
         let headers_len = EHDR_SIZE + phnum * PHDR_SIZE;
         let mut segments: Vec<(u64, Vec<u8>)> = Vec::with_capacity(entries.len());
         for e in &entries {
-            let data = read_region_nofault(
-                self,
-                p.space,
-                e.object,
-                e.offset_pages,
-                e.start,
-                e.end - e.start,
-            )?;
+            // Missing or swapped pages are holes in the dump.
+            let pages = (e.end - e.start) / PAGE_SIZE as u64;
+            let (data, _resident) = self.kernel.vm.read_nofault(e.object, e.offset_pages, pages)?;
             segments.push((e.start, data));
         }
 

@@ -1,54 +1,85 @@
-//! The VM subsystem serializer (§6): memory objects, keyed by lineage
-//! so a shadow chain keeps writing the same on-disk object across
-//! checkpoints. Flushing batches every object's dirty pages into one
-//! charged bulk write; restoring rebuilds chains bottom-up (backer
-//! first) and pins the lineage binding to the restored branch.
+//! The memory-object kind (§6): keyed by lineage so a shadow chain keeps
+//! writing the same on-disk object across checkpoints. The hierarchy is
+//! persisted, not a flat view ("Checkpointing the VM"). Flushing batches
+//! every object's dirty pages into one charged bulk write; restoring
+//! rebuilds chains bottom-up (backer first) and pins the lineage binding
+//! to the restored branch.
 
+use super::posix::ShmSysvRecord;
+use super::{AssignCtx, FlushCtx, KindDef, Rebuild};
 use crate::checkpoint::Reach;
 use crate::error::SlsError;
-use crate::oidmap::{tag, KObj, OidMap};
-use crate::registry::{AssignCtx, FlushCtx, KObjKind, Rebuild, Serializer, SerializerRegistry};
+use crate::oidmap::{KObj, Kind, OidMap};
 use crate::restore::RestoreMode;
-use crate::serial;
-use crate::{LineageBinding, Sls};
-use aurora_objstore::{ObjectKind, Oid, PAGE};
+use crate::wire::{record, wire_enum};
+use crate::LineageBinding;
+use aurora_objstore::{Oid, PAGE};
 use aurora_posix::Kernel;
 use aurora_vm::{ObjId, ObjKind};
 
-/// Registers the VM subsystem's serializer.
-pub fn register(r: &mut SerializerRegistry) {
-    r.register(Box::new(MemSer));
+/// What backs a memory object's pages.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MemKind {
+    /// Anonymous memory.
+    Anonymous,
+    /// A vnode (the record's `vnode` names it when it is in the image).
+    Vnode,
+    /// A device page, re-injected at restore (§5.3).
+    Device,
+}
+wire_enum!(MemKind, "memory object kind": Anonymous = 0, Vnode = 1, Device = 2);
+
+record! {
+    /// A memory (VM) object record; pages are flushed separately.
+    pub struct MemRecord = Kind::Mem as u16, v 1 {
+        /// Size in pages.
+        pub size_pages: u64,
+        /// What backs the pages.
+        pub kind: MemKind,
+        /// Backing vnode OID for vnode-backed objects.
+        pub vnode: Option<Oid>,
+        /// Shadow backer (memory object OID).
+        pub backer: Option<Oid>,
+    }
 }
 
-struct MemSer;
+impl KindDef for MemRecord {
+    const KIND: Kind = Kind::Mem;
 
-impl Serializer for MemSer {
-    fn kind(&self) -> KObjKind {
-        KObjKind::Mem
-    }
-
-    fn collect(&self, _k: &Kernel, reach: &Reach) -> Result<Vec<u64>, SlsError> {
-        Ok(reach.mem_objs.iter().map(|o| o.0).collect())
+    fn collect(reach: &Reach) -> Vec<u64> {
+        reach.mem_objs.iter().map(|o| o.0).collect()
     }
 
     /// Memory objects key by lineage, not object id: every shadow in a
     /// chain maps to the chain's single on-disk object.
-    fn key_of(&self, k: &Kernel, id: u64) -> Result<KObj, SlsError> {
-        Ok(KObj::Mem(k.vm.object(ObjId(id))?.lineage.0))
+    fn key_of(k: &Kernel, id: u64) -> Result<KObj, SlsError> {
+        Ok(KObj(Kind::Mem, k.vm.object(ObjId(id))?.lineage.0))
     }
 
     /// Besides the OID, assignment publishes the lineage binding to the
     /// pager. An existing (possibly pinned) binding is kept: a restored
     /// branch stays pinned; only brand-new lineages go live.
-    fn assign_oid(&self, ctx: &mut AssignCtx<'_>, id: u64) -> Result<Oid, SlsError> {
-        let lineage = ctx.kernel.vm.object(ObjId(id))?.lineage.0;
-        let oid = ctx.oids.get_or_create(ctx.store, KObj::Mem(lineage))?;
-        ctx.lineages.entry(lineage).or_insert_with(|| LineageBinding::live(oid));
+    fn assign_oid(ctx: &mut AssignCtx<'_>, id: u64) -> Result<Oid, SlsError> {
+        let key = Self::key_of(ctx.kernel, id)?;
+        let oid = ctx.oids.get_or_create(ctx.store, key)?;
+        ctx.lineages.entry(key.1).or_insert_with(|| LineageBinding::live(oid));
         Ok(oid)
     }
 
-    fn encode(&self, k: &Kernel, id: u64, oids: &OidMap) -> Result<Vec<u8>, SlsError> {
-        serial::encode_mem(k, ObjId(id), oids)
+    fn capture(k: &Kernel, id: u64, oids: &OidMap) -> Result<Self, SlsError> {
+        let o = k.vm.object(ObjId(id))?;
+        k.charge.locks(1);
+        k.charge.misses(4);
+        let (kind, vnode) = match o.kind {
+            ObjKind::Anonymous => (MemKind::Anonymous, None),
+            ObjKind::Vnode { vnode } => (MemKind::Vnode, oids.get(KObj(Kind::Vnode, vnode))),
+            ObjKind::Device { .. } => (MemKind::Device, None),
+        };
+        let backer = match o.backer {
+            Some(b) => Some(oids.require(Self::key_of(k, b.0)?)?),
+            None => None,
+        };
+        Ok(MemRecord { size_pages: o.size_pages, kind, vnode, backer })
     }
 
     /// Flushes the frozen objects' dirty pages. Chains are collected
@@ -63,7 +94,7 @@ impl Serializer for MemSer {
     /// span exceeds the configured cap — or no parent copy is resident —
     /// does the page fall back to a full image. The store demotes any
     /// delta whose base doesn't match the version it would chain on.
-    fn flush(&self, ctx: &mut FlushCtx<'_>) -> Result<(), SlsError> {
+    fn flush(ctx: &mut FlushCtx<'_>) -> Result<(), SlsError> {
         let FlushCtx {
             kernel,
             store,
@@ -82,8 +113,7 @@ impl Serializer for MemSer {
                 continue; // device pages are re-injected at restore (§5.3)
             }
             let lineage = kernel.vm.object(obj)?.lineage.0;
-            let oid =
-                oids.get(KObj::Mem(lineage)).ok_or(SlsError::BadImage("unassigned memory object"))?;
+            let oid = oids.require(KObj(Kind::Mem, lineage))?;
             // Ascending page order: LSN assignment is a pure function of
             // the dirty set.
             let dirty = kernel.vm.dirty_page_indices(obj)?;
@@ -140,7 +170,12 @@ impl Serializer for MemSer {
                             }
                             None => *bytes_flushed += PAGE as u64,
                         }
-                        batch.push(aurora_objstore::RedoWrite { pindex: pi, page, delta, base_csum });
+                        batch.push(aurora_objstore::RedoWrite {
+                            pindex: pi,
+                            page,
+                            delta,
+                            base_csum,
+                        });
                     }
                     let pin = lineages.get(&lineage).copied();
                     let (floor, resume) = pin.map(|b| (b.floor, b.resume)).unwrap_or((u64::MAX, 0));
@@ -156,63 +191,37 @@ impl Serializer for MemSer {
         Ok(())
     }
 
-    fn restore(
-        &self,
-        sls: &mut Sls,
-        reg: &SerializerRegistry,
-        oid: Oid,
-        epoch: u64,
-        mode: RestoreMode,
-        rb: &mut Rebuild,
-    ) -> Result<(), SlsError> {
-        if rb.get(KObjKind::Mem, oid).is_some() {
-            return Ok(());
-        }
-        let rec = {
-            let store = sls.store.lock();
-            serial::decode_mem(store.meta_at(oid, epoch)?)?
-        };
+    fn install(&self, cx: &mut Rebuild<'_>, oid: Oid) -> Result<u64, SlsError> {
         // Bottom-up: the backer first.
-        if let Some(b) = rec.backer {
-            reg.restore_one(KObjKind::Mem, sls, b, epoch, mode, rb)?;
-        }
-        let kind = match rec.kind {
-            1 => {
-                // Vnode-backed: ensure the vnode exists.
-                if let Some(voi) = rec.vnode {
-                    reg.restore_one(KObjKind::Vnode, sls, voi, epoch, mode, rb)?;
-                    ObjKind::Vnode { vnode: rb.require(KObjKind::Vnode, voi)? }
-                } else {
-                    ObjKind::Anonymous
-                }
-            }
-            2 => ObjKind::Device { dev: 1 }, // re-injected device page (§5.3)
+        let backer = match self.backer {
+            Some(b) => Some(ObjId(cx.restore(Kind::Mem, b)?)),
+            None => None,
+        };
+        let kind = match (self.kind, self.vnode) {
+            // Vnode-backed: ensure the vnode exists.
+            (MemKind::Vnode, Some(v)) => ObjKind::Vnode { vnode: cx.restore(Kind::Vnode, v)? },
+            (MemKind::Device, _) => ObjKind::Device { dev: 1 }, // re-injected device page (§5.3)
             _ => ObjKind::Anonymous,
         };
+        let (epoch, sls) = (cx.epoch, &mut *cx.sls);
         sls.kernel.charge.allocs(1);
         sls.kernel.charge.locks(1);
-        let obj = sls.kernel.vm.create_object(kind, rec.size_pages);
-        if let Some(b) = rec.backer {
-            sls.kernel.vm.set_backer(obj, ObjId(rb.require(KObjKind::Mem, b)?))?;
+        let obj = sls.kernel.vm.create_object(kind, self.size_pages);
+        if let Some(b) = backer {
+            sls.kernel.vm.set_backer(obj, b)?;
         }
         // Populate pages.
-        if rec.kind != 2 {
-            let pages = {
-                let store = sls.store.lock();
-                store.pages_at(oid, epoch).unwrap_or_default()
-            };
-            match mode {
+        if self.kind != MemKind::Device {
+            let pages = sls.store.lock().pages_at(oid, epoch).unwrap_or_default();
+            match cx.mode {
                 RestoreMode::Full => {
-                    let loaded = {
-                        let mut store = sls.store.lock();
-                        store.read_pages_bulk(oid, epoch, &pages)?
-                    };
+                    let loaded = sls.store.lock().read_pages_bulk(oid, epoch, &pages)?;
                     // Installed refs alias the store's page cache: the
                     // restored space shares frames with the store until
                     // its first post-restore write breaks COW.
                     for (pi, data) in loaded {
                         sls.kernel.vm.install_page(obj, pi, data, false)?;
-                        rb.pages_read += 1;
+                        cx.pages_read += 1;
                     }
                 }
                 RestoreMode::Lazy => {
@@ -228,33 +237,23 @@ impl Serializer for MemSer {
         let lineage = sls.kernel.vm.object(obj)?.lineage.0;
         let resume = sls.store.lock().current_epoch();
         sls.lineage_oids.lock().insert(lineage, LineageBinding { oid, floor: epoch, resume });
-        // Record before scanning for attached segments — they reference
-        // this object back.
-        rb.insert(KObjKind::Mem, oid, obj.0);
-        // SysV segments attached to this object.
+        Ok(obj.0)
+    }
+
+    /// Restores the SysV segments attached to this object — they
+    /// reference it back, which is why it is recorded first.
+    fn link(&self, cx: &mut Rebuild<'_>, oid: Oid, _id: u64) -> Result<(), SlsError> {
         let sysv_oids: Vec<Oid> = {
-            let store = sls.store.lock();
-            store
-                .objects_at(epoch)?
-                .into_iter()
-                .filter(|o| store.kind(*o) == Ok(ObjectKind::Posix(tag::SHM_SYSV)))
-                .collect()
+            let store = cx.sls.store.lock();
+            let is_sysv = |o: &Oid| store.kind(*o) == Ok(Kind::ShmSysv.store_kind());
+            store.objects_at(cx.epoch)?.into_iter().filter(is_sysv).collect()
         };
         for so in sysv_oids {
-            let srec = {
-                let store = sls.store.lock();
-                serial::decode_shm_sysv(store.meta_at(so, epoch)?)?
-            };
-            if srec.mem == oid {
-                reg.restore_one(KObjKind::ShmSysv, sls, so, epoch, mode, rb)?;
+            if cx.read::<ShmSysvRecord>(so)?.mem == oid {
+                cx.restore(Kind::ShmSysv, so)?;
             }
         }
         Ok(())
-    }
-
-    /// Restored objects rebind by the *new* lineage the kernel assigned.
-    fn rebind_key(&self, sls: &Sls, id: u64) -> Result<u64, SlsError> {
-        Ok(sls.kernel.vm.object(ObjId(id))?.lineage.0)
     }
 }
 
@@ -271,6 +270,8 @@ fn diff_span(base: &[u8], new: &[u8]) -> Option<(usize, usize)> {
     const CHUNK: usize = 64;
     let differs = |(a, b): (&[u8], &[u8])| a != b;
     let chunks = || base.chunks(CHUNK).zip(new.chunks(CHUNK));
+    // `position` found a differing chunk, so `rposition` finds one too,
+    // and each of the two holds a differing byte: the `expect`s hold.
     let lo = chunks().position(differs)? * CHUNK;
     let hi = base.len().min((chunks().rposition(differs).expect("some chunk differs") + 1) * CHUNK);
     let byte_differs = |(a, b): (&u8, &u8)| a != b;

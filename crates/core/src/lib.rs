@@ -29,22 +29,22 @@ pub mod checkpoint;
 pub mod dump;
 pub mod error;
 pub mod extsync;
+pub mod kinds;
 pub mod oidmap;
 pub mod pipeline;
-pub mod registry;
 pub mod restore;
 pub mod scheduler;
 pub mod sendrecv;
-pub mod serial;
-pub mod serializers;
 pub mod swap;
+pub mod wire;
 pub mod world;
 
 pub use api::AuroraApi;
 pub use checkpoint::{CheckpointStats, Reach, StageFailure};
 pub use error::SlsError;
 pub use pipeline::{CheckpointPipeline, GroupRun, Phase, RetryPolicy};
-pub use registry::{default_registry, KObjKind, Serializer, SerializerRegistry};
+pub use kinds::{KindDef, KindOps, KINDS};
+pub use oidmap::{KObj, Kind};
 pub use restore::RestoreMode;
 pub use scheduler::{CheckpointScheduler, SchedulerPolicy};
 pub use sendrecv::{ApplyReport, DeltaStats};
@@ -224,9 +224,6 @@ pub struct Sls {
     pub(crate) groups: HashMap<GroupId, Group>,
     /// lineage → binding map shared with the kernel's pager.
     pub(crate) lineage_oids: Arc<Mutex<HashMap<u64, LineageBinding>>>,
-    /// The per-object-kind serializer registry (§5.2) every checkpoint,
-    /// restore, and migration dispatches through.
-    pub(crate) registry: Arc<registry::SerializerRegistry>,
     /// The installed trace recorder (disabled by default), kept here so
     /// a crash/reboot can re-arm the fresh kernel with it.
     trace: aurora_trace::Trace,
@@ -291,7 +288,6 @@ impl Sls {
             store,
             groups: HashMap::new(),
             lineage_oids,
-            registry: Arc::new(registry::default_registry()),
             trace: aurora_trace::Trace::disabled(),
             sampler: None,
             last_stats: None,
@@ -444,11 +440,6 @@ impl Sls {
                 }
             }
         }
-    }
-
-    /// The serializer registry this instance dispatches through.
-    pub fn registry(&self) -> Arc<registry::SerializerRegistry> {
-        self.registry.clone()
     }
 
     /// Installs a trace recorder on every instrumented layer under this

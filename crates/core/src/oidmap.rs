@@ -8,82 +8,63 @@
 //! the same OID, so the description is stored once and both slots encode
 //! a reference.
 
+use crate::error::SlsError;
 use aurora_objstore::{ObjectKind, ObjectStore, Oid};
 use std::collections::HashMap;
 
-/// A key identifying a kernel object (the "address in the kernel").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum KObj {
-    /// A process (global pid).
-    Proc(u32),
-    /// A thread (global tid).
-    Thread(u32),
-    /// An open-file description.
-    File(u64),
-    /// A vnode.
-    Vnode(u64),
-    /// A pipe.
-    Pipe(u64),
-    /// A socket.
-    Socket(u64),
-    /// A kqueue.
-    Kqueue(u64),
-    /// A pseudoterminal pair.
-    Pty(u64),
-    /// A POSIX shm object.
-    ShmPosix(u64),
-    /// A SysV shm segment.
-    ShmSysv(u64),
-    /// A logical memory object (VM lineage).
-    Mem(u64),
+/// The kinds of kernel objects the single level store persists, in
+/// serialization order. The discriminant is the kind's record tag (and
+/// its store subtype), and `kind as usize - 1` its row in
+/// [`KINDS`](crate::kinds::KINDS).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[repr(u16)]
+pub enum Kind {
+    /// Process (global pid).
+    Proc = 0x01,
+    /// Thread (global tid).
+    Thread = 0x02,
+    /// Open-file description.
+    File = 0x03,
+    /// Vnode.
+    Vnode = 0x04,
+    /// Pipe.
+    Pipe = 0x05,
+    /// Socket.
+    Socket = 0x06,
+    /// Kqueue.
+    Kqueue = 0x07,
+    /// Pseudoterminal pair.
+    Pty = 0x08,
+    /// POSIX shared memory object.
+    ShmPosix = 0x09,
+    /// SysV shared memory segment.
+    ShmSysv = 0x0A,
+    /// Memory (VM) object, keyed by lineage.
+    Mem = 0x0B,
 }
 
-/// Record tags for serialized POSIX objects (also the store subtype).
-pub mod tag {
-    /// Process record.
-    pub const PROC: u16 = 0x01;
-    /// Thread record.
-    pub const THREAD: u16 = 0x02;
-    /// Open-file description record.
-    pub const FILE: u16 = 0x03;
-    /// Vnode record.
-    pub const VNODE: u16 = 0x04;
-    /// Pipe record.
-    pub const PIPE: u16 = 0x05;
-    /// Socket record.
-    pub const SOCKET: u16 = 0x06;
-    /// Kqueue record.
-    pub const KQUEUE: u16 = 0x07;
-    /// Pseudoterminal record.
-    pub const PTY: u16 = 0x08;
-    /// POSIX shm record.
-    pub const SHM_POSIX: u16 = 0x09;
-    /// SysV shm record.
-    pub const SHM_SYSV: u16 = 0x0A;
-    /// Memory (VM) object record.
-    pub const MEM: u16 = 0x0B;
-    /// Group manifest record.
-    pub const MANIFEST: u16 = 0x0C;
-}
+/// Record tag (and store subtype) of the group manifest, the one record
+/// that is not a kernel object.
+pub const MANIFEST: u16 = 0x0C;
 
-impl KObj {
-    /// The store kind for this object's on-disk representation.
-    pub fn kind(&self) -> ObjectKind {
+impl Kind {
+    /// The store kind of this kind's on-disk representation. Vnodes and
+    /// memory objects carry pages and are stored as what they are (§7);
+    /// everything else is a POSIX record under its tag.
+    pub fn store_kind(self) -> ObjectKind {
         match self {
-            KObj::Proc(_) => ObjectKind::Posix(tag::PROC),
-            KObj::Thread(_) => ObjectKind::Posix(tag::THREAD),
-            KObj::File(_) => ObjectKind::Posix(tag::FILE),
-            KObj::Vnode(_) => ObjectKind::File,
-            KObj::Pipe(_) => ObjectKind::Posix(tag::PIPE),
-            KObj::Socket(_) => ObjectKind::Posix(tag::SOCKET),
-            KObj::Kqueue(_) => ObjectKind::Posix(tag::KQUEUE),
-            KObj::Pty(_) => ObjectKind::Posix(tag::PTY),
-            KObj::ShmPosix(_) => ObjectKind::Posix(tag::SHM_POSIX),
-            KObj::ShmSysv(_) => ObjectKind::Posix(tag::SHM_SYSV),
-            KObj::Mem(_) => ObjectKind::Memory,
+            Kind::Vnode => ObjectKind::File,
+            Kind::Mem => ObjectKind::Memory,
+            other => ObjectKind::Posix(other as u16),
         }
     }
 }
+
+/// A key identifying a kernel object (the "address in the kernel"): its
+/// kind and its kernel id — for `Mem`, the VM *lineage*, so a shadow
+/// chain reuses its object across checkpoints.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct KObj(pub Kind, pub u64);
 
 /// The per-group mapping. Cloneable so the checkpoint pipeline can
 /// snapshot it before OID assignment and roll back on abort.
@@ -104,7 +85,7 @@ impl OidMap {
             return Ok(oid);
         }
         let oid = store.alloc_oid();
-        store.create_object(oid, kobj.kind())?;
+        store.create_object(oid, kobj.0.store_kind())?;
         self.map.insert(kobj, oid);
         Ok(oid)
     }
@@ -112,6 +93,13 @@ impl OidMap {
     /// Looks up an existing mapping.
     pub fn get(&self, kobj: KObj) -> Option<Oid> {
         self.map.get(&kobj).copied()
+    }
+
+    /// Like [`get`](OidMap::get) for an object the serialization scan
+    /// must already have assigned: a miss means the reachability walk
+    /// and a record disagree about what exists.
+    pub fn require(&self, kobj: KObj) -> Result<Oid, SlsError> {
+        self.get(kobj).ok_or(SlsError::BadImage("object skipped assignment"))
     }
 
     /// Binds a kernel object to an existing OID (restore path).
@@ -144,11 +132,12 @@ mod tests {
         let mut store =
             ObjectStore::format(dev, Charge::new(clock, CostModel::default()), 256).unwrap();
         let mut m = OidMap::default();
-        let a = m.get_or_create(&mut store, KObj::File(7)).unwrap();
-        let b = m.get_or_create(&mut store, KObj::File(7)).unwrap();
-        let c = m.get_or_create(&mut store, KObj::File(8)).unwrap();
+        let a = m.get_or_create(&mut store, KObj(Kind::File, 7)).unwrap();
+        let b = m.get_or_create(&mut store, KObj(Kind::File, 7)).unwrap();
+        let c = m.get_or_create(&mut store, KObj(Kind::File, 8)).unwrap();
         assert_eq!(a, b, "shared description serializes exactly once");
         assert_ne!(a, c);
         assert_eq!(m.len(), 2);
+        assert!(m.require(KObj(Kind::Pipe, 7)).is_err(), "same id, other kind: unmapped");
     }
 }

@@ -15,21 +15,20 @@
 //! interleaves many runs so group B can quiesce while group A's flush
 //! is still in flight.
 //!
-//! The Serialize and Flush stages dispatch through the
-//! [`SerializerRegistry`] — the pipeline knows *when* to serialize, the
-//! registry knows *how* each object kind does.
+//! The Serialize and Flush stages walk the [`KINDS`] table — the
+//! pipeline knows *when* to serialize, each kind's definition knows
+//! *how*.
 
 use crate::checkpoint::{CheckpointStats, Reach, StageFailure};
-use crate::oidmap::OidMap;
-use crate::registry::{AssignCtx, FlushCtx, KObjKind, SerializerRegistry};
-use crate::serial;
+use crate::kinds::{AssignCtx, FlushCtx, KindOps, ManifestRecord, KINDS};
+use crate::oidmap::{KObj, Kind, OidMap, MANIFEST};
+use crate::wire::Record;
 use crate::{GroupId, LineageBinding, SealedBatch, Sls, SlsError};
 use aurora_objstore::{CommitInfo, Oid};
 use aurora_posix::{Pid, VnodeId};
 use aurora_vm::{CollapseMode, ObjId, SpaceId};
 use aurora_sim::rng::{DetRng, Rng};
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::Arc;
 
 /// How the device-facing stages (Flush, Commit) respond to transient
 /// device errors. Part of [`CheckpointConfig`](crate::CheckpointConfig);
@@ -142,7 +141,6 @@ pub enum Phase {
 /// mutations from interleaved runs land in separate draft epochs.
 pub struct GroupRun {
     gid: GroupId,
-    registry: Arc<SerializerRegistry>,
     collapse_mode: CollapseMode,
     pids: Vec<Pid>,
     persist: Vec<Pid>,
@@ -196,11 +194,9 @@ impl GroupRun {
             (g.opts.collapse_mode, g.pending_durable)
         };
         let full = sls.groups[&gid].epochs.is_empty();
-        let registry = sls.registry.clone();
         let retry = sls.config.retry;
         Ok(Self {
             gid,
-            registry,
             collapse_mode,
             pids,
             persist,
@@ -573,14 +569,11 @@ impl GroupRun {
 
     /// Stage 4 — Serialize: walk the object graph once, assign OIDs, and
     /// encode every reachable object into a memory buffer — all through
-    /// the registry; no per-kind logic lives here.
+    /// the kind table; no per-kind logic lives here.
     fn serialize(&mut self, sls: &mut Sls, q: &Quiesced) -> Result<Serialized, SlsError> {
         let reach = Reach::collect(&sls.kernel, &q.persist)?;
-        let plan: Vec<(KObjKind, Vec<u64>)> = self
-            .registry
-            .iter()
-            .map(|s| Ok((s.kind(), s.collect(&sls.kernel, &reach)?)))
-            .collect::<Result<_, SlsError>>()?;
+        let plan: Vec<(&KindOps, Vec<u64>)> =
+            KINDS.iter().map(|ops| (ops, (ops.collect)(&reach))).collect();
         {
             let g = sls.groups.get_mut(&self.gid).ok_or(SlsError::NoSuchGroup(self.gid))?;
             let mut store = sls.store.lock();
@@ -591,10 +584,9 @@ impl GroupRun {
                 oids: &mut g.oidmap,
                 lineages: &mut lineages,
             };
-            for (kind, ids) in &plan {
-                let ser = self.registry.get(*kind)?;
+            for (ops, ids) in &plan {
                 for &id in ids {
-                    ser.assign_oid(&mut ctx, id)?;
+                    (ops.assign_oid)(&mut ctx, id)?;
                 }
             }
         }
@@ -602,13 +594,10 @@ impl GroupRun {
         {
             let g = sls.groups.get(&self.gid).ok_or(SlsError::NoSuchGroup(self.gid))?;
             let k = &sls.kernel;
-            for (kind, ids) in &plan {
-                let ser = self.registry.get(*kind)?;
+            for (ops, ids) in &plan {
                 for &id in ids {
-                    let key = ser.key_of(k, id)?;
-                    let oid =
-                        g.oidmap.get(key).ok_or(SlsError::BadImage("object skipped assignment"))?;
-                    buffers.push((oid, ser.encode(k, id, &g.oidmap)?));
+                    let oid = g.oidmap.require((ops.key_of)(k, id)?)?;
+                    buffers.push((oid, (ops.encode)(k, id, &g.oidmap)?));
                 }
             }
         }
@@ -640,7 +629,7 @@ impl GroupRun {
 
     /// Stage 7 — Flush, concurrent with execution: records as one
     /// charged metadata batch, then each kind's bulk data through its
-    /// serializer's flush hook, then the group manifest.
+    /// flush hook, then the group manifest.
     fn flush(&mut self, sls: &mut Sls, s: &Serialized) -> Result<FlushOut, SlsError> {
         let g = sls.groups.get_mut(&self.gid).ok_or(SlsError::NoSuchGroup(self.gid))?;
         let mut store = sls.store.lock();
@@ -669,8 +658,8 @@ impl GroupRun {
         // clean must reach `cleaned_pages` even when a later hook fails,
         // or an abort could not re-dirty them.
         let mut hook_res = Ok(());
-        for ser in self.registry.iter() {
-            hook_res = ser.flush(&mut ctx);
+        for ops in &KINDS {
+            hook_res = (ops.flush)(&mut ctx);
             if hook_res.is_err() {
                 break;
             }
@@ -682,34 +671,21 @@ impl GroupRun {
         hook_res?;
 
         // The manifest, every checkpoint (the tree may have changed).
-        let manifest = serial::ManifestRecord {
+        let manifest = ManifestRecord {
             period_ns: g.opts.period_ns,
             extsync: g.opts.external_synchrony,
-            procs: s
-                .reach
-                .procs
-                .iter()
+            procs: s.reach.procs.iter()
                 .map(|&p| {
-                    let pr = sls.kernel.proc(p).expect("member");
-                    (
-                        g.oidmap.get(crate::oidmap::KObj::Proc(p.0)).expect("assigned"),
-                        pr.local_pid.0,
-                        g.roots.contains(&p),
-                    )
+                    let oid = g.oidmap.require(KObj(Kind::Proc, p.0 as u64))?;
+                    Ok((oid, sls.kernel.proc(p)?.local_pid.0, g.roots.contains(&p)))
                 })
-                .collect(),
-            fs_vnodes: s
-                .reach
-                .vnodes
-                .iter()
-                .map(|&v| g.oidmap.get(crate::oidmap::KObj::Vnode(v)).expect("assigned"))
-                .collect(),
+                .collect::<Result<_, SlsError>>()?,
+            fs_vnodes: s.reach.vnodes.iter()
+                .map(|&v| g.oidmap.require(KObj(Kind::Vnode, v)))
+                .collect::<Result<_, _>>()?,
         };
-        store.create_object(
-            g.manifest,
-            aurora_objstore::ObjectKind::Posix(crate::oidmap::tag::MANIFEST),
-        )?;
-        store.set_meta(g.manifest, &serial::encode_manifest(&manifest))?;
+        store.create_object(g.manifest, aurora_objstore::ObjectKind::Posix(MANIFEST))?;
+        store.set_meta(g.manifest, &manifest.to_bytes())?;
         Ok(out)
     }
 

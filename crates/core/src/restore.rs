@@ -1,18 +1,16 @@
 //! Restore (§4, §5.3): rebuild a consistency group from a checkpoint,
 //! full or lazy. The restore is recursion-driven through the
-//! [`crate::registry::SerializerRegistry`]: the manifest names the
-//! file-system namespace and the processes; each serializer's `restore`
-//! hook pulls in the objects it references (a file restores its target,
-//! a memory object its backer, a socket its peer), so sharing is
-//! re-linked by construction and no per-type logic lives here.
+//! [`KINDS`](crate::kinds::KINDS) table: the manifest names the
+//! file-system namespace and the processes; each kind's `install` pulls
+//! in the objects it references (a file restores its target, a memory
+//! object its backer, a socket its peer), so sharing is re-linked by
+//! construction and no per-type logic lives here.
 
-use crate::oidmap::tag;
-use crate::registry::{KObjKind, Rebuild};
-use crate::serial;
+use crate::kinds::{post_restore_all, ManifestRecord, Rebuild};
+use crate::oidmap::{Kind, MANIFEST};
 use crate::{Group, GroupId, Sls, SlsError, SlsOptions};
 use aurora_objstore::{ObjectKind, Oid};
 use aurora_posix::Pid;
-use aurora_vm::Inherit;
 use std::collections::{HashMap, VecDeque};
 
 /// How to bring memory back (§6, "lazy restores").
@@ -44,7 +42,7 @@ impl Sls {
         let store = self.store.lock();
         let mut out = Vec::new();
         for oid in store.objects_at(epoch)? {
-            if store.kind(oid)? == ObjectKind::Posix(tag::MANIFEST) {
+            if store.kind(oid)? == ObjectKind::Posix(MANIFEST) {
                 out.push(oid);
             }
         }
@@ -112,26 +110,22 @@ impl Sls {
         let clock = self.kernel.charge.clock().clone();
         let t0 = clock.now();
 
-        let man = {
-            let store = self.store.lock();
-            serial::decode_manifest(store.meta_at(manifest, epoch)?)?
-        };
-        let registry = self.registry.clone();
-        let mut rb = Rebuild::default();
-        rb.kernel_ns = self.kernel.alloc_ns();
+        let mut cx = Rebuild::new(self, epoch, mode);
+        let man: ManifestRecord = cx.read(manifest)?;
 
         // The file-system namespace first: every vnode in the image.
         for voi in &man.fs_vnodes {
-            registry.restore_one(KObjKind::Vnode, self, *voi, epoch, mode, &mut rb)?;
+            cx.restore(Kind::Vnode, *voi)?;
         }
         // Processes, parents before children (manifest order); each one
         // recursively restores everything it references.
         for (poid, _local, _root) in &man.procs {
-            registry.restore_one(KObjKind::Proc, self, *poid, epoch, mode, &mut rb)?;
+            cx.restore(Kind::Proc, *poid)?;
         }
         // Cross-object links that need the full population (in-flight
         // descriptors inside socket buffers), run to a fixpoint.
-        registry.post_restore_all(self, epoch, mode, &mut rb)?;
+        post_restore_all(&mut cx)?;
+        let Rebuild { ids, mut pages_read, pid_ns, new_pids, .. } = cx;
 
         // Point-in-time roll-forward: overlay every restored page that
         // changed after the base epoch with its content as of the target
@@ -140,10 +134,7 @@ impl Sls {
         if let Some(lsn) = overlay {
             let changed = self.store.lock().modified_since(epoch);
             let mut overlaid = 0u64;
-            for (kind, oid, id) in rb.entries() {
-                if kind != KObjKind::Mem {
-                    continue;
-                }
+            for (&(_, oid), &id) in ids.iter().filter(|((kind, _), _)| *kind == Kind::Mem) {
                 let obj = aurora_vm::ObjId(id);
                 let size_pages = self.kernel.vm.object(obj)?.size_pages;
                 for &(_, pi) in changed.iter().filter(|&&(o, _)| o == oid) {
@@ -152,7 +143,7 @@ impl Sls {
                     }
                     if let Some(p) = self.store.lock().read_page_at_lsn(oid, pi, lsn)? {
                         self.kernel.vm.install_page(obj, pi, p, true)?;
-                        rb.pages_read += 1;
+                        pages_read += 1;
                         overlaid += 1;
                     }
                 }
@@ -176,7 +167,7 @@ impl Sls {
                 .procs
                 .iter()
                 .filter(|(_, _, root)| *root)
-                .map(|(_, local, _)| Pid(rb.pid_ns.global_of(*local)))
+                .map(|(_, local, _)| Pid(pid_ns.global_of(*local)))
                 .collect(),
             opts: SlsOptions {
                 period_ns: man.period_ns,
@@ -193,39 +184,22 @@ impl Sls {
             named: HashMap::new(),
         };
         // Re-bind the oid map so the exactly-once scan recognizes the
-        // restored objects — one generic loop; each serializer supplies
-        // its rebind key (identity except memory, which keys by lineage).
-        for (kind, oid, id) in rb.entries() {
-            let ser = registry.get(kind)?;
-            group.oidmap.bind(kind.key(ser.rebind_key(self, id)?), oid);
+        // restored objects — one generic loop; each kind supplies its
+        // key (the id except memory, which keys by its new lineage).
+        for (&(kind, oid), &id) in &ids {
+            group.oidmap.bind((kind.ops().key_of)(&self.kernel, id)?, oid);
         }
         self.groups.insert(gid, group);
 
         Ok(RestoreReport {
             group: gid,
-            pids: rb.new_pids.clone(),
-            pages_read: rb.pages_read,
+            pids: new_pids,
+            pages_read,
             elapsed_ns: clock.now() - t0,
         })
-    }
-
-    pub(crate) fn next_file_id(&mut self) -> u64 {
-        // Delegate to the kernel's allocator by probing insert_file's
-        // monotone counter: allocate a fresh id above everything seen.
-        let max = self.kernel.files.keys().map(|f| f.0).max().unwrap_or(0);
-        max + 1
     }
 
     pub(crate) fn next_group_id(&mut self) -> u64 {
         self.groups.keys().map(|g| g.0).max().unwrap_or(0) + 1
     }
-}
-
-pub(crate) fn decode_inherit(b: u8) -> Result<Inherit, SlsError> {
-    Ok(match b {
-        0 => Inherit::Share,
-        1 => Inherit::Copy,
-        2 => Inherit::None,
-        _ => return Err(SlsError::BadImage("inherit")),
-    })
 }

@@ -223,7 +223,7 @@ impl Sls {
             if !batch.is_empty() {
                 store.append_redo(oid, &batch)?;
             }
-            if kind == ObjectKind::Posix(crate::oidmap::tag::MANIFEST) {
+            if kind == ObjectKind::Posix(crate::oidmap::MANIFEST) {
                 manifests.push(oid);
             }
         }

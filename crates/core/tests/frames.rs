@@ -9,7 +9,7 @@
 //! `copies_broken` gauge counts every host-side page copy, which makes
 //! both claims directly testable.
 
-use aurora_core::oidmap::KObj;
+use aurora_core::{KObj, Kind};
 use aurora_core::world::World;
 use aurora_core::{AuroraApi, RestoreMode, SlsOptions};
 use aurora_vm::{Prot, PAGE_SIZE};
@@ -92,7 +92,7 @@ fn restore_aliases_the_store_cache_until_first_write() {
 
     let gid = w.sls.attach(pid, SlsOptions::default()).unwrap();
     let cp = w.sls.sls_checkpoint(gid).unwrap();
-    let oid = w.sls.oidmap_lookup(gid, KObj::Mem(lineage)).unwrap();
+    let oid = w.sls.oidmap_lookup(gid, KObj(Kind::Mem, lineage)).unwrap();
 
     let r = w.sls.sls_restore(gid, None, RestoreMode::Full).unwrap();
     let rpid = r.pids[0];

@@ -1,7 +1,7 @@
 //! Pipeline-level properties: exact stage accounting, deterministic
 //! images, and the bottom-up lineage flush ordering.
 
-use aurora_core::oidmap::KObj;
+use aurora_core::{KObj, Kind};
 use aurora_core::world::World;
 use aurora_core::{AuroraApi, RestoreMode, SlsOptions};
 use aurora_vm::{Prot, PAGE_SIZE};
@@ -85,7 +85,7 @@ fn newest_page_wins_within_a_lineage() {
 
     // Directly in the store: the page holds the newer content.
     let lineage = w.sls.kernel.vm.object(pair.new_top).unwrap().lineage.0;
-    let oid = w.sls.oidmap_lookup(gid, KObj::Mem(lineage)).unwrap();
+    let oid = w.sls.oidmap_lookup(gid, KObj(Kind::Mem, lineage)).unwrap();
     let entry = w.sls.kernel.vm.space(space).unwrap().entry_at(addr).unwrap();
     let pindex = entry.offset_pages + (addr - entry.start) / PAGE_SIZE as u64;
     let page = w.sls.store().lock().read_page(oid, pindex, cp.epoch).unwrap();

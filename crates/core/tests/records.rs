@@ -2,61 +2,33 @@
 //! its on-disk record bit-exactly, and checkpoint images decode to
 //! records matching the live kernel state.
 
-use aurora_core::oidmap::KObj;
-use aurora_core::serial;
+mod common;
+
+use aurora_core::kinds::posix::{
+    KqueueRecord, PipeRecord, ProcRecord, ShmPosixRecord, SocketRecord, ThreadRecord, VnodeRecord,
+};
+use aurora_core::wire::Record;
 use aurora_core::world::World;
-use aurora_core::{AuroraApi, SlsOptions};
-use aurora_posix::file::OpenFlags;
-use aurora_posix::kqueue::{Filter, Kevent};
+use aurora_core::{AuroraApi, KObj, Kind, SlsOptions};
+use aurora_posix::kqueue::Filter;
 use aurora_posix::process::Regs;
 use aurora_posix::socket::TcpState;
 use aurora_posix::ThreadState;
+use common::checkpointed_world;
 
-/// Builds one of everything, checkpoints, and returns (world, gid, pid).
-fn checkpointed_world() -> (World, aurora_core::GroupId, aurora_posix::Pid) {
-    let mut w = World::quickstart();
-    let k = &mut w.sls.kernel;
-    let pid = k.spawn("everything");
-    // Files, pipes, sockets, kqueue, pty, shm.
-    let fd = k.open(pid, "/f", OpenFlags::RDWR, true).unwrap();
-    k.write(pid, fd, b"record test").unwrap();
-    let (_r, wfd) = k.pipe(pid).unwrap();
-    k.write(pid, wfd, b"piped bytes").unwrap();
-    let (sa, _sb) = k.socketpair(pid).unwrap();
-    k.send(pid, sa, b"queued").unwrap();
-    let kq = k.kqueue(pid).unwrap();
-    k.kevent_register(pid, kq, Kevent { ident: 9, filter: Filter::Write, enabled: true, udata: 77 })
-        .unwrap();
-    k.openpty(pid).unwrap();
-    let shm_fd = k.shm_open(pid, "/rec-seg", 2).unwrap();
-    let shm_addr = k.mmap_shm(pid, shm_fd).unwrap();
-    k.mem_write(pid, shm_addr, b"shm!").unwrap();
-    // Distinctive thread state.
-    let tid = k.proc(pid).unwrap().threads[0];
-    {
-        let t = k.threads.get_mut(&tid).unwrap();
-        t.sigmask = 0xDEAD_BEEF;
-        t.priority = -7;
-        t.regs = Regs { pc: 0x401234, sp: 0x7fff_0000, gp: [11; 8], fpu: [22; 8] };
-    }
-    let gid = w.sls.attach(pid, SlsOptions::default()).unwrap();
-    w.sls.sls_checkpoint(gid).unwrap();
-    w.sls.sls_barrier(gid).unwrap();
-    (w, gid, pid)
-}
-
-fn stored_record(w: &World, gid: aurora_core::GroupId, kobj: KObj) -> Vec<u8> {
-    let oid = w.sls.oidmap_lookup(gid, kobj).expect("object was checkpointed");
+/// Decodes the record the newest checkpoint stored for a kernel object.
+fn stored<R: Record>(w: &World, gid: aurora_core::GroupId, kind: Kind, id: u64) -> R {
+    let oid = w.sls.oidmap_lookup(gid, KObj(kind, id)).expect("object was checkpointed");
     let store = w.sls.store().lock();
     let epoch = store.last_epoch().unwrap();
-    store.meta_at(oid, epoch).unwrap().to_vec()
+    R::from_bytes(store.meta_at(oid, epoch).unwrap()).unwrap()
 }
 
 #[test]
 fn thread_record_captures_cpu_state_exactly() {
     let (w, gid, pid) = checkpointed_world();
     let tid = w.sls.kernel.proc(pid).unwrap().threads[0];
-    let rec = serial::decode_thread(&stored_record(&w, gid, KObj::Thread(tid.0))).unwrap();
+    let rec: ThreadRecord = stored(&w, gid, Kind::Thread, tid.0 as u64);
     assert_eq!(rec.local_tid, tid.0);
     assert_eq!(rec.sigmask, 0xDEAD_BEEF);
     assert_eq!(rec.priority, -7);
@@ -67,7 +39,7 @@ fn thread_record_captures_cpu_state_exactly() {
 fn proc_record_lists_fds_and_entries() {
     let (w, gid, pid) = checkpointed_world();
     let p = w.sls.kernel.proc(pid).unwrap();
-    let rec = serial::decode_proc(&stored_record(&w, gid, KObj::Proc(pid.0))).unwrap();
+    let rec: ProcRecord = stored(&w, gid, Kind::Proc, pid.0 as u64);
     assert_eq!(rec.local_pid, p.local_pid.0);
     assert_eq!(rec.fds.len(), p.fdtable.len());
     assert_eq!(
@@ -82,15 +54,15 @@ fn proc_record_lists_fds_and_entries() {
 fn kqueue_record_holds_the_event() {
     let (w, gid, _pid) = checkpointed_world();
     let kq_id = *w.sls.kernel.kqueues.keys().next().unwrap();
-    let rec = serial::decode_kqueue(&stored_record(&w, gid, KObj::Kqueue(kq_id))).unwrap();
-    assert_eq!(rec.events, vec![(9, 1, true, 77)]);
+    let rec: KqueueRecord = stored(&w, gid, Kind::Kqueue, kq_id);
+    assert_eq!(rec.events, vec![(9, Filter::Write, true, 77)]);
 }
 
 #[test]
 fn pipe_record_holds_buffered_bytes() {
     let (w, gid, _pid) = checkpointed_world();
     let pipe_id = *w.sls.kernel.pipes.keys().next().unwrap();
-    let rec = serial::decode_pipe(&stored_record(&w, gid, KObj::Pipe(pipe_id))).unwrap();
+    let rec: PipeRecord = stored(&w, gid, Kind::Pipe, pipe_id);
     assert_eq!(rec.buffer, b"piped bytes");
     assert!(rec.reader_open && rec.writer_open);
 }
@@ -104,14 +76,14 @@ fn socket_record_holds_unsent_message_and_peer() {
     let mut carried = Vec::new();
     let mut peers = 0;
     for sid in w.sls.kernel.sockets.keys() {
-        let rec = serial::decode_socket(&stored_record(&w, gid, KObj::Socket(*sid))).unwrap();
+        let rec: SocketRecord = stored(&w, gid, Kind::Socket, *sid);
         for (data, _) in rec.send_buf.iter().chain(rec.recv_buf.iter()) {
             carried.push(data.clone());
         }
         if rec.peer.is_some() {
             peers += 1;
         }
-        assert_eq!(rec.tcp_state, 0, "unix stream pair is not TCP-established");
+        assert_eq!(rec.tcp_state, TcpState::Closed, "unix stream pair is not TCP-established");
     }
     assert_eq!(carried, vec![b"queued".to_vec()], "the in-flight message is in the image once");
     assert_eq!(peers, 2, "both ends reference each other by OID");
@@ -133,7 +105,7 @@ fn vnode_record_has_hidden_link_count() {
             )
         })
         .expect("the open file has open refs");
-    let rec = serial::decode_vnode(&stored_record(&w, gid, KObj::Vnode(ino.0))).unwrap();
+    let rec: VnodeRecord = stored(&w, gid, Kind::Vnode, ino.0);
     assert!(rec.open_refs >= 1, "hidden link count persisted");
     assert_eq!(rec.size, "record test".len() as u64);
 }
@@ -142,7 +114,7 @@ fn vnode_record_has_hidden_link_count() {
 fn shm_record_references_its_memory_object() {
     let (w, gid, _pid) = checkpointed_world();
     let shm_id = *w.sls.kernel.shm.posix.keys().next().unwrap();
-    let rec = serial::decode_shm_posix(&stored_record(&w, gid, KObj::ShmPosix(shm_id))).unwrap();
+    let rec: ShmPosixRecord = stored(&w, gid, Kind::ShmPosix, shm_id);
     assert_eq!(rec.name, "/rec-seg");
     assert_eq!(rec.pages, 2);
     // The referenced memory object exists in the same image and holds
@@ -176,8 +148,8 @@ fn tcp_socket_record_holds_five_tuple_and_seqs() {
         .iter()
         .find(|(_, s)| s.tcp_state == TcpState::Established && s.inet.0.port == 6379)
         .expect("accepted socket");
-    let rec = serial::decode_socket(&stored_record(&w, gid, KObj::Socket(*sid))).unwrap();
-    assert_eq!(rec.tcp_state, 2);
+    let rec: SocketRecord = stored(&w, gid, Kind::Socket, *sid);
+    assert_eq!(rec.tcp_state, TcpState::Established);
     assert_eq!(rec.local.1, 6379);
     assert_ne!(rec.remote.1, 0, "remote port captured");
     assert_ne!(rec.snd_seq, 0, "sequence numbers captured");

@@ -710,3 +710,80 @@ fn fork_under_system_shadow_flushes_newest_version() {
     w.sls.kernel.mem_read(r.pids[0], addr, &mut buf).unwrap();
     assert_eq!(&buf, b"v3-newest!!", "the newest version must win in the store");
 }
+
+#[test]
+fn restored_objects_survive_the_restored_process_making_new_ones() {
+    // Regression: restore used to file pipes, sockets, kqueues and ptys
+    // under `max id + 1` without advancing the kernel's allocators, so
+    // the first `pipe()` a restored process made overwrote a restored
+    // pipe. Ids now come from the allocators themselves.
+    use aurora_posix::fd::Fd;
+    use aurora_posix::file::FileKind;
+    use aurora_posix::kqueue::{Filter, Kevent};
+    use aurora_posix::{Kernel, Pid};
+
+    fn target(k: &Kernel, pid: Pid, fd: Fd) -> u64 {
+        match k.file(k.resolve(pid, fd).unwrap()).unwrap().kind {
+            FileKind::Pipe { pipe, .. } => pipe,
+            FileKind::Socket(s) => s,
+            FileKind::Kqueue(q) => q,
+            FileKind::Pty { pty, .. } => pty,
+            other => panic!("unexpected descriptor {other:?}"),
+        }
+    }
+    let event = |ident| Kevent { ident, filter: Filter::Read, enabled: true, udata: 5 };
+
+    for reboot in [false, true] {
+        let mut w = World::quickstart();
+        let k = &mut w.sls.kernel;
+        let pid = k.spawn("holder");
+        let (pipe_r, pipe_w) = k.pipe(pid).unwrap();
+        k.write(pid, pipe_w, b"in the pipe").unwrap();
+        let (sock, _peer) = k.socketpair(pid).unwrap();
+        k.send(pid, sock, b"queued").unwrap();
+        let kq = k.kqueue(pid).unwrap();
+        k.kevent_register(pid, kq, event(9)).unwrap();
+        let (pty, _slave) = k.openpty(pid).unwrap();
+        let pty_id = target(k, pid, pty);
+        k.ptys.get_mut(&pty_id).unwrap().input.extend(b"typed");
+
+        let gid = w.sls.attach(pid, SlsOptions::default()).unwrap();
+        let cp = w.sls.sls_checkpoint(gid).unwrap();
+        w.sls.sls_barrier(gid).unwrap();
+        let r = if reboot {
+            w.sls.crash_and_reboot().unwrap();
+            let manifests = w.sls.manifests_at(cp.epoch).unwrap();
+            w.sls.restore_image(manifests[0], cp.epoch, RestoreMode::Full).unwrap()
+        } else {
+            w.sls.sls_restore(gid, None, RestoreMode::Full).unwrap()
+        };
+        let rp = r.pids[0];
+
+        // The restored process carries on: new objects, written to.
+        let k = &mut w.sls.kernel;
+        let live = (k.pipes.len(), k.sockets.len(), k.kqueues.len(), k.ptys.len());
+        let (_, new_pipe_w) = k.pipe(rp).unwrap();
+        k.write(rp, new_pipe_w, b"XX").unwrap();
+        let (new_sock, _) = k.socketpair(rp).unwrap();
+        k.send(rp, new_sock, b"YY").unwrap();
+        let new_kq = k.kqueue(rp).unwrap();
+        k.kevent_register(rp, new_kq, event(1)).unwrap();
+        let (new_pty, _) = k.openpty(rp).unwrap();
+        let new_pty_id = target(k, rp, new_pty);
+        k.ptys.get_mut(&new_pty_id).unwrap().input.extend(b"ZZ");
+        assert_eq!(
+            (k.pipes.len(), k.sockets.len(), k.kqueues.len(), k.ptys.len()),
+            (live.0 + 1, live.1 + 2, live.2 + 1, live.3 + 1),
+            "reboot={reboot}: every new id is distinct from every live id"
+        );
+
+        // Every restored object still holds what was checkpointed.
+        assert_eq!(k.read(rp, pipe_r, 64).unwrap(), b"in the pipe", "reboot={reboot}");
+        let s = &k.sockets[&target(k, rp, sock)];
+        let queued: Vec<&[u8]> =
+            s.send_buf.iter().chain(&s.recv_buf).map(|m| m.data.as_slice()).collect();
+        assert_eq!(queued, [b"queued"], "reboot={reboot}");
+        assert_eq!(k.kqueues[&target(k, rp, kq)].events, [event(9)], "reboot={reboot}");
+        assert_eq!(k.ptys[&target(k, rp, pty)].input, b"typed", "reboot={reboot}");
+    }
+}

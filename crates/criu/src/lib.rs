@@ -13,12 +13,12 @@
 //! phase, and a ~1.2 GB/s stop-the-world copy dominates the rest.
 
 use aurora_core::oidmap::OidMap;
-use aurora_core::{default_registry, Reach, SlsError};
+use aurora_core::{Reach, SlsError, KINDS};
 use aurora_objstore::Oid;
 use aurora_posix::file::FileKind;
 use aurora_posix::{Kernel, Pid};
 use aurora_sim::clock::Stopwatch;
-use aurora_vm::{PageSlot, PAGE_SIZE};
+use aurora_vm::PAGE_SIZE;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Cost calibration for the CRIU-style dump path.
@@ -84,9 +84,9 @@ pub struct CriuImage {
     /// Deduplicated descriptor table: inferred-shared description ids.
     pub shared_files: Vec<u64>,
     /// Every reachable kernel object in the checkpoint record format,
-    /// produced by the same per-kind serializer registry the SLS
-    /// dispatches through (the image *format* is shared even though the
-    /// dump architecture is not).
+    /// produced by the same kind table the SLS serializes through (the
+    /// image *format* is shared even though the dump architecture is
+    /// not).
     pub os_records: Vec<Vec<u8>>,
     /// Total serialized size (memory regions + OS-state records).
     pub bytes: u64,
@@ -221,30 +221,28 @@ pub fn criu_dump(
         }
     }
 
-    // Phase 2b: serialize every collected object through the same
-    // per-kind serializer registry the SLS checkpoint pipeline uses.
+    // Phase 2b: serialize every collected object through the same kind
+    // table the SLS checkpoint pipeline uses.
     // Two passes: bind a synthetic OID per distinct object key, then
     // encode (records cross-reference each other by OID). The walk and
     // record format are shared with Aurora; only the surrounding
     // architecture (stop-the-world, userspace inference) differs.
-    let registry = default_registry();
     let reach = Reach::collect(k, &pids)?;
-    let collected: Vec<Vec<u64>> =
-        registry.iter().map(|s| s.collect(k, &reach)).collect::<Result<_, _>>()?;
+    let collected: Vec<Vec<u64>> = KINDS.iter().map(|ops| (ops.collect)(&reach)).collect();
     let mut oids = OidMap::default();
     let mut next_oid = 1u64;
-    for (ser, ids) in registry.iter().zip(&collected) {
+    for (ops, ids) in KINDS.iter().zip(&collected) {
         for &id in ids {
-            let key = ser.key_of(k, id)?;
+            let key = (ops.key_of)(k, id)?;
             if oids.get(key).is_none() {
                 oids.bind(key, Oid(next_oid));
                 next_oid += 1;
             }
         }
     }
-    for (ser, ids) in registry.iter().zip(&collected) {
+    for (ops, ids) in KINDS.iter().zip(&collected) {
         for &id in ids {
-            let rec = ser.encode(k, id, &oids)?;
+            let rec = (ops.encode)(k, id, &oids)?;
             image.bytes += rec.len() as u64;
             image.os_records.push(rec);
         }
@@ -259,26 +257,8 @@ pub fn criu_dump(
         let entries: Vec<_> = k.vm.entries(space)?.to_vec();
         let mut regions = Vec::new();
         for e in &entries {
-            let mut data = vec![0u8; (e.end - e.start) as usize];
-            let chain = k.vm.chain_of(e.object)?;
             let pages = (e.end - e.start) / PAGE_SIZE as u64;
-            let mut copied = 0u64;
-            for i in 0..pages {
-                let pindex = e.offset_pages + i;
-                for &obj in &chain {
-                    match k.vm.object(obj)?.pages.get(&pindex) {
-                        Some(PageSlot::Resident { .. }) => {
-                            let page = k.vm.page_bytes(obj, pindex)?;
-                            let off = (i as usize) * PAGE_SIZE;
-                            data[off..off + PAGE_SIZE].copy_from_slice(page);
-                            copied += 1;
-                            break;
-                        }
-                        Some(PageSlot::Swapped) => break,
-                        None => continue,
-                    }
-                }
-            }
+            let (data, copied) = k.vm.read_nofault(e.object, e.offset_pages, pages)?;
             let bytes = copied * PAGE_SIZE as u64;
             k.charge.raw(bytes.saturating_mul(1_000_000_000) / costs.copy_bytes_per_sec);
             image.bytes += bytes;
@@ -346,7 +326,7 @@ mod tests {
         let (stats, image) = criu_dump(&mut k, p, &CriuCosts::default()).unwrap();
         assert_eq!(stats.procs, 1);
         let os_bytes: u64 = image.os_records.iter().map(|r| r.len() as u64).sum();
-        assert!(!image.os_records.is_empty(), "OS state serialized via the registry");
+        assert!(!image.os_records.is_empty(), "OS state serialized via the kind table");
         assert_eq!(stats.image_bytes, 256 * PAGE_SIZE as u64 + os_bytes);
         let regions = &image.memory[&p.0];
         assert_eq!(&regions[0].1[..14], b"criu sees this");

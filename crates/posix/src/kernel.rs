@@ -466,21 +466,15 @@ impl Kernel {
     // Open-file plumbing
     // ------------------------------------------------------------------
 
-    fn new_file(&mut self, kind: FileKind, flags: OpenFlags) -> FileId {
+    /// Allocates a description under the next id, holding one reference.
+    /// (This and the other `new_*` allocators are also how a restore
+    /// rebuilds objects, so a restored id can never collide with a later
+    /// one.)
+    pub fn new_file(&mut self, kind: FileKind, flags: OpenFlags) -> &mut OpenFile {
         let id = FileId(self.next_file);
         self.next_file += 1;
-        self.files.insert(
-            id,
-            OpenFile { id, kind, offset: 0, flags, refs: 1, extsync_disabled: false },
-        );
-        id
-    }
-
-    /// Inserts a fully-formed description (restore path). The id must be
-    /// fresh.
-    pub fn insert_file(&mut self, file: OpenFile) {
-        self.next_file = self.next_file.max(file.id.0 + 1);
-        self.files.insert(file.id, file);
+        let file = OpenFile { id, kind, offset: 0, flags, refs: 1, extsync_disabled: false };
+        self.files.entry(id).or_insert(file)
     }
 
     /// Drops one reference to a description, tearing down the underlying
@@ -556,7 +550,7 @@ impl Kernel {
             Err(e) => return Err(e),
         };
         self.vfs.open_ref(v)?;
-        let fid = self.new_file(FileKind::Vnode(v), flags);
+        let fid = self.new_file(FileKind::Vnode(v), flags).id;
         Ok(self.proc_mut(pid)?.fdtable.install(fid))
     }
 
@@ -644,14 +638,19 @@ impl Kernel {
         self.vfs.unlink(path)
     }
 
+    /// Allocates an empty pipe under the next id.
+    pub fn new_pipe(&mut self) -> &mut Pipe {
+        let id = self.next_pipe;
+        self.next_pipe += 1;
+        self.pipes.entry(id).or_insert(Pipe::new(id))
+    }
+
     /// Creates a pipe; returns (read fd, write fd).
     pub fn pipe(&mut self, pid: Pid) -> Result<(Fd, Fd)> {
         self.syscall_cost();
-        let id = self.next_pipe;
-        self.next_pipe += 1;
-        self.pipes.insert(id, Pipe::new(id));
-        let rf = self.new_file(FileKind::Pipe { pipe: id, end: PipeEnd::Read }, OpenFlags::RDONLY);
-        let wf = self.new_file(FileKind::Pipe { pipe: id, end: PipeEnd::Write }, OpenFlags::WRONLY);
+        let id = self.new_pipe().id;
+        let rf = self.new_file(FileKind::Pipe { pipe: id, end: PipeEnd::Read }, OpenFlags::RDONLY).id;
+        let wf = self.new_file(FileKind::Pipe { pipe: id, end: PipeEnd::Write }, OpenFlags::WRONLY).id;
         let p = self.proc_mut(pid)?;
         Ok((p.fdtable.install(rf), p.fdtable.install(wf)))
     }
@@ -660,30 +659,30 @@ impl Kernel {
     // Sockets
     // ------------------------------------------------------------------
 
-    fn new_socket(&mut self, domain: Domain, stype: SockType) -> u64 {
+    /// Allocates an unbound socket under the next id.
+    pub fn new_socket(&mut self, domain: Domain, stype: SockType) -> &mut Socket {
         let id = self.next_socket;
         self.next_socket += 1;
-        self.sockets.insert(id, Socket::new(id, domain, stype));
-        id
+        self.sockets.entry(id).or_insert(Socket::new(id, domain, stype))
     }
 
     /// Creates a socket descriptor.
     pub fn socket(&mut self, pid: Pid, domain: Domain, stype: SockType) -> Result<Fd> {
         self.syscall_cost();
-        let sid = self.new_socket(domain, stype);
-        let fid = self.new_file(FileKind::Socket(sid), OpenFlags::RDWR);
+        let sid = self.new_socket(domain, stype).id;
+        let fid = self.new_file(FileKind::Socket(sid), OpenFlags::RDWR).id;
         Ok(self.proc_mut(pid)?.fdtable.install(fid))
     }
 
     /// Creates a connected UNIX socket pair.
     pub fn socketpair(&mut self, pid: Pid) -> Result<(Fd, Fd)> {
         self.syscall_cost();
-        let a = self.new_socket(Domain::Unix, SockType::Stream);
-        let b = self.new_socket(Domain::Unix, SockType::Stream);
+        let a = self.new_socket(Domain::Unix, SockType::Stream).id;
+        let b = self.new_socket(Domain::Unix, SockType::Stream).id;
         self.sockets.get_mut(&a).expect("new").peer = Some(b);
         self.sockets.get_mut(&b).expect("new").peer = Some(a);
-        let fa = self.new_file(FileKind::Socket(a), OpenFlags::RDWR);
-        let fb = self.new_file(FileKind::Socket(b), OpenFlags::RDWR);
+        let fa = self.new_file(FileKind::Socket(a), OpenFlags::RDWR).id;
+        let fb = self.new_file(FileKind::Socket(b), OpenFlags::RDWR).id;
         let p = self.proc_mut(pid)?;
         Ok((p.fdtable.install(fa), p.fdtable.install(fb)))
     }
@@ -732,7 +731,7 @@ impl Kernel {
         }
         // Allocate an ephemeral client port and the accepted socket.
         let cport = 32_768 + (csid % 28_000) as u16;
-        let asid = self.new_socket(Domain::Inet, SockType::Stream);
+        let asid = self.new_socket(Domain::Inet, SockType::Stream).id;
         {
             let c = self.sockets.get_mut(&csid).expect("exists");
             c.inet = (InetAddr { ip: 0x7f00_0001, port: cport }, laddr);
@@ -749,7 +748,7 @@ impl Kernel {
             a.rcv_seq = 1000;
             a.peer = Some(csid);
         }
-        let afid = self.new_file(FileKind::Socket(asid), OpenFlags::RDWR);
+        let afid = self.new_file(FileKind::Socket(asid), OpenFlags::RDWR).id;
         Ok(self.proc_mut(spid)?.fdtable.install(afid))
     }
 
@@ -894,7 +893,7 @@ impl Kernel {
                 id
             }
         };
-        let fid = self.new_file(FileKind::ShmPosix(shm_id), OpenFlags::RDWR);
+        let fid = self.new_file(FileKind::ShmPosix(shm_id), OpenFlags::RDWR).id;
         Ok(self.proc_mut(pid)?.fdtable.install(fid))
     }
 
@@ -951,13 +950,18 @@ impl Kernel {
     // Kqueues, ptys, AIO
     // ------------------------------------------------------------------
 
+    /// Allocates an empty kqueue under the next id.
+    pub fn new_kqueue(&mut self) -> &mut Kqueue {
+        let id = self.next_kqueue;
+        self.next_kqueue += 1;
+        self.kqueues.entry(id).or_insert(Kqueue::new(id))
+    }
+
     /// Creates a kqueue descriptor.
     pub fn kqueue(&mut self, pid: Pid) -> Result<Fd> {
         self.syscall_cost();
-        let id = self.next_kqueue;
-        self.next_kqueue += 1;
-        self.kqueues.insert(id, Kqueue::new(id));
-        let fid = self.new_file(FileKind::Kqueue(id), OpenFlags::RDWR);
+        let id = self.new_kqueue().id;
+        let fid = self.new_file(FileKind::Kqueue(id), OpenFlags::RDWR).id;
         Ok(self.proc_mut(pid)?.fdtable.install(fid))
     }
 
@@ -970,16 +974,22 @@ impl Kernel {
         Ok(())
     }
 
+    /// Allocates a pty pair with default settings under the next pts
+    /// number.
+    pub fn new_pty(&mut self) -> &mut Pty {
+        let id = self.next_pty;
+        self.next_pty += 1;
+        self.ptys.entry(id).or_insert(Pty::new(id))
+    }
+
     /// Opens a pseudoterminal pair; returns (master fd, slave fd).
     pub fn openpty(&mut self, pid: Pid) -> Result<(Fd, Fd)> {
         self.syscall_cost();
         // Creating the device node takes the devfs locks (Table 4).
         self.charge.raw(self.charge.model().devfs_create_ns);
-        let id = self.next_pty;
-        self.next_pty += 1;
-        self.ptys.insert(id, Pty::new(id));
-        let mf = self.new_file(FileKind::Pty { pty: id, side: PtySide::Master }, OpenFlags::RDWR);
-        let sf = self.new_file(FileKind::Pty { pty: id, side: PtySide::Slave }, OpenFlags::RDWR);
+        let id = self.new_pty().id;
+        let mf = self.new_file(FileKind::Pty { pty: id, side: PtySide::Master }, OpenFlags::RDWR).id;
+        let sf = self.new_file(FileKind::Pty { pty: id, side: PtySide::Slave }, OpenFlags::RDWR).id;
         let p = self.proc_mut(pid)?;
         Ok((p.fdtable.install(mf), p.fdtable.install(sf)))
     }

@@ -292,6 +292,37 @@ impl Vm {
         Ok(None)
     }
 
+    /// Reads `pages` pages starting at `offset_pages` through the chain
+    /// under `top` without faulting: per page the first resident copy
+    /// top-down wins, a swapped slot ends the search, and whatever is not
+    /// resident reads as zeros (a hole in a dump). Returns the bytes and
+    /// how many pages were resident.
+    pub fn read_nofault(
+        &self,
+        top: ObjId,
+        offset_pages: u64,
+        pages: u64,
+    ) -> Result<(Vec<u8>, u64), VmError> {
+        let chain = self.chain_of(top)?;
+        let mut out = vec![0u8; pages as usize * PAGE_SIZE];
+        let mut resident = 0;
+        for (i, dst) in out.chunks_exact_mut(PAGE_SIZE).enumerate() {
+            let pindex = offset_pages + i as u64;
+            for &obj in &chain {
+                match self.object(obj)?.pages.get(&pindex) {
+                    Some(PageSlot::Resident { .. }) => {
+                        dst.copy_from_slice(self.page_bytes(obj, pindex)?);
+                        resident += 1;
+                        break;
+                    }
+                    Some(PageSlot::Swapped) => break,
+                    None => continue,
+                }
+            }
+        }
+        Ok((out, resident))
+    }
+
     /// Iterates over the resident pages of an object: `(pindex, dirty)`.
     pub fn resident_page_indices(&self, obj: ObjId) -> Result<Vec<(u64, bool)>, VmError> {
         let o = self.objects.get(&obj).ok_or(VmError::NoSuchObject(obj))?;
