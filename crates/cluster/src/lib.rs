@@ -247,7 +247,7 @@ impl Cluster {
         // The leader votes for itself.
         self.note_ack(gid.0, LEADER as u64, stats.epoch);
         self.replicate(gid)?;
-        self.refresh_release_gate(gid.0);
+        self.refresh_release_gate(gid.0)?;
         self.update_gauges(gid.0);
         Ok(stats)
     }
@@ -386,7 +386,7 @@ impl Cluster {
                     }
                 }
                 self.note_ack(group, ev.src, epoch);
-                self.refresh_release_gate(group);
+                self.refresh_release_gate(group)?;
                 self.update_gauges(group);
             }
         }
@@ -401,13 +401,13 @@ impl Cluster {
         *acked = (*acked).max(epoch);
     }
 
-    /// Recomputes the quorum durable watermark from the ack table and
-    /// re-gates the leader's external synchrony on it, releasing
-    /// anything newly covered.
-    fn refresh_release_gate(&mut self, group: u64) {
+    /// Recomputes `group`'s quorum durable watermark from the ack table
+    /// and re-gates that group's external synchrony on the leader with
+    /// it, releasing anything newly covered.
+    fn refresh_release_gate(&mut self, group: u64) -> Result<(), SlsError> {
         let watermark = self.quorum_watermark(group);
         let sls = &mut self.nodes[LEADER].sls;
-        sls.set_release_gate(Some(watermark));
+        sls.set_release_gate(GroupId(group), Some(watermark))?;
         let trace = sls.kernel.charge.trace();
         if trace.is_enabled() {
             trace.instant(
@@ -421,6 +421,7 @@ impl Cluster {
         // causal graphs are complete — snapshot them into the flight
         // recorder and refresh the critical-path gauges.
         self.snapshot_provenance(group);
+        Ok(())
     }
 
     /// The newest epoch of `group` acked by at least `quorum` nodes,

@@ -128,6 +128,35 @@ fn quorum_gate_withholds_until_acked() {
     }
 }
 
+/// The quorum gate is per group. Quorum 3 of 3, follower 2 down while
+/// group B's epoch replicates and back for group A's later epoch: A's
+/// watermark passes B's epoch number, but B — acked by two nodes — must
+/// stay withheld.
+#[test]
+fn one_groups_quorum_does_not_release_another_groups_epoch() {
+    let mut c = Cluster::new(ClusterConfig { quorum: 3, ..ClusterConfig::default() });
+    let (pa, ga) = spawn_attached(&mut c);
+    let (pb, gb) = spawn_attached(&mut c);
+
+    c.nodes[2].alive = false;
+    bump(&mut c, pb);
+    let eb = c.checkpoint_and_replicate(gb).unwrap().epoch;
+    c.drain().unwrap();
+    assert_eq!(c.quorum_watermark(gb.0), 0, "B never reached three acks");
+
+    c.nodes[2].alive = true;
+    bump(&mut c, pa);
+    let ea = c.checkpoint_and_replicate(ga).unwrap().epoch;
+    c.drain().unwrap();
+    assert_eq!(c.quorum_watermark(ga.0), ea);
+    assert!(ea > eb, "A's watermark covers B's epoch number");
+
+    let gauges = c.leader().stat_gauges();
+    assert_eq!(gauge(&gauges, "extsync.sealed_total"), 2);
+    assert_eq!(gauge(&gauges, "extsync.released_total"), 1, "only A's epoch has a quorum");
+    assert_eq!(gauge(&gauges, "extsync.pending_batches"), 1);
+}
+
 /// Killing a follower *mid-commit* — after the delta is on the wire,
 /// before it acks — leaves the epoch committed at quorum 2 with zero
 /// invariant violations, and the cluster keeps committing after.

@@ -97,7 +97,8 @@ impl AuroraApi for Sls {
     fn sls_memckpt(&mut self, gid: GroupId, pid: Pid, addr: u64) -> Result<MemckptStats, SlsError> {
         let clock = self.kernel.charge.clock().clone();
         // Backpressure as for full checkpoints.
-        let pending = self.groups.get(&gid).ok_or(SlsError::NoSuchGroup(gid))?.pending_durable;
+        let g = self.groups.get(&gid).ok_or(SlsError::NoSuchGroup(gid))?;
+        let (pending, collapse_mode) = (g.pending_durable, g.opts.collapse_mode);
         clock.advance_to(pending);
         let sw = Stopwatch::start(&clock);
         let model = self.kernel.charge.model().clone();
@@ -118,9 +119,7 @@ impl AuroraApi for Sls {
             .ok_or(SlsError::Vm(aurora_vm::VmError::BadAddress(addr)))?
             .object;
         // Retire the previous region shadow first (chain cap, §6).
-        let _ = self.kernel.vm.collapse_under(target, {
-            self.groups.get(&gid).expect("checked").opts.collapse_mode
-        });
+        let _ = self.kernel.vm.collapse_under(target, collapse_mode);
         let stats_before = self.kernel.vm.stats;
         let pair = self.kernel.vm.shadow_one(target, &spaces)?;
         self.kernel.shm_backmap(pair.old_top, pair.new_top);
@@ -132,7 +131,7 @@ impl AuroraApi for Sls {
         // Flush asynchronously and commit a region epoch.
         let lineage = pair.lineage.0;
         let oid = {
-            let g = self.groups.get_mut(&gid).expect("checked");
+            let g = self.groups.get_mut(&gid).ok_or(SlsError::NoSuchGroup(gid))?;
             let mut store = self.store.lock();
             let oid = g.oidmap.get_or_create(&mut store, crate::KObj(crate::Kind::Mem, lineage))?;
             self.lineage_oids
@@ -141,39 +140,36 @@ impl AuroraApi for Sls {
                 .or_insert_with(|| crate::LineageBinding::live(oid));
             oid
         };
-        let mut pages_flushed = 0;
-        {
-            let mut store = self.store.lock();
-            // The region flush is its own draft epoch under the group.
-            store.stage_for(gid.0);
-            let dirty = self.kernel.vm.dirty_page_indices(pair.old_top)?;
-            let mut batch: Vec<(u64, aurora_objstore::PageRef)> =
-                Vec::with_capacity(dirty.len());
-            for &pi in &dirty {
-                batch.push((pi, self.kernel.vm.page_ref(pair.old_top, pi)?));
-            }
-            if !batch.is_empty() {
-                // The region goes out as one charged bulk write.
-                store.write_pages(oid, &batch)?;
-            }
-            for &pi in &dirty {
-                self.kernel.vm.mark_clean(pair.old_top, pi)?;
-                pages_flushed += 1;
-            }
+        let dirty = self.kernel.vm.dirty_page_indices(pair.old_top)?;
+        let mut batch: Vec<(u64, aurora_objstore::PageRef)> = Vec::with_capacity(dirty.len());
+        for &pi in &dirty {
+            batch.push((pi, self.kernel.vm.page_ref(pair.old_top, pi)?));
         }
         let info = {
             let mut store = self.store.lock();
-            let info = store.commit_for(gid.0)?;
+            // The region flush is its own draft epoch under the group;
+            // the cursor returns to the un-grouped draft on every exit.
+            store.stage_for(gid.0);
+            let res = (|| -> Result<aurora_objstore::CommitInfo, SlsError> {
+                if !batch.is_empty() {
+                    // The region goes out as one charged bulk write.
+                    store.write_pages(oid, &batch)?;
+                }
+                for &pi in &dirty {
+                    self.kernel.vm.mark_clean(pair.old_top, pi)?;
+                }
+                Ok(store.commit_for(gid.0)?)
+            })();
             store.stage_for(0);
-            info
+            res?
         };
-        let g = self.groups.get_mut(&gid).expect("checked");
+        let g = self.groups.get_mut(&gid).ok_or(SlsError::NoSuchGroup(gid))?;
         g.epochs.push(info.epoch);
         g.pending_durable = info.durable_at;
         Ok(MemckptStats {
             epoch: info.epoch,
             stop_time_ns,
-            pages_flushed,
+            pages_flushed: dirty.len() as u64,
             durable_at: info.durable_at,
         })
     }

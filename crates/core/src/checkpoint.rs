@@ -1,7 +1,7 @@
-//! Checkpoint entry point and the shared reachability scan (§4–6). The
-//! actual work happens in [`crate::pipeline::CheckpointPipeline`]; every
-//! per-object-kind operation goes through the [`crate::kinds::KINDS`]
-//! table.
+//! Checkpoint stats and the shared reachability scan (§4–6). The actual
+//! work happens in [`crate::pipeline::GroupRun`], driven by
+//! [`Sls::checkpoint_all`]; every per-object-kind operation goes through
+//! the [`crate::kinds::KINDS`] table.
 
 use crate::{GroupId, Sls, SlsError};
 use aurora_posix::file::FileKind;
@@ -242,21 +242,9 @@ impl Reach {
 }
 
 impl Sls {
-    /// Takes a checkpoint of the group right now (`sls checkpoint` / the
-    /// periodic driver). The first checkpoint is full; later ones are
-    /// incremental.
+    /// Takes a checkpoint of the group right now (`sls checkpoint`). The
+    /// first checkpoint is full; later ones are incremental.
     pub fn checkpoint_now(&mut self, gid: GroupId) -> Result<CheckpointStats, SlsError> {
-        if let Some(stats) = self.breaker_short_circuit(gid) {
-            self.last_stats = Some(stats.clone());
-            self.last_stats_by_group.insert(gid.0, stats.clone());
-            return Ok(stats);
-        }
-        let stats = crate::pipeline::CheckpointPipeline::new(self, gid)?.run()?;
-        self.note_checkpoint_outcome(&stats);
-        self.checkpoints_taken += 1;
-        self.last_stats = Some(stats.clone());
-        self.last_stats_by_group.insert(gid.0, stats.clone());
-        self.sample_metrics();
-        Ok(stats)
+        Ok(self.checkpoint_all(&[gid])?.remove(0))
     }
 }

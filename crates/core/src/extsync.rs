@@ -115,15 +115,15 @@ impl Sls {
             let mut to_release: Vec<(u64, usize)> = Vec::new();
             let mut released_batches: Vec<(u64, u64, u64, u64)> = Vec::new();
             {
-                let gate = self.release_gate;
                 let g = self.groups.get_mut(gid).expect("listed");
+                let gate = g.release_gate;
                 while let Some(front) = g.sealed.front() {
                     if front.durable_at > now {
                         break;
                     }
                     // Cluster quorum gate: locally durable is not enough
                     // when replication is on — the epoch must also be
-                    // under the quorum durable watermark.
+                    // under this group's quorum durable watermark.
                     if gate.is_some_and(|w| front.epoch > w) {
                         break;
                     }

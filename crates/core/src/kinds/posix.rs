@@ -517,15 +517,13 @@ impl KindDef for VnodeRecord {
                 entries: self.dirents.iter().map(|(n, ino)| (n.clone(), VnodeId(*ino))).collect(),
             }
         } else {
-            let mut data = Vec::new();
-            if self.size > 0 {
-                let pages: Vec<u64> = (0..self.size.div_ceil(PAGE as u64)).collect();
-                for (_, page) in cx.sls.store.lock().read_pages_bulk(oid, cx.epoch, &pages)? {
-                    data.extend_from_slice(page.bytes());
-                    cx.pages_read += 1;
-                }
-                data.truncate(self.size as usize);
+            let pages: Vec<u64> = (0..self.size.div_ceil(PAGE as u64)).collect();
+            let mut data = vec![0u8; pages.len() * PAGE];
+            for (pi, page) in cx.sls.store.lock().read_pages_bulk(oid, cx.epoch, &pages)? {
+                data[pi as usize * PAGE..][..PAGE].copy_from_slice(page.bytes());
+                cx.pages_read += 1;
             }
+            data.truncate(self.size as usize);
             VnodeKind::Regular { data }
         };
         let k = &mut cx.sls.kernel;

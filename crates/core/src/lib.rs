@@ -33,7 +33,7 @@ pub mod kinds;
 pub mod oidmap;
 pub mod pipeline;
 pub mod restore;
-pub mod scheduler;
+mod scheduler;
 pub mod sendrecv;
 pub mod swap;
 pub mod wire;
@@ -42,11 +42,10 @@ pub mod world;
 pub use api::AuroraApi;
 pub use checkpoint::{CheckpointStats, Reach, StageFailure};
 pub use error::SlsError;
-pub use pipeline::{CheckpointPipeline, GroupRun, Phase, RetryPolicy};
+pub use pipeline::{GroupRun, Phase, RetryPolicy};
 pub use kinds::{KindDef, KindOps, KINDS};
 pub use oidmap::{KObj, Kind};
 pub use restore::RestoreMode;
-pub use scheduler::{CheckpointScheduler, SchedulerPolicy};
 pub use sendrecv::{ApplyReport, DeltaStats};
 
 pub use aurora_frames::{FrameArena, FrameGauges, PageRef};
@@ -192,7 +191,8 @@ pub(crate) struct SealedBatch {
     pub counts: HashMap<u64, usize>,
 }
 
-/// One consistency group.
+/// One consistency group: everything the engine knows about it lives
+/// here and dies with it.
 #[derive(Debug)]
 pub(crate) struct Group {
     pub id: GroupId,
@@ -210,10 +210,49 @@ pub(crate) struct Group {
     pub last_checkpoint_ns: u64,
     /// External-synchrony batches awaiting durability.
     pub sealed: VecDeque<SealedBatch>,
+    /// Cluster release gate: when set, sealed batches whose epoch
+    /// exceeds this watermark stay withheld even once locally durable —
+    /// the group's quorum durable watermark (set by `aurora-cluster` as
+    /// follower acks arrive).
+    pub release_gate: Option<u64>,
     /// Content fingerprints of flushed vnodes (flush only what changed).
     pub vnode_hash: HashMap<VnodeId, u64>,
     /// Named (user-visible) checkpoints: name → store epoch.
     pub named: HashMap<String, u64>,
+    /// The group's circuit breaker (closed until failures trip it).
+    pub breaker: Breaker,
+    /// Stats of the group's most recent checkpoint (per-group gauge
+    /// source; a breaker skip counts).
+    pub last_stats: Option<CheckpointStats>,
+    /// Width of the group's most recent quiesce window, virtual ns.
+    pub last_quiesce_width_ns: Option<u64>,
+    /// Pages frozen (PTEs downgraded) by the group's most recent system
+    /// shadow.
+    pub shadow_pages: Option<u64>,
+}
+
+impl Group {
+    /// A group with no history: the next checkpoint is full.
+    fn new(id: GroupId, roots: Vec<Pid>, opts: SlsOptions, manifest: Oid) -> Self {
+        Self {
+            id,
+            roots,
+            opts,
+            oidmap: OidMap::default(),
+            manifest,
+            epochs: Vec::new(),
+            pending_durable: 0,
+            last_checkpoint_ns: 0,
+            sealed: VecDeque::new(),
+            release_gate: None,
+            vnode_hash: HashMap::new(),
+            named: HashMap::new(),
+            breaker: Breaker::default(),
+            last_stats: None,
+            last_quiesce_width_ns: None,
+            shadow_pages: None,
+        }
+    }
 }
 
 /// The single level store orchestrator.
@@ -232,9 +271,6 @@ pub struct Sls {
     sampler: Option<aurora_trace::Sampler>,
     /// Stage timings of the most recent checkpoint (gauge source).
     pub(crate) last_stats: Option<CheckpointStats>,
-    /// Stage timings of each group's most recent checkpoint, keyed by
-    /// group id (per-group gauge source).
-    pub(crate) last_stats_by_group: HashMap<u64, CheckpointStats>,
     /// Checkpoints committed since boot, across groups.
     pub(crate) checkpoints_taken: u64,
     /// External-synchrony batches sealed / released since boot.
@@ -245,15 +281,8 @@ pub struct Sls {
     /// checkpoints run; runs in flight keep the policy they started
     /// with.
     pub config: CheckpointConfig,
-    /// Per-group circuit breakers (empty until a failure is noted).
-    pub(crate) breakers: HashMap<u64, Breaker>,
     /// Retries spent by all checkpoint runs since boot (gauge source).
     pub(crate) retries_spent_total: u64,
-    /// Cluster release gate: when set, external synchrony holds sealed
-    /// batches whose epoch exceeds this watermark even once locally
-    /// durable — the quorum durable watermark layered onto seal/release
-    /// (set by `aurora-cluster` as follower acks arrive).
-    pub(crate) release_gate: Option<u64>,
     /// `cluster.*` gauges pushed down by the cluster layer (quorum lag,
     /// replication queue depth, migration progress). A standalone node
     /// reports the defaults — a cluster of one, zero lag.
@@ -266,6 +295,8 @@ pub struct Sls {
     /// via `InvariantChecker::on_violation`, the online checker) dumps
     /// the causal graphs of the last few epochs through this handle.
     flight: Option<aurora_trace::FlightRecorder>,
+    /// The only source of group ids: attach and restore both draw from
+    /// it, a reboot (which forgets every group) rewinds it.
     next_group: u64,
 }
 
@@ -291,14 +322,11 @@ impl Sls {
             trace: aurora_trace::Trace::disabled(),
             sampler: None,
             last_stats: None,
-            last_stats_by_group: HashMap::new(),
             checkpoints_taken: 0,
             extsync_sealed: 0,
             extsync_released: 0,
             config: CheckpointConfig::default(),
-            breakers: HashMap::new(),
             retries_spent_total: 0,
-            release_gate: None,
             cluster_gauges: HashMap::new(),
             node_id: 0,
             flight: None,
@@ -329,18 +357,15 @@ impl Sls {
         self.flight.as_ref()
     }
 
-    /// Sets (or clears) the external-synchrony release gate: sealed
-    /// batches with an epoch above the watermark stay withheld even once
-    /// locally durable. The cluster layer advances this to the quorum
-    /// durable watermark as replication acks arrive; `None` restores
-    /// single-node behavior (local durability alone releases).
-    pub fn set_release_gate(&mut self, watermark: Option<u64>) {
-        self.release_gate = watermark;
-    }
-
-    /// The current external-synchrony release gate, if any.
-    pub fn release_gate(&self) -> Option<u64> {
-        self.release_gate
+    /// Sets (or clears) `gid`'s external-synchrony release gate: the
+    /// group's sealed batches with an epoch above the watermark stay
+    /// withheld even once locally durable. The cluster layer advances
+    /// this to the group's quorum durable watermark as replication acks
+    /// arrive; `None` restores single-node behavior (local durability
+    /// alone releases). Other groups' batches are not affected.
+    pub fn set_release_gate(&mut self, gid: GroupId, watermark: Option<u64>) -> Result<(), SlsError> {
+        self.groups.get_mut(&gid).ok_or(SlsError::NoSuchGroup(gid))?.release_gate = watermark;
+        Ok(())
     }
 
     /// Replaces the `cluster.*` gauges the cluster layer surfaces through
@@ -374,13 +399,12 @@ impl Sls {
     /// `"breaker"` and a [`SlsError::BreakerOpen`] cause) without
     /// running any pipeline stage. `None` means the breaker is closed
     /// and the checkpoint should run.
-    pub(crate) fn breaker_short_circuit(&mut self, gid: GroupId) -> Option<CheckpointStats> {
+    fn breaker_short_circuit(&mut self, gid: GroupId) -> Option<CheckpointStats> {
         let now = self.kernel.charge.clock().now();
-        let b = self.breakers.get(&gid.0)?;
-        if now >= b.open_until {
+        let until = self.groups.get(&gid)?.breaker.open_until;
+        if now >= until {
             return None;
         }
-        let until = b.open_until;
         let trace = self.kernel.charge.trace();
         if trace.is_enabled() {
             trace.instant(
@@ -404,12 +428,11 @@ impl Sls {
     /// Feeds a finished checkpoint run into the retry accounting and
     /// the group's circuit breaker: failures accumulate toward a trip,
     /// a success (or a cooldown expiry) resets the streak. Synthesized
-    /// breaker skips don't feed back — an open breaker must not re-trip
-    /// itself.
-    pub(crate) fn note_checkpoint_outcome(&mut self, stats: &CheckpointStats) {
+    /// breaker skips are never fed back — an open breaker must not
+    /// re-trip itself.
+    fn note_checkpoint_outcome(&mut self, stats: &CheckpointStats) {
         self.retries_spent_total += stats.retries as u64;
         match &stats.failure {
-            Some(f) if f.stage == "breaker" => {}
             Some(_) => {
                 if self.config.breaker_trip_failures == 0 {
                     return;
@@ -417,7 +440,8 @@ impl Sls {
                 let now = self.kernel.charge.clock().now();
                 let cooldown = self.config.breaker_cooldown_ns;
                 let trip_at = self.config.breaker_trip_failures;
-                let b = self.breakers.entry(stats.group).or_default();
+                let Some(g) = self.groups.get_mut(&GroupId(stats.group)) else { return };
+                let b = &mut g.breaker;
                 b.consecutive_failures += 1;
                 if b.consecutive_failures >= trip_at {
                     b.consecutive_failures = 0;
@@ -434,9 +458,9 @@ impl Sls {
                 }
             }
             None => {
-                if let Some(b) = self.breakers.get_mut(&stats.group) {
-                    b.consecutive_failures = 0;
-                    b.open_until = 0;
+                if let Some(g) = self.groups.get_mut(&GroupId(stats.group)) {
+                    g.breaker.consecutive_failures = 0;
+                    g.breaker.open_until = 0;
                 }
             }
         }
@@ -475,12 +499,11 @@ impl Sls {
     /// latest stage timings, and external synchrony. Pure read.
     pub fn stat_gauges(&self) -> Vec<(String, u64)> {
         let fg = self.kernel.vm.frame_gauges();
-        let (sg, dq, dev_bytes, group_shadow, health) = {
+        let (sg, dq, dev_bytes, health) = {
             let store = self.store.lock();
             let sg = store.gauges();
-            let shadow = store.arena().group_shadow_snapshot();
             let dev = store.device().lock();
-            (sg, dev.queue_stats(), dev.bytes_written(), shadow, dev.health_report())
+            (sg, dev.queue_stats(), dev.bytes_written(), dev.health_report())
         };
         let pending: u64 = self.groups.values().map(|g| g.sealed.len() as u64).sum();
         let mut v: Vec<(String, u64)> = vec![
@@ -546,8 +569,8 @@ impl Sls {
         }
         {
             let now = self.kernel.charge.clock().now();
-            let open = self.breakers.values().filter(|b| b.open_until > now).count() as u64;
-            let trips: u64 = self.breakers.values().map(|b| b.trips).sum();
+            let open = self.groups.values().filter(|g| g.breaker.open_until > now).count() as u64;
+            let trips: u64 = self.groups.values().map(|g| g.breaker.trips).sum();
             v.push(("pipeline.breaker.open".into(), open));
             v.push(("pipeline.breaker.trips".into(), trips));
         }
@@ -560,20 +583,23 @@ impl Sls {
             v.push(("pipeline.last_commit_ns".into(), s.commit_ns));
             v.push(("pipeline.last_pages_flushed".into(), s.pages_flushed));
         }
-        // Per-group stage latency: one gauge block per consistency group
-        // that has checkpointed, so overlapping pipelines stay
+        // One gauge block per consistency group, each row present once
+        // the group has got that far, so overlapping pipelines stay
         // individually observable.
-        for (g, s) in &self.last_stats_by_group {
-            v.push((format!("pipeline.g{g}.last_stop_ns"), s.stop_time_ns));
-            v.push((format!("pipeline.g{g}.last_flush_ns"), s.flush_ns));
-            v.push((format!("pipeline.g{g}.last_commit_ns"), s.commit_ns));
-            v.push((format!("pipeline.g{g}.last_pages_flushed"), s.pages_flushed));
-        }
-        for (&g, &w) in &self.kernel.quiesce_width_by_group {
-            v.push((format!("quiesce.g{g}.last_width_ns"), w));
-        }
-        for (g, pages) in group_shadow {
-            v.push((format!("frames.g{g}.shadow_pages"), pages));
+        for g in self.groups.values() {
+            let n = g.id.0;
+            if let Some(s) = &g.last_stats {
+                v.push((format!("pipeline.g{n}.last_stop_ns"), s.stop_time_ns));
+                v.push((format!("pipeline.g{n}.last_flush_ns"), s.flush_ns));
+                v.push((format!("pipeline.g{n}.last_commit_ns"), s.commit_ns));
+                v.push((format!("pipeline.g{n}.last_pages_flushed"), s.pages_flushed));
+            }
+            if let Some(w) = g.last_quiesce_width_ns {
+                v.push((format!("quiesce.g{n}.last_width_ns"), w));
+            }
+            if let Some(pages) = g.shadow_pages {
+                v.push((format!("frames.g{n}.shadow_pages"), pages));
+            }
         }
         v.sort_by(|a, b| a.0.cmp(&b.0));
         v
@@ -598,26 +624,16 @@ impl Sls {
     /// (`sls attach`). The first checkpoint is full.
     pub fn attach(&mut self, root: Pid, opts: SlsOptions) -> Result<GroupId, SlsError> {
         self.kernel.proc(root)?;
+        let manifest = self.store.lock().alloc_oid();
+        Ok(self.add_group(vec![root], opts, manifest).id)
+    }
+
+    /// Registers a new group under the next free id — the only place a
+    /// [`Group`] is made and the only place an id is handed out.
+    pub(crate) fn add_group(&mut self, roots: Vec<Pid>, opts: SlsOptions, manifest: Oid) -> &mut Group {
         let id = GroupId(self.next_group);
         self.next_group += 1;
-        let manifest = self.store.lock().alloc_oid();
-        self.groups.insert(
-            id,
-            Group {
-                id,
-                roots: vec![root],
-                opts,
-                oidmap: OidMap::default(),
-                manifest,
-                epochs: Vec::new(),
-                pending_durable: 0,
-                last_checkpoint_ns: 0,
-                sealed: VecDeque::new(),
-                vnode_hash: HashMap::new(),
-                named: HashMap::new(),
-            },
-        );
-        Ok(id)
+        self.groups.entry(id).or_insert(Group::new(id, roots, opts, manifest))
     }
 
     /// Marks a process ephemeral (`sls detach`): still quiesced with its
@@ -675,11 +691,11 @@ impl Sls {
             .ok_or(SlsError::NoCheckpoint(gid))
     }
 
-    /// Periodic driver: checkpoints every group whose period has elapsed.
-    /// When more than one group is due, their pipelines run through the
-    /// [`scheduler::CheckpointScheduler`] so the stop windows stagger
-    /// against each other's flushes instead of serializing. Returns the
-    /// stats of the checkpoints taken.
+    /// Periodic driver: checkpoints every group whose period has elapsed
+    /// through [`checkpoint_all`](Sls::checkpoint_all), so the stop
+    /// windows of several due groups stagger against each other's
+    /// flushes instead of serializing. Returns the stats of the
+    /// checkpoints taken.
     pub fn tick(&mut self) -> Result<Vec<CheckpointStats>, SlsError> {
         let now = self.kernel.charge.clock().now();
         // Degraded-mode cadence stretch: while the device stack reports
@@ -701,57 +717,36 @@ impl Sls {
             .map(|g| g.id)
             .collect();
         due.sort();
-        let out = if due.len() > 1 {
-            self.checkpoint_all(&due)?
-        } else {
-            let mut out = Vec::with_capacity(due.len());
-            for gid in due {
-                out.push(self.checkpoint_now(gid)?);
-            }
-            out
-        };
+        let out = if due.is_empty() { Vec::new() } else { self.checkpoint_all(&due)? };
         self.pump_external_synchrony();
         self.sample_metrics();
         Ok(out)
     }
 
-    /// Checkpoints every group in `gids` with their pipelines overlapped
-    /// by the [`scheduler::CheckpointScheduler`] (default policy): group
-    /// B quiesces and serializes while group A's flush is in flight, and
+    /// Checkpoints every group in `gids` — the one checkpoint driver.
+    /// The pipelines are overlapped by the scheduler: group B
+    /// quiesces and serializes while group A's flush is in flight, and
     /// each group's epoch commits against its own draft's durability
     /// barrier. Returns one [`CheckpointStats`] per group, `gids` order.
     pub fn checkpoint_all(&mut self, gids: &[GroupId]) -> Result<Vec<CheckpointStats>, SlsError> {
         // Open breakers short-circuit before the scheduler sees the
         // group; the skipped groups still get (failed) stats entries.
-        let mut skipped: HashMap<u64, CheckpointStats> = HashMap::new();
-        let mut runnable: Vec<GroupId> = Vec::with_capacity(gids.len());
-        for &gid in gids {
-            match self.breaker_short_circuit(gid) {
-                Some(stats) => {
-                    skipped.insert(gid.0, stats);
-                }
-                None => runnable.push(gid),
-            }
-        }
-        let ran = if runnable.is_empty() {
-            Vec::new()
-        } else {
-            scheduler::CheckpointScheduler::default().run(self, &runnable)?
-        };
-        for stats in &ran {
-            self.note_checkpoint_outcome(stats);
-        }
-        let mut by_group: HashMap<u64, CheckpointStats> =
-            ran.into_iter().map(|s| (s.group, s)).collect();
+        let skips: Vec<Option<CheckpointStats>> =
+            gids.iter().map(|&gid| self.breaker_short_circuit(gid)).collect();
+        let runnable: Vec<GroupId> =
+            gids.iter().zip(&skips).filter(|(_, skip)| skip.is_none()).map(|(&gid, _)| gid).collect();
+        let mut ran = scheduler::run(self, &runnable)?.into_iter();
         let mut all = Vec::with_capacity(gids.len());
-        for &gid in gids {
-            let Some(stats) = skipped.remove(&gid.0).or_else(|| by_group.remove(&gid.0)) else {
-                continue;
-            };
-            if stats.failure.as_ref().map(|f| f.stage) != Some("breaker") {
+        for skip in skips {
+            let stats = skip.unwrap_or_else(|| {
+                let stats = ran.next().expect("the scheduler returns one stats per runnable group");
+                self.note_checkpoint_outcome(&stats);
                 self.checkpoints_taken += 1;
+                stats
+            });
+            if let Some(g) = self.groups.get_mut(&GroupId(stats.group)) {
+                g.last_stats = Some(stats.clone());
             }
-            self.last_stats_by_group.insert(stats.group, stats.clone());
             self.last_stats = Some(stats.clone());
             all.push(stats);
         }
@@ -839,9 +834,11 @@ impl Sls {
         if let Some(s) = &self.sampler {
             s.mark(self.kernel.charge.clock().now(), "machine.reboot");
         }
+        // Every group dies here with everything known about it; ids
+        // start over with them.
         self.groups.clear();
+        self.next_group = 1;
         self.last_stats = None;
-        self.last_stats_by_group.clear();
         Ok(())
     }
 }

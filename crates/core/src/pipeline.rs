@@ -9,11 +9,9 @@
 //! The pipeline is sharded by consistency group: a [`GroupRun`] is one
 //! group's checkpoint as a resumable state machine over four phases
 //! (Stop → Flush → Seal → Commit), every store mutation staged under
-//! the group's draft epoch. [`CheckpointPipeline`] drives one run to
-//! completion (the single-group path); the
-//! [`CheckpointScheduler`](crate::scheduler::CheckpointScheduler)
-//! interleaves many runs so group B can quiesce while group A's flush
-//! is still in flight.
+//! the group's draft epoch. [`Sls::checkpoint_all`] drives runs to
+//! completion through the scheduler, which interleaves many runs so
+//! group B can quiesce while group A's flush is still in flight.
 //!
 //! The Serialize and Flush stages walk the [`KINDS`] table — the
 //! pipeline knows *when* to serialize, each kind's definition knows
@@ -176,9 +174,8 @@ impl GroupRun {
     /// Prepares a checkpoint run of `gid`: validates membership and
     /// records the group's backpressure horizon (Aurora waits for the
     /// previous checkpoint to fully persist before initiating another,
-    /// §7). The clock is *not* advanced here — the single-group driver
-    /// advances it immediately, a scheduler overlaps the wait with
-    /// other groups' phases.
+    /// §7). The clock is *not* advanced here — the scheduler overlaps
+    /// the wait with other groups' phases.
     pub fn new(sls: &mut Sls, gid: GroupId) -> Result<Self, SlsError> {
         let pids = sls.group_pids(gid)?;
         let persist: Vec<Pid> = pids
@@ -511,7 +508,9 @@ impl GroupRun {
     /// machine — including other groups' in-flight flushes — keeps
     /// going.
     fn quiesce(&mut self, sls: &mut Sls) -> Result<Quiesced, SlsError> {
-        sls.kernel.quiesce_group(&self.pids, self.gid.0)?;
+        let report = sls.kernel.quiesce_group(&self.pids, self.gid.0)?;
+        let g = sls.groups.get_mut(&self.gid).ok_or(SlsError::NoSuchGroup(self.gid))?;
+        g.last_quiesce_width_ns = Some(report.width_ns);
         sls.kernel.charge.raw(sls.kernel.charge.model().checkpoint_barrier_ns);
         let spaces: Vec<SpaceId> = self
             .persist
@@ -606,8 +605,8 @@ impl GroupRun {
 
     /// Stage 5 — Shadow: one system shadow per writable object across
     /// the whole group; COW-mark the frozen pages; TLB shootdown (§6).
-    /// The frozen page count is attributed to the group in the frame
-    /// arena's per-group shadow gauges.
+    /// The frozen page count is recorded on the group (its
+    /// `frames.gN.shadow_pages` gauge).
     fn shadow(&mut self, sls: &mut Sls, q: &Quiesced, s: &Serialized) -> Result<(), SlsError> {
         let stats_before = sls.kernel.vm.stats;
         let pairs = sls.kernel.vm.system_shadow(&q.spaces)?;
@@ -618,7 +617,8 @@ impl GroupRun {
         let model = sls.kernel.charge.model().clone();
         sls.kernel.charge.raw(delta.pte_downgrades * model.pte_cow_ns);
         sls.kernel.charge.raw(model.shootdown_ns(s.reach.threads.len() as u64));
-        sls.store.lock().arena().note_group_shadow(self.gid.0, delta.pte_downgrades);
+        let g = sls.groups.get_mut(&self.gid).ok_or(SlsError::NoSuchGroup(self.gid))?;
+        g.shadow_pages = Some(delta.pte_downgrades);
         Ok(())
     }
 
@@ -733,31 +733,5 @@ impl GroupRun {
             sls.extsync_sealed += 1;
         }
         Ok(info)
-    }
-}
-
-/// One checkpoint driven to completion, the single-group path: applies
-/// the backpressure wait immediately and steps the [`GroupRun`] through
-/// all four phases back-to-back.
-pub struct CheckpointPipeline<'a> {
-    sls: &'a mut Sls,
-    run: GroupRun,
-}
-
-impl<'a> CheckpointPipeline<'a> {
-    /// Prepares a checkpoint of `gid` and waits out the group's previous
-    /// checkpoint's durability (§7's backpressure).
-    pub fn new(sls: &'a mut Sls, gid: GroupId) -> Result<Self, SlsError> {
-        let run = GroupRun::new(sls, gid)?;
-        sls.kernel.charge.clock().advance_to(run.ready_at());
-        Ok(Self { sls, run })
-    }
-
-    /// Runs every phase in order and assembles the stats.
-    pub fn run(mut self) -> Result<CheckpointStats, SlsError> {
-        while !self.run.is_done() {
-            self.run.step(self.sls)?;
-        }
-        Ok(self.run.take_stats())
     }
 }

@@ -8,10 +8,9 @@
 
 use crate::kinds::{post_restore_all, ManifestRecord, Rebuild};
 use crate::oidmap::{Kind, MANIFEST};
-use crate::{Group, GroupId, Sls, SlsError, SlsOptions};
+use crate::{GroupId, Sls, SlsError, SlsOptions};
 use aurora_objstore::{ObjectKind, Oid};
 use aurora_posix::Pid;
-use std::collections::{HashMap, VecDeque};
 
 /// How to bring memory back (§6, "lazy restores").
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -160,36 +159,29 @@ impl Sls {
 
         // Register the restored group so subsequent checkpoints continue
         // the same on-disk objects.
-        let gid = GroupId(self.next_group_id());
-        let mut group = Group {
-            id: gid,
-            roots: man
-                .procs
-                .iter()
-                .filter(|(_, _, root)| *root)
-                .map(|(_, local, _)| Pid(pid_ns.global_of(*local)))
-                .collect(),
-            opts: SlsOptions {
-                period_ns: man.period_ns,
-                external_synchrony: man.extsync,
-                ..SlsOptions::default()
-            },
-            oidmap: Default::default(),
-            manifest,
-            epochs: vec![epoch],
-            pending_durable: 0,
-            last_checkpoint_ns: clock.now(),
-            sealed: VecDeque::new(),
-            vnode_hash: HashMap::new(),
-            named: HashMap::new(),
+        let roots = man
+            .procs
+            .iter()
+            .filter(|(_, _, root)| *root)
+            .map(|(_, local, _)| Pid(pid_ns.global_of(*local)))
+            .collect();
+        let opts = SlsOptions {
+            period_ns: man.period_ns,
+            external_synchrony: man.extsync,
+            ..SlsOptions::default()
         };
         // Re-bind the oid map so the exactly-once scan recognizes the
         // restored objects — one generic loop; each kind supplies its
         // key (the id except memory, which keys by its new lineage).
+        let mut oidmap = crate::oidmap::OidMap::default();
         for (&(kind, oid), &id) in &ids {
-            group.oidmap.bind((kind.ops().key_of)(&self.kernel, id)?, oid);
+            oidmap.bind((kind.ops().key_of)(&self.kernel, id)?, oid);
         }
-        self.groups.insert(gid, group);
+        let group = self.add_group(roots, opts, manifest);
+        group.oidmap = oidmap;
+        group.epochs = vec![epoch];
+        group.last_checkpoint_ns = clock.now();
+        let gid = group.id;
 
         Ok(RestoreReport {
             group: gid,
@@ -197,9 +189,5 @@ impl Sls {
             pages_read,
             elapsed_ns: clock.now() - t0,
         })
-    }
-
-    pub(crate) fn next_group_id(&mut self) -> u64 {
-        self.groups.keys().map(|g| g.0).max().unwrap_or(0) + 1
     }
 }

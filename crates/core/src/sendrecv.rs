@@ -281,20 +281,16 @@ impl Sls {
         let mut bodies = Encoder::new();
         for oid in oids {
             let kind = store.kind(oid)?;
-            // Pages that changed in (from, to].
+            // Pages that changed in (from, to]: new since `from`, or
+            // their newest version ≤ to is > from. (`pages_at` is
+            // sorted; an object absent at `from` had no pages.)
+            let old = store.pages_at(oid, from_epoch).unwrap_or_default();
             let pages: Vec<u64> = store
                 .pages_at(oid, to_epoch)?
                 .into_iter()
-                .filter(|&pi| {
-                    // Changed iff its newest version ≤ to is > from.
-                    match store.pages_at(oid, from_epoch) {
-                        Ok(old) if old.contains(&pi) => {
-                            // Compare content versions via read: cheaper —
-                            // version epochs — use read only when needed.
-                            store.page_version_epoch(oid, pi, to_epoch).unwrap_or(0) > from_epoch
-                        }
-                        _ => true,
-                    }
+                .filter(|pi| {
+                    old.binary_search(pi).is_err()
+                        || store.page_version_epoch(oid, *pi, to_epoch).unwrap_or(0) > from_epoch
                 })
                 .collect();
             let meta_changed = store.meta_version_epoch(oid, to_epoch).unwrap_or(0) > from_epoch;

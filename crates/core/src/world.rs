@@ -9,7 +9,7 @@ use aurora_sim::{Clock, CostModel};
 use aurora_storage::faulty::{FaultHandle, FaultPlan};
 use aurora_storage::raid1::MirrorHandle;
 use aurora_storage::{
-    faulty_testbed_array, mirrored_testbed_array, nand_testbed_array, testbed_array,
+    faulty_testbed_array, mirrored_testbed_array, nand_testbed_array, testbed_array, SharedDevice,
 };
 use aurora_vm::{Prot, PAGE_SIZE};
 
@@ -34,17 +34,23 @@ impl World {
         Self::with_store_bytes_on(Clock::new(), bytes)
     }
 
+    /// Boots a machine on `clock` over a fresh store formatted on
+    /// `device` — the one place kernel, store and SLS are wired together.
+    pub fn on(clock: Clock, device: SharedDevice) -> Self {
+        let model = CostModel::default();
+        let kernel = Kernel::new(clock.clone(), model.clone());
+        let store = ObjectStore::format(device, Charge::new(clock.clone(), model), 64 * 1024)
+            .expect("format fresh store");
+        Self { sls: Sls::new(kernel, store), clock }
+    }
+
     /// Boots with `bytes` per store device on an existing virtual
     /// clock — how `aurora-cluster` puts N machines in one discrete-event
     /// timeline: every node's kernel, store, and device stack charge the
     /// same clock, so cross-node message timings compose with local I/O.
     pub fn with_store_bytes_on(clock: Clock, bytes: u64) -> Self {
-        let model = CostModel::default();
-        let kernel = Kernel::new(clock.clone(), model.clone());
         let dev = testbed_array(&clock, bytes);
-        let store = ObjectStore::format(dev, Charge::new(clock.clone(), model), 64 * 1024)
-            .expect("format fresh store");
-        Self { sls: Sls::new(kernel, store), clock }
+        Self::on(clock, dev)
     }
 
     /// Boots with `bytes` per TLC-NAND store device
@@ -52,12 +58,8 @@ impl World {
     /// storage profile the checkpoint scheduler benchmarks run against.
     pub fn with_nand_store_bytes(bytes: u64) -> Self {
         let clock = Clock::new();
-        let model = CostModel::default();
-        let kernel = Kernel::new(clock.clone(), model.clone());
         let dev = nand_testbed_array(&clock, bytes);
-        let store = ObjectStore::format(dev, Charge::new(clock.clone(), model), 64 * 1024)
-            .expect("format fresh store");
-        Self { sls: Sls::new(kernel, store), clock }
+        Self::on(clock, dev)
     }
 
     /// Boots with `bytes` per store device behind a fault-injecting
@@ -65,12 +67,8 @@ impl World {
     /// fault plan (crash-recovery and degraded-mode tests).
     pub fn with_faulty_store(bytes: u64, plan: FaultPlan) -> (Self, FaultHandle) {
         let clock = Clock::new();
-        let model = CostModel::default();
-        let kernel = Kernel::new(clock.clone(), model.clone());
         let (dev, handle) = faulty_testbed_array(&clock, bytes, plan);
-        let store = ObjectStore::format(dev, Charge::new(clock.clone(), model), 64 * 1024)
-            .expect("format fresh store");
-        (Self { sls: Sls::new(kernel, store), clock }, handle)
+        (Self::on(clock, dev), handle)
     }
 
     /// Boots the degraded-mode testbed: a two-way mirror whose members
@@ -80,12 +78,8 @@ impl World {
     /// handle per mirror for storm injection.
     pub fn with_mirrored_store(bytes: u64) -> (Self, MirrorHandle, Vec<FaultHandle>) {
         let clock = Clock::new();
-        let model = CostModel::default();
-        let kernel = Kernel::new(clock.clone(), model.clone());
         let (dev, mirror, faults) = mirrored_testbed_array(&clock, bytes);
-        let store = ObjectStore::format(dev, Charge::new(clock.clone(), model), 64 * 1024)
-            .expect("format fresh store");
-        (Self { sls: Sls::new(kernel, store), clock }, mirror, faults)
+        (Self::on(clock, dev), mirror, faults)
     }
 
     /// Turns on tracing for the whole machine, stamping every event with

@@ -280,3 +280,29 @@ fn repeated_failures_stay_isolated() {
     let r = w.sls.sls_restore(gid, None, RestoreMode::Full).unwrap();
     assert_eq!(w.read_counter(r.pids[0]).unwrap(), 4);
 }
+
+/// A region checkpoint whose flush fails must hand the store's draft
+/// cursor back: the next un-grouped commit (a journal's creation) may
+/// not land in the failed group's draft.
+#[test]
+fn failed_memckpt_returns_the_draft_cursor() {
+    let (mut w, faults) = World::with_faulty_store(1 << 28, FaultPlan::none());
+    let pid = w.sls.kernel.spawn("db");
+    let addr = w.dirty_region(pid, 8).unwrap();
+    let gid = w.sls.attach(pid, SlsOptions::default()).unwrap();
+    assert!(w.sls.sls_checkpoint(gid).unwrap().committed());
+    w.sls.sls_barrier(gid).unwrap();
+
+    w.sls.kernel.mem_write(pid, addr, b"region dirty").unwrap();
+    faults.set_plan(FaultPlan { fail_writes_from: Some(faults.writes_seen()), ..FaultPlan::none() });
+    assert!(w.sls.sls_memckpt(gid, pid, addr).is_err(), "the region flush hits the wedged device");
+    faults.clear_faults();
+
+    w.sls.sls_journal_create(8).unwrap();
+    let store = w.sls.store().lock();
+    let journal_epoch = store.last_epoch().unwrap();
+    assert_eq!(store.group_of_epoch(journal_epoch), 0, "the journal committed under the group's draft");
+    drop(store);
+    w.sls.kernel.mem_write(pid, addr, b"and again").unwrap();
+    assert!(w.sls.sls_memckpt(gid, pid, addr).is_ok(), "the group's next region checkpoint commits");
+}

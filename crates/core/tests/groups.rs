@@ -3,7 +3,7 @@
 //! synchrony.
 
 use aurora_core::world::World;
-use aurora_core::{AuroraApi, CheckpointScheduler, GroupId, GroupRun, Phase, SlsOptions};
+use aurora_core::{AuroraApi, GroupId, GroupRun, Phase, SlsOptions};
 use aurora_posix::Pid;
 use aurora_storage::faulty::FaultPlan;
 use aurora_trace::InvariantChecker;
@@ -107,7 +107,7 @@ fn scheduler_commits_every_group() {
         touch(&mut w, pid, addr);
     }
     let gids: Vec<GroupId> = groups.iter().map(|&(g, _, _)| g).collect();
-    let stats = CheckpointScheduler::default().run(&mut w.sls, &gids).unwrap();
+    let stats = w.sls.checkpoint_all(&gids).unwrap();
     assert_eq!(stats.len(), 4);
     let mut epochs: Vec<u64> = stats.iter().map(|s| s.epoch).collect();
     epochs.dedup();
@@ -252,4 +252,202 @@ fn stat_gauges_expose_per_group_rows() {
         let qkey = format!("quiesce.g{}.last_width_ns", g.0);
         assert!(gauges.iter().any(|(k, v)| *k == qkey && *v > 0), "missing gauge {qkey}");
     }
+}
+
+fn gauge(gauges: &[(String, u64)], name: &str) -> Option<u64> {
+    gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
+}
+
+/// The frozen-page count of a shadow stage belongs to the group that
+/// shadowed: each group reports its own figure, a later checkpoint
+/// overwrites (not adds to) it, and it dies with the group.
+#[test]
+fn shadow_accounting_is_per_group_and_latest_wins() {
+    let mut w = World::with_nand_store_bytes(2 << 30);
+    let groups = fleet(&mut w, 2);
+    let (ga, pa, aa) = groups[0];
+    let (gb, pb, ab) = groups[1];
+    touch(&mut w, pa, aa);
+    w.sls.kernel.mem_touch(pb, ab, 3 * PAGE_SIZE as u64).unwrap();
+    w.sls.checkpoint_all(&[ga, gb]).unwrap();
+    let gauges = w.sls.stat_gauges();
+    assert_eq!(gauge(&gauges, &format!("frames.g{}.shadow_pages", ga.0)), Some(8));
+    assert_eq!(gauge(&gauges, &format!("frames.g{}.shadow_pages", gb.0)), Some(3));
+
+    // A later checkpoint of the same group overwrites, not adds; the
+    // other group's figure stays.
+    w.sls.kernel.mem_touch(pa, aa, PAGE_SIZE as u64).unwrap();
+    w.sls.sls_checkpoint(ga).unwrap();
+    let gauges = w.sls.stat_gauges();
+    assert_eq!(gauge(&gauges, &format!("frames.g{}.shadow_pages", ga.0)), Some(1));
+    assert_eq!(gauge(&gauges, &format!("frames.g{}.shadow_pages", gb.0)), Some(3));
+
+    // The arena survives a reboot; the groups, and their rows, do not.
+    w.sls.crash_and_reboot().unwrap();
+    let gauges = w.sls.stat_gauges();
+    assert!(!gauges.iter().any(|(n, _)| n.ends_with(".shadow_pages")), "{gauges:?}");
+}
+
+/// Restores draw their group id from the same allocator as `attach`, so
+/// an attach after a restore cannot land on (and replace) the restored
+/// group.
+#[test]
+fn attach_after_restore_gets_a_fresh_group() {
+    let mut w = World::quickstart();
+    let pid = w.spawn_counter_app();
+    let g1 = w.sls.attach(pid, SlsOptions::default()).unwrap();
+    w.sls.sls_checkpoint(g1).unwrap();
+    let restored = w.sls.sls_restore(g1, None, aurora_core::RestoreMode::Full).unwrap().group;
+    let other = w.spawn_counter_app();
+    let attached = w.sls.attach(other, SlsOptions::default()).unwrap();
+    assert_ne!(restored, attached, "attach reused the restored group's id");
+    assert_eq!(w.sls.groups(), vec![g1, restored, attached]);
+    assert_eq!(w.sls.group_pids(restored).unwrap().len(), 1, "the restored group is intact");
+
+    // A reboot forgets every group, so ids start over with them.
+    w.sls.sls_barrier(g1).unwrap();
+    w.sls.crash_and_reboot().unwrap();
+    let p = w.spawn_counter_app();
+    assert_eq!(w.sls.attach(p, SlsOptions::default()).unwrap(), GroupId(1));
+}
+
+/// A circuit breaker is state of the group it tripped for: a reboot
+/// forgets it with the group, and the image restored into the reused id
+/// checkpoints at once.
+#[test]
+fn a_reboot_forgets_breakers_with_their_groups() {
+    let (mut w, faults) = World::with_faulty_store(1 << 28, FaultPlan::none());
+    w.sls.set_checkpoint_config(aurora_core::CheckpointConfig {
+        breaker_trip_failures: 2,
+        breaker_cooldown_ns: 500_000_000,
+        ..Default::default()
+    });
+    let pid = w.spawn_counter_app();
+    let gid = w.sls.attach(pid, SlsOptions::default()).unwrap();
+    w.bump_counter(pid).unwrap();
+    assert!(w.sls.sls_checkpoint(gid).unwrap().committed());
+    w.sls.sls_barrier(gid).unwrap();
+    for _ in 0..2 {
+        w.bump_counter(pid).unwrap();
+        faults.set_plan(FaultPlan {
+            fail_writes_from: Some(faults.writes_seen()),
+            ..FaultPlan::none()
+        });
+        assert!(!w.sls.sls_checkpoint(gid).unwrap().committed());
+    }
+    faults.clear_faults();
+    assert_eq!(gauge(&w.sls.stat_gauges(), "pipeline.breaker.open"), Some(1));
+
+    w.sls.crash_and_reboot().unwrap();
+    let epoch = w.sls.store().lock().last_epoch().unwrap();
+    let manifest = w.sls.manifests_at(epoch).unwrap()[0];
+    let r = w.sls.restore_image(manifest, epoch, aurora_core::RestoreMode::Full).unwrap();
+    assert_eq!(r.group, gid, "the restored image reuses the id");
+    w.bump_counter(r.pids[0]).unwrap();
+    let cp = w.sls.sls_checkpoint(r.group).unwrap();
+    assert!(cp.committed(), "restored group inherited a breaker: {:?}", cp.failure);
+    assert_eq!(gauge(&w.sls.stat_gauges(), "pipeline.breaker.open"), Some(0));
+}
+
+/// The cluster's release gate is per group: raising group A's quorum
+/// watermark must not release group B's locally-durable batch.
+#[test]
+fn release_gate_withholds_per_group() {
+    let mut w = World::quickstart();
+    let k = &mut w.sls.kernel;
+    let sa = k.spawn("server-a");
+    let sb = k.spawn("server-b");
+    let client = k.spawn("client");
+    let mut ends = Vec::new();
+    for s in [sa, sb] {
+        let (srv, cli) = k.socketpair(s).unwrap();
+        let fid = k.resolve(s, cli).unwrap();
+        k.proc_mut(s).unwrap().fdtable.remove(cli).unwrap();
+        let cli = k.proc_mut(client).unwrap().fdtable.install(fid);
+        ends.push((srv, cli));
+    }
+    let ga = w.sls.attach(sa, SlsOptions::default()).unwrap();
+    let gb = w.sls.attach(sb, SlsOptions::default()).unwrap();
+    // Replication on, nothing acked by a quorum yet.
+    w.sls.set_release_gate(ga, Some(0)).unwrap();
+    w.sls.set_release_gate(gb, Some(0)).unwrap();
+    w.sls.kernel.send(sa, ends[0].0, b"from-a").unwrap();
+    w.sls.kernel.send(sb, ends[1].0, b"from-b").unwrap();
+    let mut newest = 0;
+    for g in [ga, gb] {
+        newest = newest.max(w.sls.sls_checkpoint(g).unwrap().epoch);
+        w.sls.sls_barrier(g).unwrap();
+    }
+    // Both batches are locally durable and both gates hold them.
+    assert!(w.sls.kernel.recvmsg(client, ends[0].1).is_err());
+    assert!(w.sls.kernel.recvmsg(client, ends[1].1).is_err());
+
+    // A quorum acks A — even past B's epoch number. Only A releases.
+    w.sls.set_release_gate(ga, Some(newest)).unwrap();
+    w.sls.pump_external_synchrony();
+    assert_eq!(w.sls.kernel.recvmsg(client, ends[0].1).unwrap().0, b"from-a");
+    assert!(
+        w.sls.kernel.recvmsg(client, ends[1].1).is_err(),
+        "group B's batch was released by group A's quorum watermark"
+    );
+
+    // B releases when its own gate covers it.
+    w.sls.set_release_gate(gb, Some(newest)).unwrap();
+    w.sls.pump_external_synchrony();
+    assert_eq!(w.sls.kernel.recvmsg(client, ends[1].1).unwrap().0, b"from-b");
+    assert!(w.sls.set_release_gate(GroupId(99), None).is_err());
+}
+
+/// `checkpoint_now(g)` is `checkpoint_all(&[g])`: on identically built
+/// worlds the two return equal stats and leave equal clocks and gauges —
+/// with the previous epoch still in flight, under an open breaker, and
+/// under a degraded mirror.
+#[test]
+fn checkpoint_now_is_checkpoint_all_of_one() {
+    fn both(build: impl Fn() -> (World, GroupId)) {
+        let (mut a, ga) = build();
+        let (mut b, gb) = build();
+        let sa = a.sls.checkpoint_now(ga).unwrap();
+        let sb = b.sls.checkpoint_all(&[gb]).unwrap();
+        assert_eq!(vec![sa], sb);
+        assert_eq!(a.clock.now(), b.clock.now());
+        assert_eq!(a.sls.stat_gauges(), b.sls.stat_gauges());
+    }
+    // Incremental, previous epoch not yet durable: the run waits out
+    // its backpressure horizon first.
+    both(|| {
+        let mut w = World::with_nand_store_bytes(2 << 30);
+        let pid = w.spawn_counter_app();
+        let gid = w.sls.attach(pid, SlsOptions::default()).unwrap();
+        w.sls.checkpoint_now(gid).unwrap();
+        w.bump_counter(pid).unwrap();
+        (w, gid)
+    });
+    // Open breaker: a synthesized skip, no device traffic.
+    both(|| {
+        let (mut w, faults) = World::with_faulty_store(1 << 28, FaultPlan::none());
+        w.sls.set_checkpoint_config(aurora_core::CheckpointConfig {
+            breaker_trip_failures: 1,
+            ..Default::default()
+        });
+        let pid = w.spawn_counter_app();
+        let gid = w.sls.attach(pid, SlsOptions::default()).unwrap();
+        faults.set_plan(FaultPlan { fail_writes_from: Some(faults.writes_seen()), ..FaultPlan::none() });
+        assert!(!w.sls.checkpoint_now(gid).unwrap().committed());
+        faults.clear_faults();
+        (w, gid)
+    });
+    // Degraded mirror: the flush cap is one draft.
+    both(|| {
+        let (mut w, _mirror, faults) = World::with_mirrored_store(1 << 28);
+        let pid = w.spawn_counter_app();
+        let gid = w.sls.attach(pid, SlsOptions::default()).unwrap();
+        w.sls.checkpoint_now(gid).unwrap();
+        faults[0].kill();
+        w.bump_counter(pid).unwrap();
+        w.sls.checkpoint_now(gid).unwrap();
+        assert!(w.sls.device_degraded());
+        w.bump_counter(pid).unwrap();
+        (w, gid)
+    });
 }

@@ -33,7 +33,6 @@
 //!   a fresh zero-fill page allocates, it does not duplicate data.
 
 use aurora_trace::Trace;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -63,10 +62,6 @@ struct Counters {
     /// fast path to one relaxed load (no mutex).
     traced: AtomicBool,
     trace: Mutex<Trace>,
-    /// Pages frozen per consistency group at its most recent shadow
-    /// stage. Pure observability, written by the checkpoint pipeline's
-    /// Shadow stage; not part of [`FrameGauges`].
-    group_shadow: Mutex<HashMap<u64, u64>>,
 }
 
 #[derive(Debug)]
@@ -288,27 +283,6 @@ impl FrameArena {
         self.counters.traced.store(enabled, Ordering::Relaxed);
     }
 
-    /// Records how many pages `group`'s latest shadow stage froze
-    /// (COW-marked). Overwrites the group's previous figure: the gauge
-    /// reports the most recent checkpoint, not a running total.
-    pub fn note_group_shadow(&self, group: u64, pages: u64) {
-        self.counters.group_shadow.lock().unwrap().insert(group, pages);
-    }
-
-    /// Pages the group's most recent shadow stage froze (0 for groups
-    /// never shadowed).
-    pub fn group_shadow_pages(&self, group: u64) -> u64 {
-        self.counters.group_shadow.lock().unwrap().get(&group).copied().unwrap_or(0)
-    }
-
-    /// Every group's latest shadow page count, ascending by group id.
-    pub fn group_shadow_snapshot(&self) -> Vec<(u64, u64)> {
-        let mut v: Vec<(u64, u64)> =
-            self.counters.group_shadow.lock().unwrap().iter().map(|(&g, &p)| (g, p)).collect();
-        v.sort_unstable();
-        v
-    }
-
     /// Gauge snapshot.
     pub fn gauges(&self) -> FrameGauges {
         FrameGauges {
@@ -463,23 +437,5 @@ mod tests {
         let c = arena.alloc([5u8; PAGE_SIZE]);
         assert_eq!(a, b);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn group_shadow_accounting_is_per_group_and_latest_wins() {
-        let arena = FrameArena::new();
-        assert_eq!(arena.group_shadow_pages(1), 0);
-        arena.note_group_shadow(1, 40);
-        arena.note_group_shadow(2, 7);
-        assert_eq!(arena.group_shadow_pages(1), 40);
-        assert_eq!(arena.group_shadow_pages(2), 7);
-        // A later checkpoint of the same group overwrites, not adds.
-        arena.note_group_shadow(1, 12);
-        assert_eq!(arena.group_shadow_pages(1), 12);
-        assert_eq!(arena.group_shadow_snapshot(), vec![(1, 12), (2, 7)]);
-        // Clones share the accounting; the gauges stay untouched.
-        let clone = arena.clone();
-        assert_eq!(clone.group_shadow_pages(2), 7);
-        assert_eq!(arena.gauges(), clone.gauges());
     }
 }

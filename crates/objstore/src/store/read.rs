@@ -280,6 +280,8 @@ impl ObjectStore {
     /// contiguous blocks into single device commands — the restore path's
     /// sequential-read optimization (checkpoint flushes allocate blocks
     /// in order, so whole objects read back as a few large extents).
+    /// Pages come back in request order, whatever order the device
+    /// served them in.
     pub fn read_pages_bulk(
         &mut self,
         oid: Oid,
@@ -288,28 +290,28 @@ impl ObjectStore {
     ) -> Result<Vec<(u64, PageRef)>> {
         self.check_epoch(epoch)?;
         let o = self.index.obj(oid)?;
-        let mut located: Vec<(u64, PageVersion)> = Vec::with_capacity(pindices.len());
-        for &pi in pindices {
+        // (request slot, version), in block order for the read plan.
+        let mut located: Vec<(usize, PageVersion)> = Vec::with_capacity(pindices.len());
+        for (slot, &pi) in pindices.iter().enumerate() {
             let v = o.visible(pi, View::Epoch(epoch)).ok_or(StoreError::NoSuchPage(oid, pi))?;
-            located.push((pi, *v));
+            located.push((slot, *v));
         }
         located.sort_by_key(|&(_, v)| v.block);
-        let mut out = Vec::with_capacity(located.len());
+        let mut out: Vec<Option<PageRef>> = vec![None; pindices.len()];
         // Cached frames are served as shared refs without touching the
         // device; delta versions materialize individually; only raw
         // full-image misses form the coalesced read plan.
-        let mut misses: Vec<(u64, PageVersion)> = Vec::with_capacity(located.len());
-        let mut redo_misses: Vec<(u64, PageVersion)> = Vec::new();
-        for &(pi, v) in &located {
+        let mut misses: Vec<(usize, PageVersion)> = Vec::with_capacity(located.len());
+        let mut redo_misses: Vec<(usize, PageVersion)> = Vec::new();
+        for &(slot, v) in &located {
             match self.cache.get(PageCache::key(&v)) {
-                Some(p) => out.push((pi, p)),
-                None if v.redo => redo_misses.push((pi, v)),
-                None => misses.push((pi, v)),
+                Some(p) => out[slot] = Some(p),
+                None if v.redo => redo_misses.push((slot, v)),
+                None => misses.push((slot, v)),
             }
         }
-        for (pi, v) in redo_misses {
-            let page = self.materialize(oid, pi, epoch, v, true)?;
-            out.push((pi, page));
+        for (slot, v) in redo_misses {
+            out[slot] = Some(self.materialize(oid, pindices[slot], epoch, v, true)?);
         }
         // A restore issues its whole read plan at once (deep NVMe
         // queues); it completes when the slowest extent does.
@@ -324,15 +326,19 @@ impl ObjectStore {
                 .read_from(run[0].1.block, run.len() as u64, issue_at)
                 .map_err(StoreError::dev("read-pages-bulk", Some(oid), epoch, 0))?;
             done = done.max(d);
-            for (&(pi, v), bytes) in run.iter().zip(data.chunks_exact(PAGE)) {
+            for (&(slot, v), bytes) in run.iter().zip(data.chunks_exact(PAGE)) {
                 self.verify("verify-page", oid, epoch, &v, bytes)?;
                 let page = self.arena.alloc(bytes.try_into().expect("exact page"));
                 self.cache.frames.insert(v.block, page.clone());
-                out.push((pi, page));
+                out[slot] = Some(page);
             }
         }
         self.charge.clock().advance_to(done);
-        Ok(out)
+        Ok(pindices
+            .iter()
+            .zip(out)
+            .map(|(&pi, page)| (pi, page.expect("every requested page was a hit or a miss")))
+            .collect())
     }
 
     /// Consistency-point LSN recorded in `epoch`'s commit header.

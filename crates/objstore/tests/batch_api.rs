@@ -116,3 +116,23 @@ fn read_pages_bulk_matches_read_page() {
         }
     }
 }
+
+#[test]
+fn read_pages_bulk_returns_request_order_with_a_half_warm_cache() {
+    let mut s = fresh();
+    let oid = mem_obj(&mut s);
+    s.write_pages(oid, &(0..8u64).map(|pi| (pi, page(pi as u8))).collect::<Vec<_>>()).unwrap();
+    let e = s.commit().unwrap().epoch;
+    // Half the pages cached, half served by the coalesced device read.
+    s.drop_page_cache();
+    for pi in [1, 3, 5, 7] {
+        s.read_page(oid, pi, e).unwrap();
+    }
+    let request = [6u64, 1, 4, 3, 0, 5, 7, 2];
+    let bulk = s.read_pages_bulk(oid, e, &request).unwrap();
+    let order: Vec<u64> = bulk.iter().map(|&(pi, _)| pi).collect();
+    assert_eq!(order, request, "pages come back in request order");
+    for (pi, data) in bulk {
+        assert_eq!(data, page(pi as u8), "page {pi}");
+    }
+}

@@ -73,9 +73,6 @@ pub struct Kernel {
     pub quiesce_windows: u64,
     /// Width of the most recent quiesce window, virtual ns.
     pub last_quiesce_width_ns: u64,
-    /// Width of each consistency group's most recent quiesce window,
-    /// virtual ns (per-group stage-latency observability).
-    pub quiesce_width_by_group: HashMap<u64, u64>,
 }
 
 impl Kernel {
@@ -109,7 +106,6 @@ impl Kernel {
             next_pty: 0,
             quiesce_windows: 0,
             last_quiesce_width_ns: 0,
-            quiesce_width_by_group: HashMap::new(),
         }
     }
 

@@ -21,6 +21,8 @@ pub struct QuiesceReport {
     pub drained_syscalls: u64,
     /// Sleeping syscalls interrupted and transparently restarted.
     pub restarted_syscalls: u64,
+    /// Width of the quiesce window, virtual ns.
+    pub width_ns: u64,
 }
 
 impl Kernel {
@@ -30,10 +32,11 @@ impl Kernel {
         self.quiesce_group(pids, 0)
     }
 
-    /// Quiesces every thread of `pids` on behalf of consistency `group`.
-    /// Charges IPI and drain costs to the clock; only the named group's
+    /// Quiesces every thread of `pids`; `group` only tags the trace span
+    /// (the invariant checker's quiesce mutual exclusion reads it).
+    /// Charges IPI and drain costs to the clock; only the named
     /// processes stop — the rest of the machine keeps running, which is
-    /// what lets another group's flush overlap this group's stop window.
+    /// what lets another group's flush overlap this stop window.
     pub fn quiesce_group(&mut self, pids: &[Pid], group: u64) -> Result<QuiesceReport> {
         let trace = self.charge.trace().clone();
         // Window width is measured off the virtual clock directly so the
@@ -87,9 +90,8 @@ impl Kernel {
             trace.hist("posix.quiesce_ns", dur);
         }
         self.quiesce_windows += 1;
-        let width = self.charge.clock().now() - clock_start;
-        self.last_quiesce_width_ns = width;
-        self.quiesce_width_by_group.insert(group, width);
+        report.width_ns = self.charge.clock().now() - clock_start;
+        self.last_quiesce_width_ns = report.width_ns;
         Ok(report)
     }
 
@@ -155,12 +157,10 @@ mod tests {
         let p1 = k.spawn("a");
         let p2 = k.spawn("b");
         k.add_thread(p2).unwrap();
-        k.quiesce_group(&[p1], 1).unwrap();
+        let w1 = k.quiesce_group(&[p1], 1).unwrap().width_ns;
         k.resume(&[p1]).unwrap();
-        k.quiesce_group(&[p2], 2).unwrap();
+        let w2 = k.quiesce_group(&[p2], 2).unwrap().width_ns;
         assert_eq!(k.quiesce_windows, 2);
-        let w1 = k.quiesce_width_by_group[&1];
-        let w2 = k.quiesce_width_by_group[&2];
         assert!(w1 > 0 && w2 > 0);
         assert!(w2 > w1, "two threads drain slower than one");
         assert_eq!(k.last_quiesce_width_ns, w2);

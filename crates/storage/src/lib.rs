@@ -31,16 +31,22 @@ pub use raid1::{MirrorHandle, Raid1, ScrubReport};
 
 use aurora_sim::Clock;
 
-/// Builds the paper's testbed array: four Optane-like devices striped at
-/// 64 KiB, sharing `clock`.
-pub fn testbed_array(clock: &Clock, per_device_bytes: u64) -> SharedDevice {
-    let devices: Vec<Box<dyn BlockDevice + Send>> = (0..4)
+/// `devices` NVMe devices of `per_device_bytes` each, striped at 64 KiB
+/// on `clock` — the stripe under every testbed array.
+fn stripe(clock: &Clock, devices: usize, params: NvmeParams, per_device_bytes: u64) -> Raid0 {
+    let devices: Vec<Box<dyn BlockDevice + Send>> = (0..devices)
         .map(|_| {
-            Box::new(NvmeDevice::new(clock.clone(), NvmeParams::optane_900p(), per_device_bytes))
+            Box::new(NvmeDevice::new(clock.clone(), params, per_device_bytes))
                 as Box<dyn BlockDevice + Send>
         })
         .collect();
-    share(Raid0::new(devices, 64 * 1024).expect("testbed raid config is valid"))
+    Raid0::new(devices, 64 * 1024).expect("testbed raid config is valid")
+}
+
+/// Builds the paper's testbed array: four Optane-like devices striped at
+/// 64 KiB, sharing `clock`.
+pub fn testbed_array(clock: &Clock, per_device_bytes: u64) -> SharedDevice {
+    share(stripe(clock, 4, NvmeParams::optane_900p(), per_device_bytes))
 }
 
 /// A TLC-NAND variant of the testbed: four commodity flash devices
@@ -49,13 +55,7 @@ pub fn testbed_array(clock: &Clock, per_device_bytes: u64) -> SharedDevice {
 /// than Optane's microsecond commits) is what a checkpoint scheduler
 /// has to hide.
 pub fn nand_testbed_array(clock: &Clock, per_device_bytes: u64) -> SharedDevice {
-    let devices: Vec<Box<dyn BlockDevice + Send>> = (0..4)
-        .map(|_| {
-            Box::new(NvmeDevice::new(clock.clone(), NvmeParams::tlc_nand(), per_device_bytes))
-                as Box<dyn BlockDevice + Send>
-        })
-        .collect();
-    share(Raid0::new(devices, 64 * 1024).expect("testbed raid config is valid"))
+    share(stripe(clock, 4, NvmeParams::tlc_nand(), per_device_bytes))
 }
 
 /// Like [`testbed_array`], but wrapped in a [`FaultyDevice`] armed with
@@ -65,13 +65,7 @@ pub fn faulty_testbed_array(
     per_device_bytes: u64,
     plan: FaultPlan,
 ) -> (SharedDevice, FaultHandle) {
-    let devices: Vec<Box<dyn BlockDevice + Send>> = (0..4)
-        .map(|_| {
-            Box::new(NvmeDevice::new(clock.clone(), NvmeParams::optane_900p(), per_device_bytes))
-                as Box<dyn BlockDevice + Send>
-        })
-        .collect();
-    let raid = Raid0::new(devices, 64 * 1024).expect("testbed raid config is valid");
+    let raid = stripe(clock, 4, NvmeParams::optane_900p(), per_device_bytes);
     let (dev, handle) = FaultyDevice::new(Box::new(raid), plan);
     (share(dev), handle)
 }
@@ -88,16 +82,7 @@ pub fn mirrored_testbed_array(
     let mut members: Vec<Box<dyn BlockDevice + Send>> = Vec::new();
     let mut fault_handles = Vec::new();
     for _ in 0..2 {
-        let devices: Vec<Box<dyn BlockDevice + Send>> = (0..2)
-            .map(|_| {
-                Box::new(NvmeDevice::new(
-                    clock.clone(),
-                    NvmeParams::optane_900p(),
-                    per_device_bytes,
-                )) as Box<dyn BlockDevice + Send>
-            })
-            .collect();
-        let raid = Raid0::new(devices, 64 * 1024).expect("testbed raid config is valid");
+        let raid = stripe(clock, 2, NvmeParams::optane_900p(), per_device_bytes);
         let (faulty, fh) = FaultyDevice::new(Box::new(raid), FaultPlan::none());
         members.push(Box::new(faulty));
         fault_handles.push(fh);

@@ -5,41 +5,92 @@
 # counted at all. Comments and blank lines count — the number is for
 # comparing a tree with its parent, not for judging either.
 #
-#   usage: scripts/nontest_loc.sh [PATH…]
+#   usage: scripts/nontest_loc.sh [--against REV] [PATH…]
 #
 # PATHs are files or directories relative to the repo root. Without any,
 # the whole workspace (crates/ and src/) is counted and one row per crate
-# is printed; with PATHs, one row per file as well. Output is a markdown
+# is printed; with PATHs, one row per file as well. With `--against REV`
+# the same count is taken on REV's tree (exported to a temp directory)
+# and each row reads parent → change (delta). Output is a markdown
 # table, so CI can append it to the job summary as is.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+against=
+if [ "${1-}" = "--against" ]; then
+    against=${2:?--against needs a revision}
+    shift 2
+fi
 per_file=1
 if [ $# -eq 0 ]; then
     set -- crates src
     per_file=0
 fi
 
-find "$@" -type f -name '*.rs' \
-    -not -path '*/tests/*' -not -path '*/benches/*' -not -path '*/target/*' | sort |
-    while read -r f; do
-        awk -v f="$f" '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0, f }' "$f"
-    done |
+# count ROOT PATH… → "<lines> <path>" per file, paths relative to ROOT
+# (a PATH that does not exist in ROOT counts nothing).
+count() {
+    (
+        cd "$1"
+        shift
+        find "$@" -type f -name '*.rs' \
+            -not -path '*/tests/*' -not -path '*/benches/*' -not -path '*/target/*' 2>/dev/null |
+            sort |
+            while read -r f; do
+                awk -v f="$f" '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0, f }' "$f"
+            done
+    )
+}
+
+# rows → "<kind> <path> <lines>", kind f(ile) / c(rate) / t(otal), in
+# table order.
+rows() {
     awk -v per_file="$per_file" '
         {
             crate = $2
             if (!sub(/\/src\/.*/, "", crate)) crate = "."
             if (!(crate in lines)) order[++crates] = crate
             lines[crate] += $1
-            files[crate] = files[crate] sprintf("| `%s` | %d |\n", $2, $1)
+            files[crate] = files[crate] sprintf("f %s %d\n", $2, $1)
             total += $1
         }
         END {
-            print "| path | non-test lines |"
-            print "|---|---:|"
             for (i = 1; i <= crates; i++) {
                 if (per_file) printf "%s", files[order[i]]
-                printf "| **%s** | **%d** |\n", order[i], lines[order[i]]
+                printf "c %s %d\n", order[i], lines[order[i]]
             }
-            printf "| **total** | **%d** |\n", total
+            printf "t total %d\n", total
         }'
+}
+
+if [ -z "$against" ]; then
+    count . "$@" | rows | awk '
+        BEGIN { print "| path | non-test lines |"; print "|---|---:|" }
+        $1 == "f" { printf "| `%s` | %d |\n", $2, $3; next }
+        { printf "| **%s** | **%d** |\n", $2, $3 }'
+    exit
+fi
+
+parent=$(mktemp -d)
+trap 'rm -rf "$parent"' EXIT
+git archive "$against" | tar -x -C "$parent"
+# Parent rows first, then the change's: a path only in the parent was
+# deleted (→ 0), a path only in the change is new (0 →).
+{ count "$parent" "$@" | rows | sed 's/^/p /'; count . "$@" | rows | sed 's/^/c /'; } | awk -v rev="$against" '
+    $1 == "p" { was[$3] = $4; kind[$3] = $2; if (!($3 in seen)) { seen[$3] = 1; order[++n] = $3 } next }
+    { now[$3] = $4; kind[$3] = $2; if (!($3 in seen)) { seen[$3] = 1; order[++n] = $3 } }
+    END {
+        printf "| path | %s | change | delta |\n|---|---:|---:|---:|\n", rev
+        for (i = 1; i <= n; i++) {
+            p = order[i]
+            if (kind[p] == "t") continue
+            row(p)
+        }
+        row("total")
+    }
+    function row(p,    d, name) {
+        d = now[p] - was[p]
+        if (kind[p] == "f" && d == 0) return
+        name = kind[p] == "f" ? "`" p "`" : "**" p "**"
+        printf "| %s | %d | %d | %+d |\n", name, was[p], now[p], d
+    }'
