@@ -40,7 +40,7 @@ struct Outcome {
 /// Closed-loop memcached traffic with periodic checkpoints; per-scenario
 /// array state is arranged before the measured window.
 fn run_scenario(s: Scenario, duration_ns: u64, preload: usize, seed: u64) -> Outcome {
-    let (mut w, mirror, faults) = World::with_mirrored_store(LEAF_BYTES);
+    let (mut w, mirror) = World::with_mirrored_store(LEAF_BYTES);
     let mut mc = Memcached::launch(&mut w.sls.kernel, 16 * 1024, 12).unwrap();
     let mut gen = Mutilate::new(MutilateConfig { seed, ..MutilateConfig::default() });
     for _ in 0..preload {
@@ -66,19 +66,18 @@ fn run_scenario(s: Scenario, duration_ns: u64, preload: usize, seed: u64) -> Out
         Scenario::Healthy => {}
         Scenario::Degraded => {
             // One mirror dead for the whole measured window.
-            faults[0].kill();
+            mirror.fail_mirror(0);
         }
         Scenario::Rebuilding => {
             // Die, miss an epoch of writes, come back stale: the window
             // measures traffic with the resilver running alongside.
-            faults[0].kill();
+            mirror.fail_mirror(0);
             for _ in 0..200 {
                 if let McOp::Set { key, value_len } = gen.next_op() {
                     mc.set(&mut w.sls.kernel, &key, &vec![0u8; value_len]).unwrap();
                 }
             }
             w.sls.sls_checkpoint(gid).unwrap();
-            faults[0].revive();
             mirror.revive_mirror(0);
         }
     }
@@ -143,7 +142,8 @@ struct SoakOutcome {
 /// watches every event. Afterwards the dead mirror is revived,
 /// resilvered, and scrubbed back to byte identity.
 fn run_storm_soak(duration_ns: u64, preload: usize, seed: u64) -> SoakOutcome {
-    let (mut w, mirror, faults) = World::with_mirrored_store(LEAF_BYTES);
+    let (mut w, mirror) = World::with_mirrored_store(LEAF_BYTES);
+    let (f0, f1) = (mirror.faults(0), mirror.faults(1));
     let trace = w.enable_tracing();
     let checker = InvariantChecker::arm(&trace);
     let mut mc = Memcached::launch(&mut w.sls.kernel, 16 * 1024, 12).unwrap();
@@ -176,16 +176,12 @@ fn run_storm_soak(duration_ns: u64, preload: usize, seed: u64) -> SoakOutcome {
         if storm_idx < storms.len() && w.clock.now() >= storms[storm_idx] {
             match storm_idx {
                 // Correlated transient EIO burst on mirror 1.
-                0 => faults[1].set_plan(FaultPlan::eio_storm(faults[1].writes_seen(), 24)),
+                0 => f1.set_plan(FaultPlan::eio_storm(f1.writes_seen(), 24)),
                 // Latency inflation on mirror 1 (slow-drive brownout).
-                1 => faults[1].set_plan(FaultPlan::latency_storm(
-                    faults[1].writes_seen(),
-                    64,
-                    2 * MS,
-                )),
+                1 => f1.set_plan(FaultPlan::latency_storm(f1.writes_seen(), 64, 2 * MS)),
                 // Mirror 0 dies two writes into the next checkpoint.
-                _ => faults[0].set_plan(FaultPlan {
-                    die_at_write: Some(faults[0].writes_seen() + 2),
+                _ => f0.set_plan(FaultPlan {
+                    die_at_write: Some(f0.writes_seen() + 2),
                     ..FaultPlan::none()
                 }),
             }
@@ -227,9 +223,9 @@ fn run_storm_soak(duration_ns: u64, preload: usize, seed: u64) -> SoakOutcome {
     }
     let elapsed = (w.clock.now().max(t0 + 1) - t0) as f64 / SEC as f64;
 
-    // Recovery: replace the dead mirror, resilver, verify.
-    faults[0].revive();
-    faults[1].clear_faults();
+    // Recovery: end the brownout on mirror 1, replace the dead mirror,
+    // resilver, verify.
+    f1.clear_faults();
     mirror.revive_mirror(0);
     while mirror.rebuild_pending(0) > 0 {
         mirror.rebuild_step(0, 256).unwrap();

@@ -73,13 +73,13 @@ impl World {
 
     /// Boots the degraded-mode testbed: a two-way mirror whose members
     /// are each a fault-injectable two-way stripe, `bytes` per leaf
-    /// device (logical capacity `2 * bytes`). Returns the machine, the
-    /// mirror control handle (fail/revive/rebuild/scrub), and one fault
-    /// handle per mirror for storm injection.
-    pub fn with_mirrored_store(bytes: u64) -> (Self, MirrorHandle, Vec<FaultHandle>) {
+    /// device (logical capacity `2 * bytes`). Returns the machine and the
+    /// mirror control handle (fail/revive/rebuild/scrub, and each
+    /// member's fault injector for storms).
+    pub fn with_mirrored_store(bytes: u64) -> (Self, MirrorHandle) {
         let clock = Clock::new();
-        let (dev, mirror, faults) = mirrored_testbed_array(&clock, bytes);
-        (Self::on(clock, dev), mirror, faults)
+        let (dev, mirror) = mirrored_testbed_array(&clock, bytes);
+        (Self::on(clock, dev), mirror)
     }
 
     /// Turns on tracing for the whole machine, stamping every event with

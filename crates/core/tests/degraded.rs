@@ -4,11 +4,13 @@
 //! durable floors across failover, and the per-group circuit breaker.
 
 use aurora_core::world::World;
-use aurora_core::{AuroraApi, CheckpointConfig, RestoreMode, SlsError, SlsOptions};
+use aurora_core::{AuroraApi, CheckpointConfig, GroupId, RestoreMode, SlsError, SlsOptions};
+use aurora_posix::Pid;
 use aurora_sim::units::MS;
 use aurora_storage::faulty::FaultPlan;
-use aurora_storage::HealthState;
+use aurora_storage::{HealthState, MirrorHandle};
 use aurora_trace::InvariantChecker;
+use std::collections::BTreeMap;
 
 const LEAF_BYTES: u64 = 1 << 28;
 
@@ -20,6 +22,103 @@ fn gauge(gauges: &[(String, u64)], name: &str) -> u64 {
         .1
 }
 
+/// The counter app's region: 16 pages at its first mapping.
+const IMAGE: usize = 16 * 4096;
+
+fn region(w: &mut World, pid: Pid) -> u64 {
+    let space = w.sls.kernel.proc(pid).unwrap().space;
+    w.sls.kernel.vm.entries(space).unwrap()[0].start
+}
+
+fn read_image(w: &mut World, pid: Pid) -> Vec<u8> {
+    let (addr, mut image) = (region(w, pid), vec![0u8; IMAGE]);
+    w.sls.kernel.mem_read(pid, addr, &mut image).unwrap();
+    image
+}
+
+/// `rounds` rounds of rewrite → checkpoint → barrier → keep the newest
+/// two epochs on the mirrored store, so freed blocks are recycled; then
+/// mirror 0 is pulled for three more such epochs and replaced. Returns
+/// the machine, its mirror, the group, and every epoch's image.
+fn recycle_then_replace(rounds: u64) -> (World, MirrorHandle, GroupId, BTreeMap<u64, Vec<u8>>) {
+    let (mut w, mirror) = World::with_mirrored_store(LEAF_BYTES);
+    let pid = w.spawn_counter_app();
+    let gid = w.sls.attach(pid, SlsOptions::default()).unwrap();
+    let (mut image, mut images) = (vec![0u8; IMAGE], BTreeMap::new());
+    for round in 0..rounds + 3 {
+        if round == rounds {
+            mirror.fail_mirror(0);
+        }
+        // Even rounds rewrite every byte: full images into recycled
+        // blocks. Odd rounds change eight bytes a page: redo records in a
+        // fresh extent, which only the bump pointer hands out, so its
+        // blocks are freed but never written again. While mirror 0 is out
+        // every round is a full image, so the epoch a crash resurrects
+        // owns blocks only the resilver put on the rebuilt member.
+        if round % 2 == 0 || round >= rounds {
+            let fill = |(i, b): (usize, &mut u8)| *b = ((round * 16 + i as u64 / 4096) % 251) as u8;
+            image.iter_mut().enumerate().for_each(fill);
+        } else {
+            image.chunks_mut(4096).for_each(|page| page[..8].copy_from_slice(&round.to_le_bytes()));
+        }
+        let addr = region(&mut w, pid);
+        w.sls.kernel.mem_write(pid, addr, &image).unwrap();
+        let cp = w.sls.sls_checkpoint(gid).unwrap();
+        assert!(cp.committed(), "{:?}", cp.failure);
+        w.sls.sls_barrier(gid).unwrap();
+        w.sls.retain_last(gid, 2).unwrap();
+        images.insert(cp.epoch, image.clone());
+    }
+    mirror.revive_mirror(0);
+    (w, mirror, gid, images)
+}
+
+/// The replaced member's full resilver, less the metadata log (append
+/// only, one record per commit, all of it replayed by recovery): the
+/// superblock and the live data blocks. Asserts the whole resilver is
+/// bounded by the store's live blocks.
+fn resilver_outside_the_log(w: &World, mirror: &MirrorHandle) -> u64 {
+    let g = w.sls.store().lock().gauges();
+    let pending = mirror.rebuild_pending(0);
+    assert!(pending <= 1 + g.log_blocks + g.data_blocks, "{pending} > live {g:?}");
+    pending - g.log_blocks
+}
+
+/// The mirror's bookkeeping shrinks with the store's live blocks: after
+/// 20 or 200 rounds of recycling, a replaced member resilvers the same
+/// data blocks — not every block the array ever wrote. The rebuilt
+/// member alone then serves every retained epoch byte for byte, before
+/// and after a crash: no discard dropped a live or a reused block.
+#[test]
+fn replaced_mirror_resilvers_live_blocks_only_and_serves_every_epoch() {
+    let (w, mirror, ..) = recycle_then_replace(20);
+    let after_20 = resilver_outside_the_log(&w, &mirror);
+    let (mut w, mirror, gid, images) = recycle_then_replace(200);
+    assert_eq!(resilver_outside_the_log(&w, &mirror), after_20, "bounded by live data, not by N");
+
+    while mirror.rebuild_pending(0) > 0 {
+        assert!(mirror.rebuild_step(0, 256).unwrap() > 0);
+    }
+    mirror.flush_members();
+    assert_eq!(mirror.health_report().member_states[0], HealthState::Healthy);
+    mirror.fail_mirror(1);
+    w.sls.store().lock().drop_page_cache();
+    let retained = w.sls.store().lock().epochs().to_vec();
+    assert_eq!(retained.len(), 2);
+    for &e in &retained {
+        let r = w.sls.sls_restore(gid, Some(e), RestoreMode::Full).unwrap();
+        assert!(read_image(&mut w, r.pids[0]) == images[&e], "epoch {e} from the rebuilt member");
+    }
+    w.sls.crash_and_reboot().unwrap();
+    let recovered = w.sls.store().lock().epochs().to_vec();
+    assert!(recovered.ends_with(&retained), "{recovered:?} lost one of {retained:?}");
+    for &e in &recovered {
+        let manifest = w.sls.manifests_at(e).unwrap()[0];
+        let r = w.sls.restore_image(manifest, e, RestoreMode::Full).unwrap();
+        assert!(read_image(&mut w, r.pids[0]) == images[&e], "epoch {e} after the crash");
+    }
+}
+
 /// The acceptance soak: live traffic dirties pages and checkpoints on a
 /// cadence; one mirror is rigged to die partway through a checkpoint's
 /// flush. The epoch still completes on the survivor, the invariant
@@ -28,7 +127,7 @@ fn gauge(gauges: &[(String, u64)], name: &str) -> u64 {
 /// contents on both members.
 #[test]
 fn mirror_death_mid_checkpoint_under_live_traffic_recovers() {
-    let (mut w, mirror, faults) = World::with_mirrored_store(LEAF_BYTES);
+    let (mut w, mirror) = World::with_mirrored_store(LEAF_BYTES);
     let trace = w.enable_tracing();
     let checker = InvariantChecker::arm(&trace);
 
@@ -47,10 +146,8 @@ fn mirror_death_mid_checkpoint_under_live_traffic_recovers() {
 
     // Arm the kill two writes into the *next* checkpoint's flush, then
     // keep the traffic running straight through the storm.
-    faults[0].set_plan(FaultPlan {
-        die_at_write: Some(faults[0].writes_seen() + 2),
-        ..FaultPlan::none()
-    });
+    let faults = mirror.faults(0);
+    faults.set_plan(FaultPlan { die_at_write: Some(faults.writes_seen() + 2), ..FaultPlan::none() });
     let mut epochs_during_storm = 0u64;
     for round in 0..20 {
         w.bump_counter(pid).unwrap();
@@ -72,16 +169,14 @@ fn mirror_death_mid_checkpoint_under_live_traffic_recovers() {
     assert!(w.sls.device_degraded());
 
     // The failed state is visible as structured health through every
-    // layer: mirror handle, store, and the SLS gauge surface.
-    let store_health = w.sls.store().lock().device_health();
-    assert_eq!(store_health.member_states[0], HealthState::Failed);
+    // layer: mirror handle, the SLS, and its gauge surface.
+    assert_eq!(w.sls.device_health().member_states[0], HealthState::Failed);
     let gauges = w.sls.stat_gauges();
     assert_eq!(gauge(&gauges, "device.health.degraded_members"), 1);
     assert_eq!(gauge(&gauges, "device.health.worst"), HealthState::Failed.code());
 
     // Replace the drive and resilver it incrementally under virtual
     // time, then verify with a full scrub.
-    faults[0].revive();
     mirror.revive_mirror(0);
     assert_eq!(mirror.health_report().member_states[0], HealthState::Degraded);
     while mirror.rebuild_pending(0) > 0 {
@@ -114,7 +209,7 @@ fn mirror_death_mid_checkpoint_under_live_traffic_recovers() {
 /// restores the configured cadence immediately.
 #[test]
 fn degraded_device_stretches_checkpoint_cadence() {
-    let (mut w, mirror, _faults) = World::with_mirrored_store(LEAF_BYTES);
+    let (mut w, mirror) = World::with_mirrored_store(LEAF_BYTES);
     let pid = w.spawn_counter_app();
     let gid = w.sls.attach(pid, SlsOptions { period_ns: 10 * MS, ..Default::default() }).unwrap();
 
@@ -151,7 +246,7 @@ fn degraded_device_stretches_checkpoint_cadence() {
 /// a healthy mirror, so failover never silently rolls a group back.
 #[test]
 fn durable_floors_survive_mirror_failover() {
-    let (mut w, mirror, faults) = World::with_mirrored_store(LEAF_BYTES);
+    let (mut w, mirror) = World::with_mirrored_store(LEAF_BYTES);
     let pid = w.spawn_counter_app();
     let gid = w.sls.attach(pid, SlsOptions::default()).unwrap();
 
@@ -161,7 +256,7 @@ fn durable_floors_survive_mirror_failover() {
     assert!(a.committed());
 
     // Kill mirror 0, then commit epoch B on the survivor alone.
-    faults[0].kill();
+    mirror.fail_mirror(0);
     w.bump_counter(pid).unwrap();
     w.bump_counter(pid).unwrap();
     let b = w.sls.sls_checkpoint(gid).unwrap();
@@ -176,7 +271,6 @@ fn durable_floors_survive_mirror_failover() {
     assert_eq!(w.read_counter(rb.pids[0]).unwrap(), 3);
 
     // Resilver mirror 0 and verify the floors again on a whole array.
-    faults[0].revive();
     mirror.revive_mirror(0);
     while mirror.rebuild_pending(0) > 0 {
         mirror.rebuild_step(0, 64).unwrap();
@@ -207,10 +301,7 @@ fn circuit_breaker_trips_and_cools_down() {
     // Two consecutive wedged-device failures trip the breaker.
     for _ in 0..2 {
         w.bump_counter(pid).unwrap();
-        handle.set_plan(FaultPlan {
-            fail_writes_from: Some(handle.writes_seen()),
-            ..FaultPlan::none()
-        });
+        handle.set_plan(FaultPlan::eio_storm(handle.writes_seen(), u64::MAX));
         let cp = w.sls.sls_checkpoint(gid).unwrap();
         assert!(!cp.committed());
         assert_eq!(cp.failure.as_ref().unwrap().stage, "flush");
@@ -247,7 +338,7 @@ fn circuit_breaker_trips_and_cools_down() {
 /// storm as it happens.
 #[test]
 fn degraded_and_rebuild_gauges_track_the_array() {
-    let (mut w, mirror, faults) = World::with_mirrored_store(LEAF_BYTES);
+    let (mut w, mirror) = World::with_mirrored_store(LEAF_BYTES);
     let pid = w.spawn_counter_app();
     let gid = w.sls.attach(pid, SlsOptions::default()).unwrap();
     w.bump_counter(pid).unwrap();
@@ -260,7 +351,7 @@ fn degraded_and_rebuild_gauges_track_the_array() {
     assert_eq!(gauge(&healthy, "device.health.m0"), HealthState::Healthy.code());
     assert_eq!(gauge(&healthy, "device.health.m1"), HealthState::Healthy.code());
 
-    faults[0].kill();
+    mirror.fail_mirror(0);
     w.bump_counter(pid).unwrap();
     assert!(w.sls.sls_checkpoint(gid).unwrap().committed());
     let degraded = w.sls.stat_gauges();
@@ -268,7 +359,6 @@ fn degraded_and_rebuild_gauges_track_the_array() {
     assert_eq!(gauge(&degraded, "device.health.m0"), HealthState::Failed.code());
     assert!(gauge(&degraded, "raid.rebuild.pending_blocks") > 0);
 
-    faults[0].revive();
     mirror.revive_mirror(0);
     while mirror.rebuild_pending(0) > 0 {
         mirror.rebuild_step(0, 64).unwrap();

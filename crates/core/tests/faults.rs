@@ -23,9 +23,7 @@ fn transient_flush_error_is_retried_and_commits() {
 
     // Fail the checkpoint's first device write (the dirty-page flush)
     // exactly once.
-    let mut plan = FaultPlan::none();
-    plan.transient_writes.insert(handle.writes_seen());
-    handle.set_plan(plan);
+    handle.set_plan(FaultPlan::eio_storm(handle.writes_seen(), 1));
 
     let before = w.clock.now();
     let cp = w.sls.sls_checkpoint(gid).unwrap();
@@ -53,10 +51,7 @@ fn exhausted_flush_retries_abort_and_next_checkpoint_succeeds() {
     w.bump_counter(pid).unwrap();
     let gid = w.sls.attach(pid, SlsOptions::default()).unwrap();
 
-    handle.set_plan(FaultPlan {
-        fail_writes_from: Some(handle.writes_seen()),
-        ..FaultPlan::none()
-    });
+    handle.set_plan(FaultPlan::eio_storm(handle.writes_seen(), u64::MAX));
     let failed = w.sls.sls_checkpoint(gid).unwrap();
     let f = failed.failure.as_ref().expect("checkpoint must report its failure");
     assert!(!failed.committed());
@@ -103,10 +98,7 @@ fn exhausted_commit_retries_abort_without_consuming_an_epoch() {
     let addr = w.sls.kernel.vm.entries(space).unwrap()[0].start;
     let marker = 0xfeed_beef_u64.to_le_bytes();
     w.sls.kernel.mem_write(pid, addr + 4096, &marker).unwrap();
-    handle.set_plan(FaultPlan {
-        fail_writes_from: Some(handle.writes_seen() + 2),
-        ..FaultPlan::none()
-    });
+    handle.set_plan(FaultPlan::eio_storm(handle.writes_seen() + 2, u64::MAX));
     let failed = w.sls.sls_checkpoint(gid).unwrap();
     let f = failed.failure.as_ref().expect("commit failure must be recorded");
     assert_eq!(f.stage, "commit");
@@ -218,10 +210,7 @@ fn jittered_backoff_is_deterministic_and_bounded() {
         let pid = w.spawn_counter_app();
         w.bump_counter(pid).unwrap();
         let gid = w.sls.attach(pid, SlsOptions::default()).unwrap();
-        let mut plan = FaultPlan::none();
-        plan.transient_writes.insert(handle.writes_seen());
-        plan.transient_writes.insert(handle.writes_seen() + 1);
-        handle.set_plan(plan);
+        handle.set_plan(FaultPlan::eio_storm(handle.writes_seen(), 2));
         let cp = w.sls.sls_checkpoint(gid).unwrap();
         assert!(cp.committed());
         trace
@@ -265,10 +254,7 @@ fn repeated_failures_stay_isolated() {
 
     for round in 0..3 {
         w.bump_counter(pid).unwrap();
-        handle.set_plan(FaultPlan {
-            fail_writes_from: Some(handle.writes_seen()),
-            ..FaultPlan::none()
-        });
+        handle.set_plan(FaultPlan::eio_storm(handle.writes_seen(), u64::MAX));
         let failed = w.sls.sls_checkpoint(gid).unwrap();
         assert!(failed.failure.is_some(), "round {round}: must abort");
         handle.clear_faults();
@@ -294,7 +280,7 @@ fn failed_memckpt_returns_the_draft_cursor() {
     w.sls.sls_barrier(gid).unwrap();
 
     w.sls.kernel.mem_write(pid, addr, b"region dirty").unwrap();
-    faults.set_plan(FaultPlan { fail_writes_from: Some(faults.writes_seen()), ..FaultPlan::none() });
+    faults.set_plan(FaultPlan::eio_storm(faults.writes_seen(), u64::MAX));
     assert!(w.sls.sls_memckpt(gid, pid, addr).is_err(), "the region flush hits the wedged device");
     faults.clear_faults();
 

@@ -143,10 +143,7 @@ fn abort_is_isolated_to_the_failing_group() {
     let mut ra = GroupRun::new(&mut w.sls, ga).unwrap();
     w.clock.advance_to(ra.ready_at());
     ra.step(&mut w.sls).unwrap(); // Stop
-    faults.set_plan(FaultPlan {
-        fail_writes_from: Some(faults.writes_seen()),
-        ..FaultPlan::none()
-    });
+    faults.set_plan(FaultPlan::eio_storm(faults.writes_seen(), u64::MAX));
     ra.step(&mut w.sls).unwrap(); // Flush -> retries exhausted -> abort
     assert!(ra.is_done());
     let sa = ra.take_stats();
@@ -329,10 +326,7 @@ fn a_reboot_forgets_breakers_with_their_groups() {
     w.sls.sls_barrier(gid).unwrap();
     for _ in 0..2 {
         w.bump_counter(pid).unwrap();
-        faults.set_plan(FaultPlan {
-            fail_writes_from: Some(faults.writes_seen()),
-            ..FaultPlan::none()
-        });
+        faults.set_plan(FaultPlan::eio_storm(faults.writes_seen(), u64::MAX));
         assert!(!w.sls.sls_checkpoint(gid).unwrap().committed());
     }
     faults.clear_faults();
@@ -432,18 +426,18 @@ fn checkpoint_now_is_checkpoint_all_of_one() {
         });
         let pid = w.spawn_counter_app();
         let gid = w.sls.attach(pid, SlsOptions::default()).unwrap();
-        faults.set_plan(FaultPlan { fail_writes_from: Some(faults.writes_seen()), ..FaultPlan::none() });
+        faults.set_plan(FaultPlan::eio_storm(faults.writes_seen(), u64::MAX));
         assert!(!w.sls.checkpoint_now(gid).unwrap().committed());
         faults.clear_faults();
         (w, gid)
     });
     // Degraded mirror: the flush cap is one draft.
     both(|| {
-        let (mut w, _mirror, faults) = World::with_mirrored_store(1 << 28);
+        let (mut w, mirror) = World::with_mirrored_store(1 << 28);
         let pid = w.spawn_counter_app();
         let gid = w.sls.attach(pid, SlsOptions::default()).unwrap();
         w.sls.checkpoint_now(gid).unwrap();
-        faults[0].kill();
+        mirror.fail_mirror(0);
         w.bump_counter(pid).unwrap();
         w.sls.checkpoint_now(gid).unwrap();
         assert!(w.sls.device_degraded());

@@ -26,15 +26,13 @@ fn sendrecv_roundtrip_survives_mirror_death_mid_transfer() {
     let stream = src.sls.send_stream(cp.epoch).unwrap();
 
     // Receiver: a two-way mirror with the invariant checker armed.
-    let (mut dst, mirror, faults) = World::with_mirrored_store(LEAF_BYTES);
+    let (mut dst, mirror) = World::with_mirrored_store(LEAF_BYTES);
     let trace = dst.enable_tracing();
     let checker = InvariantChecker::arm(&trace);
 
     // Rig member 0 to die a couple of writes into the import.
-    faults[0].set_plan(FaultPlan {
-        die_at_write: Some(faults[0].writes_seen() + 2),
-        ..FaultPlan::none()
-    });
+    let faults = mirror.faults(0);
+    faults.set_plan(FaultPlan { die_at_write: Some(faults.writes_seen() + 2), ..FaultPlan::none() });
     let manifests = dst.sls.recv_stream(&stream).unwrap();
     assert!(!manifests.is_empty(), "stream carried the manifest");
     assert!(dst.sls.device_degraded(), "the member died during the transfer");
@@ -75,7 +73,6 @@ fn sendrecv_roundtrip_survives_mirror_death_mid_transfer() {
 
     // Resilver: revive, rebuild, scrub — redundancy restored with both
     // members byte-identical.
-    faults[0].revive();
     mirror.revive_mirror(0);
     while mirror.rebuild_pending(0) > 0 {
         assert!(mirror.rebuild_step(0, 256).unwrap() > 0);

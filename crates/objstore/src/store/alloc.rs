@@ -4,6 +4,9 @@
 //! packed redo extents. Every batch of freed blocks is sorted before it
 //! enters a list, so where later writes land (and which stripe member
 //! they queue on) never depends on `HashMap` iteration order in the index.
+//! The two calls that put blocks on the free list return them, so the
+//! store can discard them on the device before any allocation hands them
+//! out again.
 
 use super::index::PageVersion;
 use super::{Result, StoreError};
@@ -53,10 +56,8 @@ impl Allocator {
         }
     }
 
-    /// One block for a raw page image, recycled if possible. Fenced
-    /// blocks whose commit is durable at virtual time `now` are eligible.
-    pub(crate) fn alloc_block(&mut self, now: u64) -> Result<u64> {
-        self.reclaim_matured(now);
+    /// One block for a raw page image, recycled if possible.
+    pub(crate) fn alloc_block(&mut self) -> Result<u64> {
         match self.free_blocks.pop() {
             Some(b) => Ok(b),
             None => self.bump(1),
@@ -66,8 +67,7 @@ impl Allocator {
     /// `n` physically contiguous blocks for a packed redo extent.
     /// Bump-only: packed records share blocks, so recycled singles from
     /// the free list are useless here.
-    pub(crate) fn alloc_extent(&mut self, n: u64, now: u64) -> Result<u64> {
-        self.reclaim_matured(now);
+    pub(crate) fn alloc_extent(&mut self, n: u64) -> Result<u64> {
         self.bump(n)
     }
 
@@ -108,10 +108,13 @@ impl Allocator {
         }
     }
 
-    /// Returns never-committed blocks: reusable at once.
-    pub(crate) fn free(&mut self, mut blocks: Vec<u64>) {
+    /// Returns never-committed blocks: reusable at once. Returns them,
+    /// sorted, as they now sit on the free list.
+    pub(crate) fn free(&mut self, mut blocks: Vec<u64>) -> &[u64] {
         blocks.sort_unstable();
+        let start = self.free_blocks.len();
         self.free_blocks.extend(blocks);
+        &self.free_blocks[start..]
     }
 
     /// Returns blocks of reclaimed *committed* history: reusable only
@@ -128,8 +131,10 @@ impl Allocator {
         }
     }
 
-    /// Moves fenced blocks whose commit is durable onto the free list.
-    pub(super) fn reclaim_matured(&mut self, now: u64) {
+    /// Moves fenced blocks whose commit is durable at virtual time `now`
+    /// onto the free list, and returns them.
+    pub(super) fn reclaim_matured(&mut self, now: u64) -> &[u64] {
+        let start = self.free_blocks.len();
         let mut i = 0;
         while i < self.pending_free.len() {
             if self.pending_free[i].0 <= now {
@@ -139,6 +144,7 @@ impl Allocator {
                 i += 1;
             }
         }
+        &self.free_blocks[start..]
     }
 
     /// Conservative recovery: everything at or above the highest block
@@ -184,19 +190,19 @@ mod tests {
     #[test]
     fn bump_then_recycle_and_full() {
         let mut a = Allocator::new(10, 14);
-        assert_eq!(a.alloc_block(0), Ok(10));
-        assert_eq!(a.alloc_extent(2, 0), Ok(11));
-        a.free(vec![10]);
-        assert_eq!(a.alloc_extent(2, 0), Err(StoreError::Full), "extents never recycle singles");
-        assert_eq!(a.alloc_block(0), Ok(10), "single blocks do");
-        assert_eq!(a.alloc_block(0), Ok(13));
-        assert_eq!(a.alloc_block(0), Err(StoreError::Full));
+        assert_eq!(a.alloc_block(), Ok(10));
+        assert_eq!(a.alloc_extent(2), Ok(11));
+        assert_eq!(a.free(vec![10]), [10]);
+        assert_eq!(a.alloc_extent(2), Err(StoreError::Full), "extents never recycle singles");
+        assert_eq!(a.alloc_block(), Ok(10), "single blocks do");
+        assert_eq!(a.alloc_block(), Ok(13));
+        assert_eq!(a.alloc_block(), Err(StoreError::Full));
     }
 
     #[test]
     fn freed_batches_enter_the_lists_in_ascending_lba_order() {
         let mut a = Allocator::new(100, 1000);
-        a.free(vec![7, 3, 5]);
+        assert_eq!(a.free(vec![7, 3, 5]), [3, 5, 7]);
         assert_eq!(a.free_blocks, [3, 5, 7]);
         a.stage_free(vec![42, 40, 41]);
         assert_eq!(a.staged_free, [40, 41, 42]);
@@ -206,16 +212,15 @@ mod tests {
     fn reclaimed_history_is_fenced_until_its_commit_is_durable() {
         let mut a = Allocator::new(100, 1000);
         a.stage_free(vec![20, 21]);
-        assert_eq!(
-            a.alloc_block(u64::MAX),
-            Ok(100),
-            "staged blocks have no fence yet: not reusable"
-        );
+        assert!(a.reclaim_matured(u64::MAX).is_empty());
+        assert_eq!(a.alloc_block(), Ok(100), "staged blocks have no fence yet: not reusable");
         a.fence(5_000);
         assert!(a.staged_free.is_empty());
-        assert_eq!(a.alloc_block(4_999), Ok(101), "the fencing commit is not durable yet");
-        assert_eq!(a.alloc_block(5_000), Ok(21));
-        assert_eq!(a.alloc_block(5_000), Ok(20));
+        assert!(a.reclaim_matured(4_999).is_empty());
+        assert_eq!(a.alloc_block(), Ok(101), "the fencing commit is not durable yet");
+        assert_eq!(a.reclaim_matured(5_000), [20, 21]);
+        assert_eq!(a.alloc_block(), Ok(21));
+        assert_eq!(a.alloc_block(), Ok(20));
         a.fence(9_000);
         assert!(a.pending_free.is_empty(), "an empty fence queues nothing");
     }

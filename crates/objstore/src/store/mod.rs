@@ -42,6 +42,18 @@ struct DirtyState {
     max_completion: u64,
 }
 
+/// Tells the device that `blocks` (sorted runs, as the allocator frees
+/// them) hold nothing anyone will read: one discard per contiguous run.
+fn discard(dev: &SharedDevice, blocks: &[u64]) {
+    if blocks.is_empty() {
+        return;
+    }
+    let mut dev = dev.lock();
+    for run in contiguous_runs(blocks) {
+        dev.discard(blocks[run.start], run.len() as u64);
+    }
+}
+
 /// The workspace's 64-bit content hash ([`aurora_sim::hash`]): validates
 /// metadata records at recovery, every data page, and journal records.
 pub(crate) use aurora_sim::content_hash;
@@ -179,14 +191,24 @@ impl ObjectStore {
     /// the block is about to hold different bytes, and a stale frame must
     /// never be served for it.
     pub(crate) fn alloc_block(&mut self) -> Result<u64> {
-        let b = self.alloc.alloc_block(self.charge.clock().now())?;
+        self.reclaim_matured();
+        let b = self.alloc.alloc_block()?;
         self.cache.frames.remove(&b);
         Ok(b)
     }
 
-    /// Returns never-committed blocks to the allocator.
+    /// Returns never-committed blocks to the allocator, discarding them
+    /// on the device.
     pub(crate) fn free_blocks(&mut self, blocks: Vec<u64>) {
-        self.alloc.free(blocks);
+        discard(&self.dev, self.alloc.free(blocks));
+    }
+
+    /// Frees reclaimed history whose floor commit is durable by now. Runs
+    /// before every allocation, so a block is always discarded before it
+    /// can be handed out again.
+    fn reclaim_matured(&mut self) {
+        let now = self.charge.clock().now();
+        discard(&self.dev, self.alloc.reclaim_matured(now));
     }
 
     /// Points the staging cursor at `group`: subsequent mutations land in
@@ -261,17 +283,6 @@ impl ObjectStore {
         &self.dev
     }
 
-    /// The device stack's aggregated health report: per-member states
-    /// and failover/rebuild counters for a mirrored array, the default
-    /// (healthy, no members) otherwise. Health transitions themselves
-    /// surface as structured [`StoreError::Device`] values — notably
-    /// `NoHealthyMirror` when redundancy is exhausted — so callers can
-    /// distinguish "mirror limping" (this report) from "data at risk"
-    /// (the error).
-    pub fn device_health(&self) -> aurora_storage::HealthReport {
-        self.dev.lock().health_report()
-    }
-
     /// The cost accountant.
     pub fn charge(&self) -> &Charge {
         &self.charge
@@ -322,6 +333,8 @@ impl ObjectStore {
             redo_chain_len_p95: self.redo.chain_p95(),
             redo_vcl: self.marks.vcl,
             redo_vdl: self.marks.vdl,
+            log_blocks: self.meta_head - self.meta_start,
+            data_blocks: self.alloc.next_block - self.data_start - self.alloc.free_blocks.len() as u64,
         }
     }
 
@@ -349,8 +362,10 @@ mod tests {
     use super::*;
     use aurora_frames::PageRef;
     use aurora_sim::{Clock, CostModel};
-    use aurora_storage::device::DeviceError;
-    use aurora_storage::testbed_array;
+    use aurora_sim::sync::Mutex;
+    use aurora_storage::device::{self, BlockDevice, Completion, DeviceError};
+    use aurora_storage::{share, testbed_array, NvmeDevice, NvmeParams};
+    use std::sync::Arc;
 
     fn fresh() -> ObjectStore {
         let clock = Clock::new();
@@ -475,7 +490,7 @@ mod tests {
         put(&mut s, oid, 0, page(3));
         let c = s.commit().unwrap();
         s.barrier(c);
-        s.alloc.reclaim_matured(s.charge.clock().now());
+        s.reclaim_matured();
         assert!(s.alloc.staged_free.is_empty());
         assert!(!s.alloc.free_blocks.is_empty(), "block reusable after floor commit is durable");
     }
@@ -754,6 +769,92 @@ mod tests {
         let mut s = s.crash_and_recover().unwrap();
         assert_eq!(s.gauges().cache_pages, 0, "RAM does not survive a crash");
         assert_eq!(s.read_page(oid, 0, 1).unwrap(), page(9));
+    }
+
+    /// `(op, lba, nblocks, issued at)` for every data write and discard.
+    type IoLog = Arc<Mutex<Vec<(&'static str, u64, u64, u64)>>>;
+
+    /// A device that logs its unordered writes and its discards, in
+    /// issue order, with the virtual time each was issued at.
+    struct Recording(NvmeDevice, IoLog);
+
+    impl Recording {
+        fn note(&self, op: &'static str, lba: u64, nblocks: u64) {
+            self.1.lock().push((op, lba, nblocks, self.0.clock().now()));
+        }
+    }
+
+    impl BlockDevice for Recording {
+        fn block_size(&self) -> usize {
+            self.0.block_size()
+        }
+        fn capacity_blocks(&self) -> u64 {
+            self.0.capacity_blocks()
+        }
+        fn clock(&self) -> &Clock {
+            self.0.clock()
+        }
+        fn read(&mut self, lba: u64, nblocks: u64) -> device::Result<Vec<u8>> {
+            self.0.read(lba, nblocks)
+        }
+        fn read_from(&mut self, lba: u64, n: u64, at: u64) -> device::Result<(Vec<u8>, u64)> {
+            self.0.read_from(lba, n, at)
+        }
+        fn write(&mut self, lba: u64, data: &[u8]) -> device::Result<Completion> {
+            self.note("write", lba, (data.len() / PAGE) as u64);
+            self.0.write(lba, data)
+        }
+        fn write_after(&mut self, lba: u64, data: &[u8], after: Completion) -> device::Result<Completion> {
+            self.0.write_after(lba, data, after)
+        }
+        fn flush(&mut self) -> Completion {
+            self.0.flush()
+        }
+        fn crash(&mut self) {
+            self.0.crash();
+        }
+        fn bytes_written(&self) -> u64 {
+            self.0.bytes_written()
+        }
+        fn discard(&mut self, lba: u64, nblocks: u64) {
+            self.note("discard", lba, nblocks);
+        }
+    }
+
+    /// A block reclaimed by `drop_oldest_checkpoint` is discarded only
+    /// once the commit carrying the new floor is durable, and always
+    /// before the allocator hands it out again.
+    #[test]
+    fn reclaimed_blocks_are_discarded_after_the_floor_commit_and_before_reuse() {
+        let clock = Clock::new();
+        let log: IoLog = Arc::new(Mutex::new(Vec::new()));
+        let dev = Recording(NvmeDevice::new(clock.clone(), NvmeParams::optane_900p(), 1 << 28), log.clone());
+        let mut s = ObjectStore::format(share(dev), Charge::new(clock, CostModel::default()), 4096).unwrap();
+        let oid = s.alloc_oid();
+        s.create_object(oid, ObjectKind::Memory).unwrap();
+        for fill in 1..=2 {
+            put(&mut s, oid, 0, page(fill));
+            let c = s.commit().unwrap();
+            s.barrier(c);
+        }
+        // Epoch 1's copy of page 0 is the first data block written.
+        let first = log.lock().iter().position(|e| e.0 == "write" && e.1 >= s.data_start).unwrap();
+        let old = log.lock()[first].1;
+        let covers = |e: &(&str, u64, u64, u64)| (e.1..e.1 + e.2).contains(&old);
+        s.drop_oldest_checkpoint().unwrap();
+        put(&mut s, oid, 1, page(3));
+        let floor = s.commit().unwrap();
+        // Allocating while the floor commit is in flight neither discards
+        // nor reuses the reclaimed block.
+        put(&mut s, oid, 2, page(4));
+        assert!(!log.lock().iter().skip(first + 1).any(covers), "{:?}", log.lock());
+        s.barrier(floor);
+        put(&mut s, oid, 3, page(5));
+        let log = log.lock();
+        let discard = log.iter().position(|e| e.0 == "discard" && covers(e)).expect("discarded");
+        assert!(log[discard].3 >= floor.durable_at, "discarded once the floor commit is durable");
+        let reuse = log.iter().rposition(|e| e.0 == "write" && covers(e)).unwrap();
+        assert!(reuse > discard && discard > first, "discarded between its two lives: {log:?}");
     }
 
     /// Two barriered epochs of one page; returns the store and the log

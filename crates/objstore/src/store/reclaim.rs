@@ -11,9 +11,9 @@ impl ObjectStore {
     /// deltas' successors.
     ///
     /// The reclaimed blocks are *staged*, not immediately reusable: they
-    /// join the free list only once a later commit — which persists the
-    /// new floor — is durable. Until then a crash simply resurrects the
-    /// dropped epoch, intact.
+    /// join the free list — and are discarded on the device — only once a
+    /// later commit, which persists the new floor, is durable. Until then
+    /// a crash simply resurrects the dropped epoch, intact.
     pub fn drop_oldest_checkpoint(&mut self) -> Result<u64> {
         if self.epochs.len() < 2 {
             return Err(StoreError::NoSuchEpoch(0));
@@ -50,7 +50,7 @@ impl ObjectStore {
         let released = self.index.unstage(prov_tag(group), draft.objects);
         let mut freed = self.release(&released.versions);
         freed.extend(released.blocks);
-        self.alloc.free(freed);
+        self.free_blocks(freed);
     }
 
     /// Releases versions the index dropped — no reader can reach them

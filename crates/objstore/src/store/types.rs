@@ -228,4 +228,9 @@ pub struct StoreGauges {
     /// Volume Durable LSN: highest committed consistency point whose
     /// commit record is durable. Never exceeds `redo_vcl`.
     pub redo_vdl: u64,
+    /// Blocks of the metadata log holding commit records.
+    pub log_blocks: u64,
+    /// Data blocks in use: allocated and not yet back on the free list
+    /// (reclaimed history still fenced behind its floor commit counts).
+    pub data_blocks: u64,
 }

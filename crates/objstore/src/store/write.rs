@@ -98,7 +98,7 @@ impl ObjectStore {
             // None of the batch is indexed yet; return every placed block.
             // (Blocks written before the failure hold unreferenced data —
             // harmless to recycle, they were never committed.)
-            self.alloc.free(placed);
+            self.free_blocks(placed);
             return Err(StoreError::dev("write-pages", Some(oid), self.cur_epoch, self.staging)(e));
         }
         self.charge.encode((pages.len() * PAGE) as u64);
@@ -116,7 +116,7 @@ impl ObjectStore {
             self.cache.frames.insert(block, data.clone());
         }
         let freed = self.release(&superseded);
-        self.alloc.free(freed);
+        self.free_blocks(freed);
         self.draft_mut().objects.insert(oid.0);
         Ok(())
     }
@@ -199,11 +199,13 @@ impl ObjectStore {
         }
         let bytes = buf.len() as u64;
         let nblocks = bytes.div_ceil(PAGE as u64);
-        let extent = self.alloc.alloc_extent(nblocks, self.charge.clock().now())?;
+        self.reclaim_matured();
+        let extent = self.alloc.alloc_extent(nblocks)?;
         buf.resize(nblocks as usize * PAGE, 0);
-        let completion = self.dev.lock().write(extent, &buf).map_err(|e| {
+        let res = self.dev.lock().write(extent, &buf);
+        let completion = res.map_err(|e| {
             // Nothing is indexed yet; the extent goes straight back.
-            self.alloc.free((extent..extent + nblocks).collect());
+            self.free_blocks((extent..extent + nblocks).collect());
             StoreError::dev("append-redo", Some(oid), self.cur_epoch, self.staging)(e)
         })?;
         self.charge.encode(bytes);

@@ -136,9 +136,7 @@ fn transient_error_during_journal_append_is_retryable() {
     store.journal_append(j, b"first").unwrap();
 
     // Fail the next device write once.
-    let mut plan = FaultPlan::none();
-    plan.transient_writes.insert(handle.writes_seen());
-    handle.set_plan(plan);
+    handle.set_plan(FaultPlan::eio_storm(handle.writes_seen(), 1));
     let err = store.journal_append(j, b"second").unwrap_err();
     assert!(err.is_transient(), "expected transient error, got {err}");
     assert!(
@@ -171,9 +169,7 @@ fn transient_error_during_page_write_is_retryable() {
     let oid = store.alloc_oid();
     store.create_object(oid, ObjectKind::Memory).unwrap();
 
-    let mut plan = FaultPlan::none();
-    plan.transient_writes.insert(handle.writes_seen());
-    handle.set_plan(plan);
+    handle.set_plan(FaultPlan::eio_storm(handle.writes_seen(), 1));
     let seven = PageRef::detached([7u8; PAGE]);
     let err = store.write_pages(oid, &[(0, seven.clone())]).unwrap_err();
     assert!(err.is_transient());
@@ -198,9 +194,7 @@ fn transient_error_during_commit_is_retryable() {
     store.write_pages(oid, &[(0, PageRef::detached([3u8; PAGE]))]).unwrap();
 
     // Fail the commit's payload write once.
-    let mut plan = FaultPlan::none();
-    plan.transient_writes.insert(handle.writes_seen());
-    handle.set_plan(plan);
+    handle.set_plan(FaultPlan::eio_storm(handle.writes_seen(), 1));
     let err = store.commit().unwrap_err();
     assert!(err.is_transient());
 

@@ -149,6 +149,15 @@ pub trait BlockDevice {
     /// Total bytes written since creation (for bandwidth accounting).
     fn bytes_written(&self) -> u64;
 
+    /// Tells the device that nobody will read `[lba, lba + nblocks)`
+    /// before it is written again: the store calls it as blocks become
+    /// reusable. Bookkeeping only — it touches no clock, trace or byte.
+    /// The default is a no-op; a mirror stops resilvering and scrubbing
+    /// the range.
+    fn discard(&mut self, lba: u64, nblocks: u64) {
+        let _ = (lba, nblocks);
+    }
+
     /// Striping geometry: `(member devices, stripe unit in blocks)`.
     /// `(1, 1)` for plain devices. Consumers that need strict write
     /// ordering (journals) use this to place data within one member.

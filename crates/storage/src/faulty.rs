@@ -3,10 +3,12 @@
 //! [`FaultyDevice`] wraps any [`BlockDevice`] and injects failures
 //! according to an explicit [`FaultPlan`]: a power-cut at the Nth write
 //! (optionally tearing that write at a sub-block boundary), transient
-//! EIO-style errors at chosen write sequence numbers, and silent
-//! bit-flips drawn from the in-tree deterministic PRNG. Every write is
-//! also recorded in an ordered trace, so a failing crash schedule can be
-//! replayed and inspected from nothing but the plan.
+//! EIO-style errors over a window of write sequence numbers, latency
+//! storms, bad blocks, device death, and silent bit-flips drawn from the
+//! in-tree deterministic PRNG. Every injected outcome is a `fault.*`
+//! trace instant carrying the write's sequence number, so a failing
+//! crash schedule can be replayed and inspected from nothing but the
+//! plan.
 //!
 //! All randomness comes from [`DetRng`] seeded by `FaultPlan::seed`, so
 //! a whole failure scenario reproduces from a single `u64`.
@@ -16,12 +18,15 @@ use aurora_sim::rng::{DetRng, Rng};
 use aurora_sim::sync::Mutex;
 use aurora_sim::Clock;
 use aurora_trace::Trace;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
+use std::ops::Range;
 use std::sync::Arc;
 
-/// What to inject, and when. Write sequence numbers count every
-/// [`BlockDevice::write`]/[`write_after`](BlockDevice::write_after) call
-/// made through the wrapper, starting at 0.
+/// What to inject, and when: one field per fault. Write sequence
+/// numbers count every [`BlockDevice::write`]/
+/// [`write_after`](BlockDevice::write_after) call made through the
+/// wrapper, starting at 0.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
     /// Power-cut at this write: the write (and everything after it) never
@@ -32,35 +37,26 @@ pub struct FaultPlan {
     /// blocks of the same write are dropped. Clamped to `len - 1` so the
     /// tear is always sub-write.
     pub tear_bytes: Option<usize>,
-    /// Writes that fail once with a transient EIO (the data never reaches
-    /// the device; a retry is a fresh sequence number and may succeed).
-    pub transient_writes: BTreeSet<u64>,
-    /// From this write onward, every write fails with a transient EIO
-    /// until the plan is replaced — models a wedged queue, and lets tests
-    /// exhaust a retry budget.
-    pub fail_writes_from: Option<u64>,
+    /// Writes with a sequence number in this window fail with a transient
+    /// EIO: the data never reaches the device, and a retry is a fresh
+    /// sequence number. An unbounded window
+    /// ([`eio_storm`](FaultPlan::eio_storm)`(n, u64::MAX)`) wedges the
+    /// device until the plan is replaced — how tests exhaust a retry
+    /// budget.
+    pub eio_writes: Range<u64>,
     /// Per-write probability of flipping one random bit of the payload
     /// before it reaches the medium (silent corruption).
     pub bitflip_per_write: f64,
-    /// A correlated burst: every write with sequence number in
-    /// `[start, start + count)` fails with a transient EIO. Unlike
-    /// [`fail_writes_from`](FaultPlan::fail_writes_from) the storm has a
-    /// bounded width, so a sufficiently patient retry budget outlasts it.
-    pub eio_burst: Option<(u64, u64)>,
-    /// Latency inflation added to each write's completion time while the
-    /// storm is active (a congested or error-recovering channel).
-    pub latency_add_ns: u64,
-    /// Which writes (as `(start, count)` sequence numbers) the latency
-    /// inflation applies to. `None` with a non-zero
-    /// [`latency_add_ns`](FaultPlan::latency_add_ns) inflates every write.
-    pub latency_window: Option<(u64, u64)>,
+    /// Writes with a sequence number in `.0` complete `.1` ns later than
+    /// the device model says (a congested or error-recovering channel).
+    pub slow_writes: (Range<u64>, u64),
     /// Blocks whose medium has gone bad: any read covering one fails
     /// with a fatal EIO until a successful write covers the block again
     /// (the device remaps the sector on write).
     pub bad_read_blocks: BTreeSet<u64>,
     /// The device dies outright at this write: power to the channel is
     /// lost (in-flight writes discarded) and every subsequent operation
-    /// — read or write — fails fatally until [`FaultHandle::revive`].
+    /// — read or write — fails fatally until the plan is cleared.
     pub die_at_write: Option<u64>,
     /// Seed for the injection PRNG (bit-flip positions).
     pub seed: u64,
@@ -82,68 +78,18 @@ impl FaultPlan {
         Self { cut_at_write: Some(n), tear_bytes: Some(bytes), ..Self::default() }
     }
 
-    /// A correlated transient-EIO burst: writes `[from, from + n)` all
-    /// fail transiently, then the channel recovers.
+    /// A transient-EIO storm: writes `[from, from + n)` all fail
+    /// transiently, then the channel recovers. `n = u64::MAX` never
+    /// recovers.
     pub fn eio_storm(from: u64, n: u64) -> Self {
-        Self { eio_burst: Some((from, n)), ..Self::default() }
+        Self { eio_writes: from..from.saturating_add(n), ..Self::default() }
     }
 
     /// A latency storm: writes `[from, from + n)` complete `add_ns`
     /// later than the device model says (congested channel).
     pub fn latency_storm(from: u64, n: u64, add_ns: u64) -> Self {
-        Self { latency_window: Some((from, n)), latency_add_ns: add_ns, ..Self::default() }
+        Self { slow_writes: (from..from.saturating_add(n), add_ns), ..Self::default() }
     }
-
-    /// Derives a whole scenario from one seed: a cut point in
-    /// `[0, horizon_writes)`, a coin-flip for tearing, and a sub-block
-    /// tear offset. This is how CI names a reproducible failure with a
-    /// single `u64`.
-    pub fn from_seed(seed: u64, horizon_writes: u64) -> Self {
-        let mut rng = DetRng::seed_from_u64(seed);
-        let cut = rng.gen_range(0..horizon_writes.max(1));
-        let tear = if rng.gen_bool(0.5) {
-            Some(rng.gen_range(1..4096) as usize)
-        } else {
-            None
-        };
-        Self { cut_at_write: Some(cut), tear_bytes: tear, seed, ..Self::default() }
-    }
-}
-
-/// What happened to one write.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WriteOutcome {
-    /// Passed through unmodified.
-    Applied,
-    /// Power-cut write: only the leading `bytes` reached the medium.
-    Torn {
-        /// Surviving prefix length.
-        bytes: usize,
-    },
-    /// Dropped entirely (at or after the power-cut).
-    Dropped,
-    /// Rejected with a transient EIO.
-    Failed,
-    /// Rejected with a fatal EIO (dead device).
-    FatalFailed,
-    /// Applied with one flipped bit.
-    BitFlipped {
-        /// Which payload bit was flipped.
-        bit: u64,
-    },
-}
-
-/// One entry of the write-order trace.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WriteRecord {
-    /// Write sequence number (0-based).
-    pub seq: u64,
-    /// First logical block of the write.
-    pub lba: u64,
-    /// Blocks in the write.
-    pub nblocks: u64,
-    /// What the injector did with it.
-    pub outcome: WriteOutcome,
 }
 
 /// Mutable injection state, shared with [`FaultHandle`].
@@ -152,10 +98,8 @@ struct FaultState {
     rng: DetRng,
     writes_seen: u64,
     cut_fired: bool,
-    /// The device is dead ([`FaultPlan::die_at_write`] fired or
-    /// [`FaultHandle::kill`]): every operation fails fatally.
+    /// [`FaultPlan::die_at_write`] fired: every operation fails fatally.
     dead: bool,
-    trace: Vec<WriteRecord>,
 }
 
 /// A handle for arming, disarming and inspecting a [`FaultyDevice`]
@@ -174,16 +118,12 @@ impl FaultHandle {
         self.0.lock().writes_seen
     }
 
-    /// A copy of the write-order trace.
-    pub fn trace(&self) -> Vec<WriteRecord> {
-        self.0.lock().trace.clone()
-    }
-
-    /// Replaces the plan (keeps the sequence counter and trace), re-arming
-    /// the injector mid-run. Clears a fired cut only if the new plan has
-    /// no cut — a fired cut stays fired while its plan stands. A dead
+    /// Replaces the plan (keeps the sequence counter), re-arming the
+    /// injector mid-run. Clears a fired cut only if the new plan has no
+    /// cut — a fired cut stays fired while its plan stands. A dead
     /// device likewise stays dead unless the new plan has no
-    /// `die_at_write` (an explicit [`revive`](FaultHandle::revive)).
+    /// `die_at_write`. The medium keeps whatever was durable; anything
+    /// lost in flight stays lost.
     pub fn set_plan(&self, plan: FaultPlan) {
         let mut st = self.0.lock();
         st.rng = DetRng::seed_from_u64(plan.seed);
@@ -196,32 +136,10 @@ impl FaultHandle {
         st.plan = plan;
     }
 
-    /// Disarms every fault; subsequent writes pass through.
+    /// Disarms every fault and brings a dead device back; subsequent
+    /// writes pass through.
     pub fn clear_faults(&self) {
         self.set_plan(FaultPlan::none());
-    }
-
-    /// Kills the device immediately: every subsequent read and write
-    /// fails with a fatal EIO until [`revive`](FaultHandle::revive). The
-    /// administrative version of [`FaultPlan::die_at_write`].
-    pub fn kill(&self) {
-        self.0.lock().dead = true;
-    }
-
-    /// Whether the device is currently dead.
-    pub fn is_dead(&self) -> bool {
-        self.0.lock().dead
-    }
-
-    /// Brings a dead device back (drive replaced / channel reseated),
-    /// clearing every armed fault. The medium keeps whatever was durable
-    /// before death; anything lost in flight stays lost.
-    pub fn revive(&self) {
-        let mut st = self.0.lock();
-        st.dead = false;
-        st.cut_fired = false;
-        st.plan = FaultPlan::none();
-        st.rng = DetRng::seed_from_u64(0);
     }
 }
 
@@ -234,61 +152,47 @@ pub struct FaultyDevice {
 }
 
 impl FaultyDevice {
-    /// Wraps `inner` with the given plan. The returned handle arms,
-    /// disarms and inspects the injector from outside.
-    pub fn new(inner: Box<dyn BlockDevice + Send>, plan: FaultPlan) -> (Self, FaultHandle) {
-        let state = Arc::new(Mutex::new(FaultState {
+    /// Wraps `inner` with the given plan.
+    pub fn new(inner: Box<dyn BlockDevice + Send>, plan: FaultPlan) -> Self {
+        let state = FaultState {
             rng: DetRng::seed_from_u64(plan.seed),
             plan,
             writes_seen: 0,
             cut_fired: false,
             dead: false,
-            trace: Vec::new(),
-        }));
-        let handle = FaultHandle(state.clone());
-        (Self { inner, state, trace: Trace::disabled() }, handle)
-    }
-
-    /// Emits a `storage.fault` instant describing a non-pass-through
-    /// outcome, so injected failures are visible in exported traces.
-    fn trace_outcome(&self, seq: u64, lba: u64, outcome: WriteOutcome) {
-        if !self.trace.is_enabled() {
-            return;
-        }
-        let (name, detail) = match outcome {
-            WriteOutcome::Applied => return,
-            WriteOutcome::Torn { bytes } => ("fault.torn_write", bytes as u64),
-            WriteOutcome::Dropped => ("fault.dropped_write", 0),
-            WriteOutcome::Failed => ("fault.transient_eio", 0),
-            WriteOutcome::FatalFailed => ("fault.fatal_eio", 0),
-            WriteOutcome::BitFlipped { bit } => ("fault.bitflip", bit),
         };
-        self.trace.instant("storage", name, &[("seq", seq), ("lba", lba), ("detail", detail)]);
+        Self { inner, state: Arc::new(Mutex::new(state)), trace: Trace::disabled() }
     }
 
-    /// The common write path: decides the outcome of write `seq`, records
+    /// The handle that arms, disarms and inspects this injector from
+    /// outside.
+    pub fn handle(&self) -> FaultHandle {
+        FaultHandle(self.state.clone())
+    }
+
+    /// Emits a `fault.*` instant for a write the injector did not pass
+    /// through untouched, so injected failures are visible in exported
+    /// traces.
+    fn trace_fault(&self, name: &'static str, seq: u64, lba: u64, detail: u64) {
+        if self.trace.is_enabled() {
+            self.trace.instant("storage", name, &[("seq", seq), ("lba", lba), ("detail", detail)]);
+        }
+    }
+
+    /// The common write path: decides the outcome of write `seq`, traces
     /// it, and forwards (possibly modified) data to the inner device.
     fn inject_write(&mut self, lba: u64, data: &[u8], after: Option<Completion>) -> Result<Completion> {
-        let bs = self.inner.block_size();
-        let nblocks = (data.len().max(1) / bs.max(1)) as u64;
         let mut st = self.state.lock();
         let seq = st.writes_seen;
         st.writes_seen += 1;
 
-        if st.dead {
-            st.trace.push(WriteRecord { seq, lba, nblocks, outcome: WriteOutcome::FatalFailed });
-            drop(st);
-            self.trace_outcome(seq, lba, WriteOutcome::FatalFailed);
-            return Err(DeviceError::Io { lba, transient: false });
-        }
-
-        if st.plan.die_at_write == Some(seq) {
-            st.dead = true;
-            // Power to the channel is lost: in-flight writes are gone.
-            self.inner.crash();
-            st.trace.push(WriteRecord { seq, lba, nblocks, outcome: WriteOutcome::FatalFailed });
-            drop(st);
-            self.trace_outcome(seq, lba, WriteOutcome::FatalFailed);
+        if st.dead || st.plan.die_at_write == Some(seq) {
+            if !st.dead {
+                st.dead = true;
+                // Power to the channel is lost: in-flight writes are gone.
+                self.inner.crash();
+            }
+            self.trace_fault("fault.fatal_eio", seq, lba, 0);
             return Err(DeviceError::Io { lba, transient: false });
         }
 
@@ -297,9 +201,7 @@ impl FaultyDevice {
             // medium never sees them. Completions are fabricated so the
             // workload runs on obliviously — exactly like an OS whose
             // device vanished mid-flight.
-            st.trace.push(WriteRecord { seq, lba, nblocks, outcome: WriteOutcome::Dropped });
-            drop(st);
-            self.trace_outcome(seq, lba, WriteOutcome::Dropped);
+            self.trace_fault("fault.dropped_write", seq, lba, 0);
             return Ok(Completion::immediate(self.inner.clock().now()));
         }
 
@@ -313,79 +215,47 @@ impl FaultyDevice {
             // it would put bytes on the medium before its predecessor,
             // which the write_after contract rules out.
             let barrier_open = after.is_some_and(|a| a.done_at > self.inner.clock().now());
-            let outcome = match tear {
+            let (name, detail) = match tear {
                 Some(tb) if data.len() > 1 && !barrier_open => {
                     // The torn prefix reached the platter before the cut:
                     // leading bytes intact, the rest of the torn block is
                     // garbage, later blocks of the write are dropped.
-                    let torn_blocks = tb.div_ceil(bs).max(1);
-                    let mut buf = vec![0xA5u8; torn_blocks * bs];
+                    let bs = self.inner.block_size();
+                    let mut buf = vec![0xA5u8; tb.div_ceil(bs).max(1) * bs];
                     buf[..tb].copy_from_slice(&data[..tb]);
                     self.inner.write(lba, &buf)?;
                     self.inner.flush();
-                    WriteOutcome::Torn { bytes: tb }
+                    ("fault.torn_write", tb as u64)
                 }
-                _ => WriteOutcome::Dropped,
+                _ => ("fault.dropped_write", 0),
             };
-            st.trace.push(WriteRecord { seq, lba, nblocks, outcome });
-            drop(st);
-            self.trace_outcome(seq, lba, outcome);
+            self.trace_fault(name, seq, lba, detail);
             return Ok(Completion::immediate(self.inner.clock().now()));
         }
 
-        let failing = st.plan.transient_writes.contains(&seq)
-            || st.plan.fail_writes_from.is_some_and(|n| seq >= n)
-            || st.plan.eio_burst.is_some_and(|(from, n)| seq >= from && seq < from + n);
-        if failing {
-            st.trace.push(WriteRecord { seq, lba, nblocks, outcome: WriteOutcome::Failed });
-            drop(st);
-            self.trace_outcome(seq, lba, WriteOutcome::Failed);
+        if st.plan.eio_writes.contains(&seq) {
+            self.trace_fault("fault.transient_eio", seq, lba, 0);
             return Err(DeviceError::Io { lba, transient: true });
         }
 
         // The write will reach the medium: a successful write remaps any
-        // bad sectors it covers, and a latency storm delays its
-        // completion.
-        let extra_ns = match (st.plan.latency_add_ns, st.plan.latency_window) {
-            (0, _) => 0,
-            (ns, None) => ns,
-            (ns, Some((from, n))) if seq >= from && seq < from + n => ns,
-            _ => 0,
-        };
-        if !st.plan.bad_read_blocks.is_empty() {
-            for b in lba..lba + nblocks {
-                st.plan.bad_read_blocks.remove(&b);
-            }
+        // bad sectors it covers, a latency storm delays its completion,
+        // and the payload may arrive with one bit flipped.
+        let (slow, add_ns) = &st.plan.slow_writes;
+        let extra_ns = if slow.contains(&seq) { *add_ns } else { 0 };
+        let covered = lba..lba + (data.len() / self.inner.block_size()) as u64;
+        st.plan.bad_read_blocks.retain(|b| !covered.contains(b));
+        let mut payload = Cow::Borrowed(data);
+        let p = st.plan.bitflip_per_write;
+        if p > 0.0 && st.rng.gen_bool(p) && !data.is_empty() {
+            let bit = st.rng.gen_range(0..data.len() as u64 * 8);
+            payload.to_mut()[(bit / 8) as usize] ^= 1 << (bit % 8);
+            self.trace_fault("fault.bitflip", seq, lba, bit);
         }
-
-        if st.plan.bitflip_per_write > 0.0 {
-            let p = st.plan.bitflip_per_write;
-            let flip = st.rng.gen_bool(p);
-            if flip && !data.is_empty() {
-                let bit = st.rng.gen_range(0..data.len() as u64 * 8);
-                let mut corrupt = data.to_vec();
-                corrupt[(bit / 8) as usize] ^= 1 << (bit % 8);
-                st.trace.push(WriteRecord {
-                    seq,
-                    lba,
-                    nblocks,
-                    outcome: WriteOutcome::BitFlipped { bit },
-                });
-                drop(st);
-                self.trace_outcome(seq, lba, WriteOutcome::BitFlipped { bit });
-                let c = match after {
-                    Some(a) => self.inner.write_after(lba, &corrupt, a)?,
-                    None => self.inner.write(lba, &corrupt)?,
-                };
-                return Ok(Completion { done_at: c.done_at + extra_ns });
-            }
-        }
-
-        st.trace.push(WriteRecord { seq, lba, nblocks, outcome: WriteOutcome::Applied });
         drop(st);
         let c = match after {
-            Some(a) => self.inner.write_after(lba, data, a)?,
-            None => self.inner.write(lba, data)?,
+            Some(a) => self.inner.write_after(lba, &payload, a)?,
+            None => self.inner.write(lba, &payload)?,
         };
         if extra_ns > 0 && self.trace.is_enabled() {
             self.trace.instant(
@@ -458,6 +328,10 @@ impl BlockDevice for FaultyDevice {
         self.inner.crash();
     }
 
+    fn discard(&mut self, lba: u64, nblocks: u64) {
+        self.inner.discard(lba, nblocks);
+    }
+
     fn bytes_written(&self) -> u64 {
         self.inner.bytes_written()
     }
@@ -487,12 +361,33 @@ mod tests {
 
     fn faulty(plan: FaultPlan) -> (FaultyDevice, FaultHandle) {
         let inner = NvmeDevice::new(Clock::new(), NvmeParams::optane_900p(), 1 << 24);
-        FaultyDevice::new(Box::new(inner), plan)
+        let d = FaultyDevice::new(Box::new(inner), plan);
+        let h = d.handle();
+        (d, h)
+    }
+
+    /// A device armed with `plan` that records its trace: every write it
+    /// did not pass through untouched shows up as a `fault.*` instant.
+    fn traced(plan: FaultPlan) -> (FaultyDevice, FaultHandle, Trace) {
+        let (mut d, h) = faulty(plan);
+        let clk = d.clock().clone();
+        let t = Trace::recording(move || clk.now());
+        d.set_trace(t.clone());
+        (d, h, t)
+    }
+
+    /// `(name, seq, detail)` of every injected write outcome, in order.
+    fn outcomes(t: &Trace) -> Vec<(String, u64, u64)> {
+        t.events()
+            .iter()
+            .filter(|e| e.name.starts_with("fault.") && e.args[0].0 == "seq")
+            .map(|e| (e.name.to_string(), e.args[0].1, e.args[2].1))
+            .collect()
     }
 
     #[test]
     fn cut_drops_the_nth_and_all_later_writes() {
-        let (mut d, h) = faulty(FaultPlan::cut_at(1));
+        let (mut d, h, t) = traced(FaultPlan::cut_at(1));
         d.write(0, &vec![1u8; BLOCK_SIZE]).unwrap();
         d.flush();
         d.write(1, &vec![2u8; BLOCK_SIZE]).unwrap(); // cut fires here
@@ -502,10 +397,10 @@ mod tests {
         assert_eq!(d.read(0, 1).unwrap(), vec![1u8; BLOCK_SIZE]);
         assert_eq!(d.read(1, 1).unwrap(), vec![0u8; BLOCK_SIZE]);
         assert_eq!(d.read(2, 1).unwrap(), vec![0u8; BLOCK_SIZE]);
-        let outcomes: Vec<_> = h.trace().iter().map(|r| r.outcome).collect();
+        // Write 0 applied (no fault instant); 1 and 2 dropped.
         assert_eq!(
-            outcomes,
-            vec![WriteOutcome::Applied, WriteOutcome::Dropped, WriteOutcome::Dropped]
+            outcomes(&t),
+            [("fault.dropped_write".into(), 1, 0), ("fault.dropped_write".into(), 2, 0)]
         );
     }
 
@@ -530,9 +425,7 @@ mod tests {
 
     #[test]
     fn transient_error_fails_once_then_succeeds() {
-        let mut plan = FaultPlan::none();
-        plan.transient_writes.insert(0);
-        let (mut d, _h) = faulty(plan);
+        let (mut d, _h) = faulty(FaultPlan::eio_storm(0, 1));
         let err = d.write(0, &vec![5u8; BLOCK_SIZE]).unwrap_err();
         assert!(err.is_transient());
         d.write(0, &vec![5u8; BLOCK_SIZE]).unwrap(); // retry is seq 1
@@ -542,8 +435,7 @@ mod tests {
 
     #[test]
     fn persistent_failure_window_clears_with_plan() {
-        let plan = FaultPlan { fail_writes_from: Some(0), ..FaultPlan::none() };
-        let (mut d, h) = faulty(plan);
+        let (mut d, h) = faulty(FaultPlan::eio_storm(0, u64::MAX));
         assert!(d.write(0, &vec![1u8; BLOCK_SIZE]).is_err());
         assert!(d.write(0, &vec![1u8; BLOCK_SIZE]).is_err());
         h.clear_faults();
@@ -554,15 +446,17 @@ mod tests {
     fn bitflips_are_reproducible_by_seed() {
         let run = || {
             let plan = FaultPlan { bitflip_per_write: 1.0, seed: 42, ..FaultPlan::none() };
-            let (mut d, h) = faulty(plan);
+            let (mut d, _h, t) = traced(plan);
             d.write(0, &vec![0u8; BLOCK_SIZE]).unwrap();
             d.flush();
-            (d.read(0, 1).unwrap(), h.trace())
+            (d.read(0, 1).unwrap(), outcomes(&t))
         };
         let (a, ta) = run();
         let (b, tb) = run();
         assert_eq!(a, b, "same seed, same corruption");
         assert_eq!(ta, tb);
+        assert_eq!(ta.len(), 1, "one bitflip instant: {ta:?}");
+        assert_eq!(ta[0].0, "fault.bitflip");
         assert_eq!(a.iter().map(|&x| x.count_ones()).sum::<u32>(), 1, "exactly one bit flipped");
     }
 
@@ -625,40 +519,16 @@ mod tests {
     }
 
     #[test]
-    fn dead_device_fails_everything_until_revived() {
-        let (mut d, h) = faulty(FaultPlan::none());
-        d.write(0, &vec![1u8; BLOCK_SIZE]).unwrap();
-        d.flush();
-        h.kill();
-        assert!(h.is_dead());
-        let err = d.write(1, &vec![2u8; BLOCK_SIZE]).unwrap_err();
-        assert!(!err.is_transient(), "dead device is not a retry candidate");
-        assert!(d.read(0, 1).is_err());
-        h.revive();
-        assert!(!h.is_dead());
-        assert_eq!(d.read(0, 1).unwrap(), vec![1u8; BLOCK_SIZE], "durable data survives death");
-    }
-
-    #[test]
     fn die_at_write_kills_mid_stream_and_loses_inflight() {
         let plan = FaultPlan { die_at_write: Some(1), ..FaultPlan::none() };
-        let (mut d, h) = faulty(plan);
+        let (mut d, h, t) = traced(plan);
         d.write(0, &vec![1u8; BLOCK_SIZE]).unwrap(); // buffered, not durable
         let err = d.write(1, &vec![2u8; BLOCK_SIZE]).unwrap_err(); // dies here
         assert!(!err.is_transient());
-        assert!(h.is_dead());
-        h.revive();
+        assert!(d.read(0, 1).is_err(), "a dead device fails reads too");
+        h.clear_faults();
         assert_eq!(d.read(0, 1).unwrap(), vec![0u8; BLOCK_SIZE], "in-flight write lost at death");
-        let outcomes: Vec<_> = h.trace().iter().map(|r| r.outcome).collect();
-        assert_eq!(outcomes, vec![WriteOutcome::Applied, WriteOutcome::FatalFailed]);
-    }
-
-    #[test]
-    fn from_seed_is_deterministic() {
-        let a = FaultPlan::from_seed(9, 500);
-        let b = FaultPlan::from_seed(9, 500);
-        assert_eq!(a.cut_at_write, b.cut_at_write);
-        assert_eq!(a.tear_bytes, b.tear_bytes);
-        assert!(a.cut_at_write.unwrap() < 500);
+        // Write 0 applied (no fault instant); write 1 failed fatally.
+        assert_eq!(outcomes(&t), [("fault.fatal_eio".into(), 1, 0)]);
     }
 }

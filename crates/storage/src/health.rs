@@ -1,7 +1,7 @@
 //! Per-device health tracking for degraded-mode storage.
 //!
-//! A [`DeviceHealth`] tracker sits next to each member of a redundant
-//! array and classifies it on a four-state ladder:
+//! A `DeviceHealth` tracker sits in each member of a redundant array
+//! and classifies it on a four-state ladder:
 //!
 //! ```text
 //! Healthy → Suspect → Degraded → Failed
@@ -12,13 +12,13 @@
 //! observations (a member whose queue grows far beyond its siblings' is
 //! lagging — latency is an early failure signal, §"fail-slow" faults).
 //! `Suspect` heals itself after a run of clean I/O; `Degraded` and
-//! `Failed` only recover through an explicit scrub/rebuild
-//! ([`DeviceHealth::mark_rebuilt`]) because their on-medium contents can
-//! no longer be trusted.
+//! `Failed` only recover through an explicit scrub/rebuild because their
+//! on-medium contents can no longer be trusted. The thresholds are
+//! constants: the ladder has one calibration.
 //!
 //! The tracker is pure bookkeeping: it never touches the device. The
-//! array ([`crate::raid1::Raid1`]) feeds it outcomes and consults
-//! [`DeviceHealth::state`] to steer reads away from sick members; the
+//! array ([`crate::raid1::Raid1`]) feeds it outcomes and consults its
+//! state to steer reads away from sick members; the
 //! checkpoint scheduler reads the aggregated [`HealthReport`] to shrink
 //! its flush window while the array runs degraded.
 
@@ -53,97 +53,54 @@ impl HealthState {
             HealthState::Failed => 3,
         }
     }
-
-    /// Human-readable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            HealthState::Healthy => "healthy",
-            HealthState::Suspect => "suspect",
-            HealthState::Degraded => "degraded",
-            HealthState::Failed => "failed",
-        }
-    }
 }
 
-/// Thresholds driving the [`DeviceHealth`] state machine.
-#[derive(Clone, Copy, Debug)]
-pub struct HealthPolicy {
-    /// Consecutive transient errors promoting `Healthy` to `Suspect`.
-    pub suspect_errors: u32,
-    /// Consecutive transient errors promoting to `Degraded`.
-    pub degraded_errors: u32,
-    /// Fatal (non-transient) errors tolerated before `Failed`; each
-    /// fatal error lands the member in at least `Degraded` immediately.
-    pub failed_errors: u32,
-    /// Consecutive clean operations that heal `Suspect` back to
-    /// `Healthy`.
-    pub recover_oks: u32,
-    /// Queue depth at which a member counts as lagging (latency signal):
-    /// a `Healthy` member at or past this depth becomes `Suspect`.
-    pub queue_suspect_depth: u64,
-}
-
-impl Default for HealthPolicy {
-    fn default() -> Self {
-        Self {
-            suspect_errors: 1,
-            degraded_errors: 3,
-            failed_errors: 2,
-            recover_oks: 16,
-            queue_suspect_depth: 1 << 16,
-        }
-    }
-}
+/// Consecutive transient errors promoting `Healthy` to `Suspect`.
+const SUSPECT_ERRORS: u32 = 1;
+/// Consecutive transient errors promoting to `Degraded`.
+const DEGRADED_ERRORS: u32 = 3;
+/// Fatal (non-transient) errors tolerated before `Failed`; each fatal
+/// error lands the member in at least `Degraded` immediately.
+const FAILED_ERRORS: u32 = 2;
+/// Consecutive clean operations that heal `Suspect` back to `Healthy`.
+const RECOVER_OKS: u32 = 16;
+/// Queue depth at which a member counts as lagging (latency signal): a
+/// `Healthy` member at or past this depth becomes `Suspect`.
+const QUEUE_SUSPECT_DEPTH: u64 = 1 << 16;
 
 /// The per-device health state machine. See the module docs.
 #[derive(Clone, Debug)]
-pub struct DeviceHealth {
+pub(crate) struct DeviceHealth {
     member: u64,
-    policy: HealthPolicy,
     state: HealthState,
     consecutive_transient: u32,
     fatal_errors: u32,
     ok_streak: u32,
-    total_errors: u64,
-    latency_trips: u64,
     trace: Trace,
 }
 
 impl DeviceHealth {
     /// A healthy tracker for array member `member`.
-    pub fn new(member: u64, policy: HealthPolicy) -> Self {
+    pub(crate) fn new(member: u64) -> Self {
         Self {
             member,
-            policy,
             state: HealthState::Healthy,
             consecutive_transient: 0,
             fatal_errors: 0,
             ok_streak: 0,
-            total_errors: 0,
-            latency_trips: 0,
             trace: Trace::disabled(),
         }
     }
 
     /// Installs a trace recorder; transitions emit
     /// `device.health.transition` instants.
-    pub fn set_trace(&mut self, trace: Trace) {
+    pub(crate) fn set_trace(&mut self, trace: Trace) {
         self.trace = trace;
     }
 
     /// Current state.
-    pub fn state(&self) -> HealthState {
+    pub(crate) fn state(&self) -> HealthState {
         self.state
-    }
-
-    /// Errors observed since creation.
-    pub fn total_errors(&self) -> u64 {
-        self.total_errors
-    }
-
-    /// Times the queue-depth signal promoted this member.
-    pub fn latency_trips(&self) -> u64 {
-        self.latency_trips
     }
 
     fn transition(&mut self, to: HealthState) {
@@ -172,19 +129,18 @@ impl DeviceHealth {
     /// Feeds one failed operation. `transient` distinguishes a queue
     /// glitch (climbs the ladder gradually) from a medium failure
     /// (jumps to `Degraded`, then `Failed` past the fatal budget).
-    pub fn record_error(&mut self, transient: bool) {
-        self.total_errors += 1;
+    pub(crate) fn record_error(&mut self, transient: bool) {
         self.ok_streak = 0;
         if transient {
             self.consecutive_transient += 1;
-            if self.consecutive_transient >= self.policy.degraded_errors {
+            if self.consecutive_transient >= DEGRADED_ERRORS {
                 self.promote(HealthState::Degraded);
-            } else if self.consecutive_transient >= self.policy.suspect_errors {
+            } else if self.consecutive_transient >= SUSPECT_ERRORS {
                 self.promote(HealthState::Suspect);
             }
         } else {
             self.fatal_errors += 1;
-            if self.fatal_errors >= self.policy.failed_errors {
+            if self.fatal_errors >= FAILED_ERRORS {
                 self.promote(HealthState::Failed);
             } else {
                 self.promote(HealthState::Degraded);
@@ -194,42 +150,44 @@ impl DeviceHealth {
 
     /// Feeds one successful operation. A clean streak heals `Suspect`;
     /// `Degraded`/`Failed` stay until rebuilt.
-    pub fn record_ok(&mut self) {
+    pub(crate) fn record_ok(&mut self) {
         self.consecutive_transient = 0;
         self.ok_streak = self.ok_streak.saturating_add(1);
-        if self.state == HealthState::Suspect && self.ok_streak >= self.policy.recover_oks {
+        if self.state == HealthState::Suspect && self.ok_streak >= RECOVER_OKS {
             self.transition(HealthState::Healthy);
         }
     }
 
     /// Feeds a queue-depth observation (the latency signal from
     /// [`QueueStats`](crate::device::QueueStats)).
-    pub fn observe_queue(&mut self, depth: u64) {
-        if depth >= self.policy.queue_suspect_depth && self.state == HealthState::Healthy {
-            self.latency_trips += 1;
+    pub(crate) fn observe_queue(&mut self, depth: u64) {
+        if depth >= QUEUE_SUSPECT_DEPTH && self.state == HealthState::Healthy {
             self.promote(HealthState::Suspect);
         }
     }
 
     /// Administratively fails the member (pulled drive, dead channel).
-    pub fn force_fail(&mut self) {
+    pub(crate) fn force_fail(&mut self) {
         self.transition(HealthState::Failed);
     }
 
-    /// A replaced/revived member: present again but stale — `Degraded`
-    /// until a rebuild resilvers it.
-    pub fn revive(&mut self) {
+    /// A replaced drive: its error record starts clean, and a `Failed`
+    /// member is present again but stale — `Degraded` until a rebuild
+    /// resilvers it.
+    pub(crate) fn revive(&mut self) {
+        self.consecutive_transient = 0;
+        self.fatal_errors = 0;
+        self.ok_streak = 0;
         if self.state == HealthState::Failed {
             self.transition(HealthState::Degraded);
         }
     }
 
     /// A completed scrub/rebuild verified the member's contents:
-    /// back to `Healthy` with counters cleared.
-    pub fn mark_rebuilt(&mut self) {
-        self.consecutive_transient = 0;
-        self.fatal_errors = 0;
-        self.ok_streak = 0;
+    /// back to `Healthy` with counters cleared. Never called on a
+    /// `Failed` member, which gets no I/O to verify.
+    pub(crate) fn mark_rebuilt(&mut self) {
+        self.revive();
         self.transition(HealthState::Healthy);
     }
 }
@@ -281,7 +239,7 @@ mod tests {
 
     #[test]
     fn transient_errors_climb_the_ladder() {
-        let mut h = DeviceHealth::new(0, HealthPolicy::default());
+        let mut h = DeviceHealth::new(0);
         assert_eq!(h.state(), HealthState::Healthy);
         h.record_error(true);
         assert_eq!(h.state(), HealthState::Suspect);
@@ -292,16 +250,15 @@ mod tests {
 
     #[test]
     fn clean_streak_heals_suspect_but_not_degraded() {
-        let p = HealthPolicy { recover_oks: 3, ..HealthPolicy::default() };
-        let mut h = DeviceHealth::new(0, p);
+        let mut h = DeviceHealth::new(0);
         h.record_error(true);
         assert_eq!(h.state(), HealthState::Suspect);
-        for _ in 0..3 {
+        for _ in 0..RECOVER_OKS {
             h.record_ok();
         }
         assert_eq!(h.state(), HealthState::Healthy);
 
-        for _ in 0..3 {
+        for _ in 0..DEGRADED_ERRORS {
             h.record_error(true);
         }
         assert_eq!(h.state(), HealthState::Degraded);
@@ -315,7 +272,7 @@ mod tests {
 
     #[test]
     fn fatal_errors_jump_to_degraded_then_failed() {
-        let mut h = DeviceHealth::new(0, HealthPolicy::default());
+        let mut h = DeviceHealth::new(0);
         h.record_error(false);
         assert_eq!(h.state(), HealthState::Degraded);
         h.record_error(false);
@@ -324,18 +281,16 @@ mod tests {
 
     #[test]
     fn queue_depth_is_a_latency_signal() {
-        let p = HealthPolicy { queue_suspect_depth: 8, ..HealthPolicy::default() };
-        let mut h = DeviceHealth::new(0, p);
-        h.observe_queue(7);
+        let mut h = DeviceHealth::new(0);
+        h.observe_queue(QUEUE_SUSPECT_DEPTH - 1);
         assert_eq!(h.state(), HealthState::Healthy);
-        h.observe_queue(8);
+        h.observe_queue(QUEUE_SUSPECT_DEPTH);
         assert_eq!(h.state(), HealthState::Suspect);
-        assert_eq!(h.latency_trips(), 1);
     }
 
     #[test]
     fn revive_lands_in_degraded_not_healthy() {
-        let mut h = DeviceHealth::new(0, HealthPolicy::default());
+        let mut h = DeviceHealth::new(0);
         h.force_fail();
         assert_eq!(h.state(), HealthState::Failed);
         h.revive();
@@ -345,7 +300,7 @@ mod tests {
     #[test]
     fn transitions_emit_trace_instants() {
         let t = Trace::recording(|| 0);
-        let mut h = DeviceHealth::new(2, HealthPolicy::default());
+        let mut h = DeviceHealth::new(2);
         h.set_trace(t.clone());
         h.record_error(true);
         h.force_fail();

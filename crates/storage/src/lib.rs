@@ -11,9 +11,9 @@
 //!   latency/bandwidth model and honest crash semantics: a crash drops
 //!   every write that had not yet completed.
 //! * [`raid::Raid0`] — stripes several devices, the testbed's layout.
-//! * [`raid1::Raid1`] — mirrors two striped halves with per-member
-//!   [`health::DeviceHealth`] tracking, read failover, and online
-//!   scrub/rebuild — the degraded-mode layer.
+//! * [`raid1::Raid1`] — mirrors two striped halves, each member one
+//!   record of device, health ladder and stale set, with read failover
+//!   and online scrub/rebuild — the degraded-mode layer.
 
 pub mod device;
 pub mod faulty;
@@ -23,8 +23,8 @@ pub mod raid;
 pub mod raid1;
 
 pub use device::{share, BlockDevice, Completion, DeviceError, QueueStats, SharedDevice};
-pub use faulty::{FaultHandle, FaultPlan, FaultyDevice, WriteOutcome, WriteRecord};
-pub use health::{DeviceHealth, HealthPolicy, HealthReport, HealthState};
+pub use faulty::{FaultHandle, FaultPlan, FaultyDevice};
+pub use health::{HealthReport, HealthState};
 pub use nvme::{NvmeDevice, NvmeParams};
 pub use raid::Raid0;
 pub use raid1::{MirrorHandle, Raid1, ScrubReport};
@@ -59,37 +59,27 @@ pub fn nand_testbed_array(clock: &Clock, per_device_bytes: u64) -> SharedDevice 
 }
 
 /// Like [`testbed_array`], but wrapped in a [`FaultyDevice`] armed with
-/// `plan`. The handle arms/disarms faults and reads the write trace.
+/// `plan`. The handle re-arms and disarms the faults.
 pub fn faulty_testbed_array(
     clock: &Clock,
     per_device_bytes: u64,
     plan: FaultPlan,
 ) -> (SharedDevice, FaultHandle) {
     let raid = stripe(clock, 4, NvmeParams::optane_900p(), per_device_bytes);
-    let (dev, handle) = FaultyDevice::new(Box::new(raid), plan);
+    let dev = FaultyDevice::new(Box::new(raid), plan);
+    let handle = dev.handle();
     (share(dev), handle)
 }
 
 /// The degraded-mode testbed: a [`Raid1`] mirror whose two members are
 /// each a fault-injectable two-way [`Raid0`] stripe of Optane-like
 /// devices (total logical capacity `2 * per_device_bytes`). Returns the
-/// array, the mirror control handle (fail/revive/rebuild/scrub), and one
-/// [`FaultHandle`] per mirror for storm injection.
-pub fn mirrored_testbed_array(
-    clock: &Clock,
-    per_device_bytes: u64,
-) -> (SharedDevice, MirrorHandle, Vec<FaultHandle>) {
-    let mut members: Vec<Box<dyn BlockDevice + Send>> = Vec::new();
-    let mut fault_handles = Vec::new();
-    for _ in 0..2 {
-        let raid = stripe(clock, 2, NvmeParams::optane_900p(), per_device_bytes);
-        let (faulty, fh) = FaultyDevice::new(Box::new(raid), FaultPlan::none());
-        members.push(Box::new(faulty));
-        fault_handles.push(fh);
-    }
-    let (mirror, handle) =
-        Raid1::new(members, HealthPolicy::default()).expect("mirror config is valid");
-    (share(mirror), handle, fault_handles)
+/// array and the mirror control handle (fail/revive/rebuild/scrub, and
+/// each member's fault injector).
+pub fn mirrored_testbed_array(clock: &Clock, per_device_bytes: u64) -> (SharedDevice, MirrorHandle) {
+    let half = || stripe(clock, 2, NvmeParams::optane_900p(), per_device_bytes);
+    let (mirror, handle) = Raid1::new(vec![half(), half()]).expect("mirror config is valid");
+    (share(mirror), handle)
 }
 
 #[cfg(test)]
@@ -108,8 +98,8 @@ mod tests {
     #[test]
     fn mirrored_testbed_array_reports_health_through_the_device() {
         let clock = Clock::new();
-        let (dev, handle, faults) = mirrored_testbed_array(&clock, 1 << 24);
-        assert_eq!(faults.len(), 2);
+        let (dev, handle) = mirrored_testbed_array(&clock, 1 << 24);
+        assert_eq!(handle.members(), 2);
         {
             let dev = dev.lock();
             assert_eq!(dev.capacity_blocks(), 2 * ((1u64 << 24) / 4096));

@@ -134,6 +134,46 @@ impl NvmeDevice {
     fn transfer_ns(&self, bytes: u64, bw: u64) -> u64 {
         bytes.saturating_mul(1_000_000_000).div_ceil(bw)
     }
+
+    /// The one write path. Pipelined model: the transfer occupies the
+    /// channel at its next free slot and the fixed latency overlaps the
+    /// next command. An ordered write (`after`) cannot complete before
+    /// its barrier, but NVMe queues are out of order, so the barrier
+    /// delays only this command — the channel stays available to
+    /// independent commands rather than stalling head-of-line.
+    fn queue_write(&mut self, lba: u64, data: &[u8], after: Option<Completion>) -> Result<Completion> {
+        if data.is_empty() || !data.len().is_multiple_of(BLOCK_SIZE) {
+            return Err(DeviceError::Misaligned { len: data.len(), block_size: BLOCK_SIZE });
+        }
+        let nblocks = (data.len() / BLOCK_SIZE) as u64;
+        self.check(lba, nblocks)?;
+        self.settle();
+        let transfer = self.transfer_ns(data.len() as u64, self.params.write_bw);
+        let chan = self.clock.now().max(self.busy_until);
+        let start = chan.max(after.map_or(0, |a| a.done_at));
+        let done = start + self.params.write_latency_ns + transfer;
+        self.busy_until = chan + transfer;
+        for i in 0..nblocks {
+            let off = i as usize * BLOCK_SIZE;
+            let block: Box<[u8]> = data[off..off + BLOCK_SIZE].into();
+            self.buffered.insert(lba + i, (done, block));
+        }
+        self.bytes_written += data.len() as u64;
+        if self.trace.is_enabled() {
+            let (dur, args) = (done - start, [("lba", lba), ("nblocks", nblocks)]);
+            match after {
+                None => self.trace.complete("storage", "nvme.write", start, dur, &args),
+                Some(a) => self.trace.complete(
+                    "storage",
+                    "nvme.write_after",
+                    start,
+                    dur,
+                    &[args[0], args[1], ("barrier", a.done_at)],
+                ),
+            }
+        }
+        Ok(Completion { done_at: done })
+    }
 }
 
 impl BlockDevice for NvmeDevice {
@@ -190,69 +230,11 @@ impl BlockDevice for NvmeDevice {
     }
 
     fn write(&mut self, lba: u64, data: &[u8]) -> Result<Completion> {
-        if data.is_empty() || !data.len().is_multiple_of(BLOCK_SIZE) {
-            return Err(DeviceError::Misaligned { len: data.len(), block_size: BLOCK_SIZE });
-        }
-        let nblocks = (data.len() / BLOCK_SIZE) as u64;
-        self.check(lba, nblocks)?;
-        self.settle();
-        // Pipelined model: the transfer occupies the channel; the fixed
-        // latency overlaps with the next command.
-        let start = self.clock.now().max(self.busy_until);
-        let done =
-            start + self.params.write_latency_ns + self.transfer_ns(data.len() as u64, self.params.write_bw);
-        self.busy_until = done - self.params.write_latency_ns;
-        for i in 0..nblocks {
-            let off = i as usize * BLOCK_SIZE;
-            let block: Box<[u8]> = data[off..off + BLOCK_SIZE].into();
-            self.buffered.insert(lba + i, (done, block));
-        }
-        self.bytes_written += data.len() as u64;
-        if self.trace.is_enabled() {
-            self.trace.complete(
-                "storage",
-                "nvme.write",
-                start,
-                done - start,
-                &[("lba", lba), ("nblocks", nblocks)],
-            );
-        }
-        Ok(Completion { done_at: done })
+        self.queue_write(lba, data, None)
     }
 
     fn write_after(&mut self, lba: u64, data: &[u8], after: Completion) -> Result<Completion> {
-        if data.is_empty() || !data.len().is_multiple_of(BLOCK_SIZE) {
-            return Err(DeviceError::Misaligned { len: data.len(), block_size: BLOCK_SIZE });
-        }
-        let nblocks = (data.len() / BLOCK_SIZE) as u64;
-        self.check(lba, nblocks)?;
-        self.settle();
-        // Ordered write: cannot complete before the barrier completion.
-        // NVMe queues are out of order, so the barrier delays only this
-        // command — the channel carries the transfer at the next free
-        // slot and stays available to independent commands, rather than
-        // stalling head-of-line until the barrier resolves.
-        let transfer = self.transfer_ns(data.len() as u64, self.params.write_bw);
-        let chan = self.clock.now().max(self.busy_until);
-        let start = chan.max(after.done_at);
-        let done = start + self.params.write_latency_ns + transfer;
-        self.busy_until = chan + transfer;
-        for i in 0..nblocks {
-            let off = i as usize * BLOCK_SIZE;
-            let block: Box<[u8]> = data[off..off + BLOCK_SIZE].into();
-            self.buffered.insert(lba + i, (done, block));
-        }
-        self.bytes_written += data.len() as u64;
-        if self.trace.is_enabled() {
-            self.trace.complete(
-                "storage",
-                "nvme.write_after",
-                start,
-                done - start,
-                &[("lba", lba), ("nblocks", nblocks), ("barrier", after.done_at)],
-            );
-        }
-        Ok(Completion { done_at: done })
+        self.queue_write(lba, data, Some(after))
     }
 
     fn flush(&mut self) -> Completion {

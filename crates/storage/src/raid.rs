@@ -75,6 +75,30 @@ impl Raid0 {
         }
         out
     }
+
+    /// The one write path: each per-member run is issued as its own
+    /// (possibly ordered) command, and the stripe is durable when the
+    /// slowest run is.
+    fn striped_write(&mut self, lba: u64, data: &[u8], after: Option<Completion>) -> Result<Completion> {
+        if data.is_empty() || !data.len().is_multiple_of(self.block_size) {
+            return Err(DeviceError::Misaligned { len: data.len(), block_size: self.block_size });
+        }
+        let nblocks = (data.len() / self.block_size) as u64;
+        if lba + nblocks > self.capacity_blocks {
+            return Err(DeviceError::OutOfRange { lba, nblocks, capacity: self.capacity_blocks });
+        }
+        let mut completion = Completion::immediate(self.clock().now());
+        for (dev, dev_lba, off, run) in self.runs(lba, nblocks) {
+            let byte_off = off as usize * self.block_size;
+            let chunk = &data[byte_off..byte_off + run as usize * self.block_size];
+            let c = match after {
+                Some(a) => self.devices[dev].write_after(dev_lba, chunk, a)?,
+                None => self.devices[dev].write(dev_lba, chunk)?,
+            };
+            completion = completion.join(c);
+        }
+        Ok(completion)
+    }
 }
 
 impl BlockDevice for Raid0 {
@@ -115,40 +139,11 @@ impl BlockDevice for Raid0 {
     }
 
     fn write(&mut self, lba: u64, data: &[u8]) -> Result<Completion> {
-        if data.is_empty() || !data.len().is_multiple_of(self.block_size) {
-            return Err(DeviceError::Misaligned { len: data.len(), block_size: self.block_size });
-        }
-        let nblocks = (data.len() / self.block_size) as u64;
-        if lba + nblocks > self.capacity_blocks {
-            return Err(DeviceError::OutOfRange { lba, nblocks, capacity: self.capacity_blocks });
-        }
-        let mut completion = Completion::immediate(self.clock().now());
-        for (dev, dev_lba, off, run) in self.runs(lba, nblocks) {
-            let byte_off = off as usize * self.block_size;
-            let byte_len = run as usize * self.block_size;
-            let c = self.devices[dev].write(dev_lba, &data[byte_off..byte_off + byte_len])?;
-            completion = completion.join(c);
-        }
-        Ok(completion)
+        self.striped_write(lba, data, None)
     }
 
     fn write_after(&mut self, lba: u64, data: &[u8], after: Completion) -> Result<Completion> {
-        if data.is_empty() || !data.len().is_multiple_of(self.block_size) {
-            return Err(DeviceError::Misaligned { len: data.len(), block_size: self.block_size });
-        }
-        let nblocks = (data.len() / self.block_size) as u64;
-        if lba + nblocks > self.capacity_blocks {
-            return Err(DeviceError::OutOfRange { lba, nblocks, capacity: self.capacity_blocks });
-        }
-        let mut completion = Completion::immediate(self.clock().now());
-        for (dev, dev_lba, off, run) in self.runs(lba, nblocks) {
-            let byte_off = off as usize * self.block_size;
-            let byte_len = run as usize * self.block_size;
-            let c =
-                self.devices[dev].write_after(dev_lba, &data[byte_off..byte_off + byte_len], after)?;
-            completion = completion.join(c);
-        }
-        Ok(completion)
+        self.striped_write(lba, data, Some(after))
     }
 
     fn flush(&mut self) -> Completion {

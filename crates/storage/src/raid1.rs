@@ -1,41 +1,62 @@
 //! RAID-1 mirroring with health-aware failover and online resilver.
 //!
 //! [`Raid1`] keeps a full copy of the logical block space on every
-//! member. Writes go to all members that are not [`Failed`]
-//! (`HealthState::Failed`); a member that misses a write — because it is
-//! failed, dead, or errored — has the missed blocks recorded in its
-//! *dirty set* so a later rebuild can resilver exactly what it lost.
-//! Reads prefer the healthiest member whose copy of the range is not
+//! member. A member is one record: its device, behind its own
+//! [`FaultyDevice`] so any mirror can be stormed; its health ladder; and
+//! its *stale set*, the blocks whose on-medium copy missed a write and
+//! must be resilvered before it can be trusted again. Writes go to all
+//! members that are not [`Failed`]; a member that misses a write —
+//! because it is failed or errored — has the blocks added to its stale
+//! set. Reads prefer the healthiest member whose copy of the range is not
 //! stale and fall back across mirrors on error; a fatal read error on
 //! one mirror triggers read-repair: the block is rewritten in place from
 //! the healthy copy (modelling the device's internal bad-block remap)
 //! and counted in the `raid.*` gauges.
 //!
 //! The [`MirrorHandle`] controls the array from outside the
-//! [`BlockDevice`] box: administrative fail/revive, incremental
-//! [`rebuild_step`](MirrorHandle::rebuild_step) resilvering under
-//! virtual time, a verifying [`scrub`](MirrorHandle::scrub), and the
-//! aggregated [`HealthReport`] the checkpoint scheduler throttles on.
+//! [`BlockDevice`] box and shares its one lock: a member's announced
+//! failure ([`fail_mirror`](MirrorHandle::fail_mirror)) and replacement
+//! ([`revive_mirror`](MirrorHandle::revive_mirror)) are one call each,
+//! incremental [`rebuild_step`](MirrorHandle::rebuild_step) resilvers
+//! under virtual time, a verifying [`scrub`](MirrorHandle::scrub)
+//! repairs, and the aggregated [`HealthReport`] is what the checkpoint
+//! scheduler throttles on. An unannounced death is a fault plan
+//! ([`FaultPlan::die_at_write`](crate::faulty::FaultPlan::die_at_write)):
+//! the ladder learns of it from the errors.
 //!
 //! [`Failed`]: HealthState::Failed
 
-use crate::device::{BlockDevice, Completion, DeviceError, QueueStats, Result, SharedDevice};
-use crate::health::{DeviceHealth, HealthPolicy, HealthReport, HealthState};
+use crate::device::{BlockDevice, Completion, DeviceError, QueueStats, Result};
+use crate::faulty::{FaultHandle, FaultPlan, FaultyDevice};
+use crate::health::{DeviceHealth, HealthReport, HealthState};
 use aurora_sim::sync::Mutex;
 use aurora_sim::Clock;
 use aurora_trace::Trace;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// Shared mutable state between [`Raid1`] and its [`MirrorHandle`].
+/// One mirror: its device, its health, and what it must resilver.
+struct Member {
+    dev: FaultyDevice,
+    health: DeviceHealth,
+    /// Blocks whose on-medium copy is stale (missed or failed writes)
+    /// and must be resilvered before the member's copy can be trusted
+    /// again.
+    stale: BTreeSet<u64>,
+}
+
+impl Member {
+    fn failed(&self) -> bool {
+        self.health.state() == HealthState::Failed
+    }
+}
+
+/// The array's state, shared by [`Raid1`] and its [`MirrorHandle`].
 struct MirrorState {
-    health: Vec<DeviceHealth>,
-    /// Per member: blocks whose on-medium copy is stale (missed or
-    /// failed writes) and must be resilvered before the member's copy
-    /// can be trusted again.
-    dirty: Vec<BTreeSet<u64>>,
-    /// Every logical block ever written through the array — the bound
-    /// for scrub and mirror-identity checks.
+    members: Vec<Member>,
+    /// Every live logical block written through the array — the bound
+    /// for a revived member's resilver, scrub and mirror-identity checks.
+    /// [`BlockDevice::discard`] takes freed blocks back out.
     written: BTreeSet<u64>,
     read_fallbacks: u64,
     bad_blocks_remapped: u64,
@@ -47,30 +68,62 @@ struct MirrorState {
 impl MirrorState {
     fn report(&self) -> HealthReport {
         HealthReport {
-            member_states: self.health.iter().map(|h| h.state()).collect(),
+            member_states: self.members.iter().map(|m| m.health.state()).collect(),
             read_fallbacks: self.read_fallbacks,
             bad_blocks_remapped: self.bad_blocks_remapped,
-            rebuild_pending_blocks: self.dirty.iter().map(|d| d.len() as u64).sum(),
+            rebuild_pending_blocks: self.members.iter().map(|m| m.stale.len() as u64).sum(),
             rebuild_copied_blocks: self.rebuild_copied,
             rebuilds_completed: self.rebuilds_completed,
         }
     }
 
-    /// Marks a member rebuilt if its dirty set drained, emitting the
-    /// completion instant. Returns whether it completed.
-    fn finish_rebuild_if_clean(&mut self, member: usize) -> bool {
-        if !self.dirty[member].is_empty() || self.health[member].state() == HealthState::Healthy {
-            return false;
+    /// Member indices to try for a read of `[lba, lba+n)`: members that
+    /// are not `Failed` and whose copy of the range is not stale,
+    /// healthiest first (ties broken by index for determinism).
+    fn read_candidates(&self, lba: u64, nblocks: u64) -> Vec<usize> {
+        let mut cands: Vec<usize> = (0..self.members.len())
+            .filter(|&i| !self.members[i].failed())
+            .filter(|&i| self.members[i].stale.range(lba..lba + nblocks).next().is_none())
+            .collect();
+        cands.sort_by_key(|&i| (self.members[i].health.state().code(), i));
+        cands
+    }
+
+    /// Picks the member (other than `exclude`) to copy `lba` from: a live
+    /// member with a clean copy when one exists, else the best available
+    /// live copy — degraded redundancy, not data loss, since a revived
+    /// member's conservative full-resilver set can overlap a survivor's
+    /// storm-era stale blocks. The caller marks the chosen copy canonical
+    /// for the block.
+    fn source_for(&self, lba: u64, exclude: usize) -> Result<usize> {
+        let live = |j: &usize| *j != exclude && !self.members[*j].failed();
+        let n = self.members.len();
+        (0..n)
+            .filter(live)
+            .find(|&j| !self.members[j].stale.contains(&lba))
+            .or_else(|| (0..n).filter(live).min_by_key(|&j| (self.members[j].health.state().code(), j)))
+            .ok_or(DeviceError::NoHealthyMirror { lba })
+    }
+
+    /// Marks a member rebuilt if its stale set drained, emitting the
+    /// completion instant.
+    fn finish_rebuild_if_clean(&mut self, member: usize) {
+        let m = &mut self.members[member];
+        if !m.stale.is_empty() || matches!(m.health.state(), HealthState::Healthy | HealthState::Failed)
+        {
+            return;
         }
-        if self.health[member].state() == HealthState::Failed {
-            return false;
-        }
-        self.health[member].mark_rebuilt();
+        m.health.mark_rebuilt();
         self.rebuilds_completed += 1;
         if self.trace.is_enabled() {
             self.trace.instant("storage", "raid.rebuild.complete", &[("member", member as u64)]);
         }
-        true
+    }
+
+    /// Waits out every queued write on the members that get I/O.
+    fn flush(&mut self, now: u64) -> Completion {
+        let live = self.members.iter_mut().filter(|m| !m.failed());
+        live.fold(Completion::immediate(now), |c, m| c.join(m.dev.flush()))
     }
 }
 
@@ -88,9 +141,8 @@ pub struct ScrubReport {
 }
 
 /// A RAID-1 (mirroring) array over homogeneous members with per-member
-/// [`DeviceHealth`] tracking. See the module docs.
+/// health tracking. See the module docs.
 pub struct Raid1 {
-    members: Vec<SharedDevice>,
     state: Arc<Mutex<MirrorState>>,
     block_size: usize,
     capacity_blocks: u64,
@@ -99,15 +151,12 @@ pub struct Raid1 {
 
 impl Raid1 {
     /// Creates a mirror set over `members` (each gets a copy of the
-    /// whole logical space). Returns the array plus the external
-    /// control handle.
+    /// whole logical space, behind its own fault injector). Returns the
+    /// array plus the external control handle.
     ///
     /// Returns [`DeviceError::BadConfig`] for fewer than two members or
     /// heterogeneous geometry.
-    pub fn new(
-        members: Vec<Box<dyn BlockDevice + Send>>,
-        policy: HealthPolicy,
-    ) -> Result<(Self, MirrorHandle)> {
+    pub fn new(members: Vec<impl BlockDevice + Send + 'static>) -> Result<(Self, MirrorHandle)> {
         if members.len() < 2 {
             return Err(DeviceError::BadConfig { reason: "raid1 needs at least two mirrors" });
         }
@@ -122,10 +171,13 @@ impl Raid1 {
                 return Err(DeviceError::BadConfig { reason: "heterogeneous capacities" });
             }
         }
-        let n = members.len();
+        let members = members.into_iter().enumerate().map(|(i, dev)| Member {
+            dev: FaultyDevice::new(Box::new(dev), FaultPlan::none()),
+            health: DeviceHealth::new(i as u64),
+            stale: BTreeSet::new(),
+        });
         let state = Arc::new(Mutex::new(MirrorState {
-            health: (0..n).map(|i| DeviceHealth::new(i as u64, policy)).collect(),
-            dirty: vec![BTreeSet::new(); n],
+            members: members.collect(),
             written: BTreeSet::new(),
             read_fallbacks: 0,
             bad_blocks_remapped: 0,
@@ -133,13 +185,8 @@ impl Raid1 {
             rebuilds_completed: 0,
             trace: Trace::disabled(),
         }));
-        let members: Vec<SharedDevice> = members.into_iter().map(share_boxed).collect();
-        let handle = MirrorHandle {
-            members: members.clone(),
-            state: state.clone(),
-            clock: clock.clone(),
-        };
-        Ok((Self { members, state, block_size, capacity_blocks, clock }, handle))
+        let handle = MirrorHandle { state: state.clone(), clock: clock.clone() };
+        Ok((Self { state, block_size, capacity_blocks, clock }, handle))
     }
 
     fn check_range(&self, lba: u64, nblocks: u64) -> Result<()> {
@@ -154,71 +201,6 @@ impl Raid1 {
             return Err(DeviceError::Misaligned { len: data.len(), block_size: self.block_size });
         }
         Ok((data.len() / self.block_size) as u64)
-    }
-
-    /// Member indices to try for a read of `[lba, lba+n)`: members that
-    /// are not `Failed` and whose copy of the range is not stale,
-    /// healthiest first (ties broken by index for determinism).
-    fn read_candidates(st: &MirrorState, lba: u64, nblocks: u64) -> Vec<usize> {
-        let mut cands: Vec<usize> = (0..st.health.len())
-            .filter(|&i| st.health[i].state() != HealthState::Failed)
-            .filter(|&i| st.dirty[i].range(lba..lba + nblocks).next().is_none())
-            .collect();
-        cands.sort_by_key(|&i| (st.health[i].state().code(), i));
-        cands
-    }
-}
-
-fn share_boxed(dev: Box<dyn BlockDevice + Send>) -> SharedDevice {
-    Arc::new(Mutex::new(BoxedDevice(dev)))
-}
-
-/// Adapter so a `Box<dyn BlockDevice + Send>` fits in a
-/// [`SharedDevice`] without re-boxing the trait object.
-struct BoxedDevice(Box<dyn BlockDevice + Send>);
-
-impl BlockDevice for BoxedDevice {
-    fn block_size(&self) -> usize {
-        self.0.block_size()
-    }
-    fn capacity_blocks(&self) -> u64 {
-        self.0.capacity_blocks()
-    }
-    fn clock(&self) -> &Clock {
-        self.0.clock()
-    }
-    fn read(&mut self, lba: u64, nblocks: u64) -> Result<Vec<u8>> {
-        self.0.read(lba, nblocks)
-    }
-    fn read_from(&mut self, lba: u64, nblocks: u64, issue_at: u64) -> Result<(Vec<u8>, u64)> {
-        self.0.read_from(lba, nblocks, issue_at)
-    }
-    fn write(&mut self, lba: u64, data: &[u8]) -> Result<Completion> {
-        self.0.write(lba, data)
-    }
-    fn write_after(&mut self, lba: u64, data: &[u8], after: Completion) -> Result<Completion> {
-        self.0.write_after(lba, data, after)
-    }
-    fn flush(&mut self) -> Completion {
-        self.0.flush()
-    }
-    fn crash(&mut self) {
-        self.0.crash();
-    }
-    fn bytes_written(&self) -> u64 {
-        self.0.bytes_written()
-    }
-    fn geometry(&self) -> (u64, u64) {
-        self.0.geometry()
-    }
-    fn set_trace(&mut self, trace: Trace) {
-        self.0.set_trace(trace);
-    }
-    fn queue_stats(&self) -> QueueStats {
-        self.0.queue_stats()
-    }
-    fn health_report(&self) -> HealthReport {
-        self.0.health_report()
     }
 }
 
@@ -244,8 +226,9 @@ impl BlockDevice for Raid1 {
 
     fn read_from(&mut self, lba: u64, nblocks: u64, issue_at: u64) -> Result<(Vec<u8>, u64)> {
         self.check_range(lba, nblocks)?;
-        let mut st = self.state.lock();
-        let cands = Self::read_candidates(&st, lba, nblocks);
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        let cands = st.read_candidates(lba, nblocks);
         if cands.is_empty() {
             return Err(DeviceError::NoHealthyMirror { lba });
         }
@@ -254,9 +237,9 @@ impl BlockDevice for Raid1 {
         let mut fatal_failures: Vec<usize> = Vec::new();
         let mut last_err = DeviceError::NoHealthyMirror { lba };
         for (rank, &i) in cands.iter().enumerate() {
-            match self.members[i].lock().read_from(lba, nblocks, issue_at) {
+            match st.members[i].dev.read_from(lba, nblocks, issue_at) {
                 Ok((data, done)) => {
-                    st.health[i].record_ok();
+                    st.members[i].health.record_ok();
                     if rank > 0 {
                         st.read_fallbacks += 1;
                         if st.trace.is_enabled() {
@@ -272,35 +255,25 @@ impl BlockDevice for Raid1 {
                     // remaps the bad sectors on write, and the mirror's
                     // copy is fresh again.
                     for &bad in &fatal_failures {
-                        if st.health[bad].state() == HealthState::Failed {
-                            for b in lba..lba + nblocks {
-                                st.dirty[bad].insert(b);
-                            }
+                        let m = &mut st.members[bad];
+                        if m.failed() || m.dev.write(lba, &data).is_err() {
+                            m.stale.extend(lba..lba + nblocks);
                             continue;
                         }
-                        match self.members[bad].lock().write(lba, &data) {
-                            Ok(_) => {
-                                st.bad_blocks_remapped += nblocks;
-                                if st.trace.is_enabled() {
-                                    st.trace.instant(
-                                        "storage",
-                                        "raid.remap",
-                                        &[("lba", lba), ("member", bad as u64), ("blocks", nblocks)],
-                                    );
-                                }
-                            }
-                            Err(_) => {
-                                for b in lba..lba + nblocks {
-                                    st.dirty[bad].insert(b);
-                                }
-                            }
+                        st.bad_blocks_remapped += nblocks;
+                        if st.trace.is_enabled() {
+                            st.trace.instant(
+                                "storage",
+                                "raid.remap",
+                                &[("lba", lba), ("member", bad as u64), ("blocks", nblocks)],
+                            );
                         }
                     }
                     return Ok((data, done));
                 }
                 Err(e) => {
                     let transient = e.is_transient();
-                    st.health[i].record_error(transient);
+                    st.members[i].health.record_error(transient);
                     if !transient {
                         fatal_failures.push(i);
                     }
@@ -327,58 +300,51 @@ impl BlockDevice for Raid1 {
     }
 
     fn flush(&mut self) -> Completion {
-        let failed: Vec<bool> = {
-            let st = self.state.lock();
-            st.health.iter().map(|h| h.state() == HealthState::Failed).collect()
-        };
-        let mut completion = Completion::immediate(self.clock.now());
-        for (i, m) in self.members.iter().enumerate() {
-            if failed[i] {
-                continue;
-            }
-            completion = completion.join(m.lock().flush());
-        }
+        let completion = self.state.lock().flush(self.clock.now());
         self.clock.advance_to(completion.done_at);
         completion
     }
 
     fn crash(&mut self) {
-        for m in &self.members {
-            m.lock().crash();
+        for m in &mut self.state.lock().members {
+            m.dev.crash();
         }
     }
 
     fn bytes_written(&self) -> u64 {
-        self.members.iter().map(|m| m.lock().bytes_written()).sum()
+        self.state.lock().members.iter().map(|m| m.dev.bytes_written()).sum()
+    }
+
+    /// Freed blocks leave the resilver, scrub and identity bound and
+    /// every member's stale set: nobody reads them before the next write,
+    /// which goes to every live member.
+    fn discard(&mut self, lba: u64, nblocks: u64) {
+        let mut st = self.state.lock();
+        for b in lba..lba + nblocks {
+            st.written.remove(&b);
+            for m in &mut st.members {
+                m.stale.remove(&b);
+            }
+        }
     }
 
     fn geometry(&self) -> (u64, u64) {
-        self.members[0].lock().geometry()
+        self.state.lock().members[0].dev.geometry()
     }
 
     fn set_trace(&mut self, trace: Trace) {
-        {
-            let mut st = self.state.lock();
-            st.trace = trace.clone();
-            for h in &mut st.health {
-                h.set_trace(trace.clone());
-            }
-        }
-        for m in &self.members {
-            m.lock().set_trace(trace.clone());
+        let mut st = self.state.lock();
+        st.trace = trace.clone();
+        for m in &mut st.members {
+            m.health.set_trace(trace.clone());
+            m.dev.set_trace(trace.clone());
         }
     }
 
     fn queue_stats(&self) -> QueueStats {
-        let failed: Vec<bool> = {
-            let st = self.state.lock();
-            st.health.iter().map(|h| h.state() == HealthState::Failed).collect()
-        };
-        self.members
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !failed[*i])
-            .fold(QueueStats::default(), |acc, (_, m)| acc.merge(m.lock().queue_stats()))
+        let st = self.state.lock();
+        let live = st.members.iter().filter(|m| !m.failed());
+        live.fold(QueueStats::default(), |acc, m| acc.merge(m.dev.queue_stats()))
     }
 
     fn health_report(&self) -> HealthReport {
@@ -388,56 +354,46 @@ impl BlockDevice for Raid1 {
 
 impl Raid1 {
     /// The common write path: every non-failed member gets the write;
-    /// members that miss it (failed, or erroring now) accumulate the
-    /// blocks in their dirty set for a later resilver. The write
-    /// succeeds as long as one mirror carries it — that is the point of
-    /// mirroring — and its durability is the join of the successful
-    /// copies.
+    /// members that miss it (failed, or erroring now) add the blocks to
+    /// their stale set for a later resilver. The write succeeds as long
+    /// as one mirror carries it — that is the point of mirroring — and
+    /// its durability is the join of the successful copies.
     fn mirrored_write(&mut self, lba: u64, data: &[u8], after: Option<Completion>) -> Result<Completion> {
         let nblocks = self.check_aligned(data)?;
         self.check_range(lba, nblocks)?;
         let mut st = self.state.lock();
         let mut completion: Option<Completion> = None;
         let mut last_err: Option<DeviceError> = None;
-        for i in 0..self.members.len() {
-            if st.health[i].state() == HealthState::Failed {
-                for b in lba..lba + nblocks {
-                    st.dirty[i].insert(b);
-                }
+        for m in &mut st.members {
+            if m.failed() {
+                m.stale.extend(lba..lba + nblocks);
                 continue;
             }
-            let mut dev = self.members[i].lock();
             let res = match after {
-                Some(a) => dev.write_after(lba, data, a),
-                None => dev.write(lba, data),
+                Some(a) => m.dev.write_after(lba, data, a),
+                None => m.dev.write(lba, data),
             };
-            let depth = dev.queue_stats().depth;
-            drop(dev);
             match res {
                 Ok(c) => {
-                    st.health[i].record_ok();
-                    st.health[i].observe_queue(depth);
+                    m.health.record_ok();
+                    m.health.observe_queue(m.dev.queue_stats().depth);
                     // A fresh write supersedes any staleness of these
                     // blocks on this member.
                     for b in lba..lba + nblocks {
-                        st.dirty[i].remove(&b);
+                        m.stale.remove(&b);
                     }
                     completion = Some(completion.map_or(c, |have| have.join(c)));
                 }
                 Err(e) => {
-                    st.health[i].record_error(e.is_transient());
-                    for b in lba..lba + nblocks {
-                        st.dirty[i].insert(b);
-                    }
+                    m.health.record_error(e.is_transient());
+                    m.stale.extend(lba..lba + nblocks);
                     last_err = Some(e);
                 }
             }
         }
         match completion {
             Some(c) => {
-                for b in lba..lba + nblocks {
-                    st.written.insert(b);
-                }
+                st.written.extend(lba..lba + nblocks);
                 Ok(c)
             }
             None => {
@@ -456,26 +412,13 @@ impl Raid1 {
 }
 
 /// External control of a [`Raid1`] after it is boxed behind the
-/// [`BlockDevice`] trait: administrative fail/revive, incremental
-/// rebuild, verifying scrub, and health inspection. Cloneable; all
-/// clones share the array's state.
+/// [`BlockDevice`] trait: announced failure and replacement, incremental
+/// rebuild, verifying scrub, fault injection per member, and health
+/// inspection. Cloneable; all clones share the array's state.
 #[derive(Clone)]
 pub struct MirrorHandle {
-    members: Vec<SharedDevice>,
     state: Arc<Mutex<MirrorState>>,
     clock: Clock,
-}
-
-/// Picks the member to copy `lba` from: a live member with a clean copy
-/// when one exists, else the best available live copy — degraded
-/// redundancy, not data loss, since a revived member's conservative
-/// full-resilver dirty set can overlap a survivor's storm-era dirty
-/// blocks. The caller marks the chosen copy canonical for the block.
-fn pick_source(st: &MirrorState, exclude: usize, lba: u64, n: usize) -> Option<usize> {
-    let live = |j: usize| j != exclude && st.health[j].state() != HealthState::Failed;
-    (0..n)
-        .find(|&j| live(j) && !st.dirty[j].contains(&lba))
-        .or_else(|| (0..n).filter(|&j| live(j)).min_by_key(|&j| (st.health[j].state().code(), j)))
 }
 
 impl MirrorHandle {
@@ -487,34 +430,43 @@ impl MirrorHandle {
 
     /// Number of mirrors.
     pub fn members(&self) -> usize {
-        self.members.len()
+        self.state.lock().members.len()
     }
 
-    /// Administratively fails a member (pulled drive / dead channel).
-    /// Subsequent writes skip it and accumulate in its dirty set.
+    /// The fault injector in front of `member`, for storms and
+    /// unannounced deaths ([`FaultPlan::die_at_write`]).
+    pub fn faults(&self, member: usize) -> FaultHandle {
+        self.state.lock().members[member].dev.handle()
+    }
+
+    /// The one announced failure (pulled drive / dead channel): the
+    /// member goes `Failed` at once, gets no further I/O, and its missed
+    /// writes accumulate in its stale set.
     pub fn fail_mirror(&self, member: usize) {
-        self.state.lock().health[member].force_fail();
+        self.state.lock().members[member].health.force_fail();
     }
 
-    /// Marks a failed member present again — `Degraded` (stale) until a
-    /// rebuild drains its dirty set. If the member sits behind a fault
-    /// injector, clear its faults first.
+    /// The whole replace-the-drive event: the member's injector is
+    /// cleared, its error record starts clean, a `Failed` member comes
+    /// back `Degraded`, and a full resilver is scheduled.
     ///
-    /// A revived drive is untrusted: every block ever written through
-    /// the array is scheduled for resilver, not just the writes the
-    /// array knew it missed — writes lost *in flight* when the member
-    /// died never made it into the dirty set, and only a full resilver
-    /// (or a verifying [`scrub`](MirrorHandle::scrub)) catches them.
+    /// A replacement drive is untrusted: every live block written through
+    /// the array is scheduled for resilver, not just the writes the array
+    /// knew it missed — writes lost *in flight* when the member died never
+    /// made it into the stale set, and only a full resilver (or a
+    /// verifying [`scrub`](MirrorHandle::scrub)) catches them.
     pub fn revive_mirror(&self, member: usize) {
-        let mut st = self.state.lock();
-        st.health[member].revive();
-        let written: Vec<u64> = st.written.iter().copied().collect();
-        st.dirty[member].extend(written);
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        let m = &mut st.members[member];
+        m.dev.handle().clear_faults();
+        m.health.revive();
+        m.stale.extend(st.written.iter().copied());
     }
 
     /// Blocks still awaiting resilver on `member`.
     pub fn rebuild_pending(&self, member: usize) -> u64 {
-        self.state.lock().dirty[member].len() as u64
+        self.state.lock().members[member].stale.len() as u64
     }
 
     /// Copies up to `max_blocks` stale blocks onto `member` from the
@@ -523,82 +475,59 @@ impl MirrorHandle {
     /// driver interleaves with live traffic. Completing the last block
     /// returns the member to `Healthy`. Returns blocks copied.
     pub fn rebuild_step(&self, member: usize, max_blocks: u64) -> Result<u64> {
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
         let mut copied = 0u64;
         while copied < max_blocks {
-            let (lba, source) = {
-                let st = self.state.lock();
-                let Some(&lba) = st.dirty[member].iter().next() else { break };
-                let Some(source) = pick_source(&st, member, lba, self.members.len()) else {
-                    return Err(DeviceError::NoHealthyMirror { lba });
-                };
-                (lba, source)
-            };
-            let (data, done) = self.members[source].lock().read_from(lba, 1, self.clock.now())?;
+            let Some(&lba) = st.members[member].stale.first() else { break };
+            let source = st.source_for(lba, member)?;
+            let (data, done) = st.members[source].dev.read_from(lba, 1, self.clock.now())?;
             self.clock.advance_to(done);
-            self.members[member].lock().write(lba, &data)?;
-            let mut st = self.state.lock();
-            st.dirty[member].remove(&lba);
+            st.members[member].dev.write(lba, &data)?;
+            st.members[member].stale.remove(&lba);
             // The copy we resilvered from is canonical for this block now.
-            st.dirty[source].remove(&lba);
+            st.members[source].stale.remove(&lba);
             st.rebuild_copied += 1;
             copied += 1;
         }
-        let mut st = self.state.lock();
         st.finish_rebuild_if_clean(member);
         Ok(copied)
     }
 
-    /// A full verifying scrub: every block ever written is read from
-    /// every non-failed mirror and compared; stale, unreadable, or
-    /// divergent copies are repaired from a clean reference. Members
-    /// whose dirty set drains (and any `Suspect`/`Degraded` member that
-    /// verified clean) return to `Healthy`.
+    /// A full verifying scrub: every live block is read from every
+    /// non-failed mirror and compared; stale, unreadable, or divergent
+    /// copies are repaired from a clean reference. Members whose stale
+    /// set drains (and any `Suspect`/`Degraded` member that verified
+    /// clean) return to `Healthy`.
     pub fn scrub(&self) -> Result<ScrubReport> {
-        let written: Vec<u64> = self.state.lock().written.iter().copied().collect();
-        let n = self.members.len();
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
         let mut report = ScrubReport::default();
-        for lba in written {
-            let (reference, skip): (usize, Vec<bool>) = {
-                let st = self.state.lock();
-                let skip: Vec<bool> =
-                    (0..n).map(|i| st.health[i].state() == HealthState::Failed).collect();
-                let Some(reference) = pick_source(&st, n, lba, n) else {
-                    return Err(DeviceError::NoHealthyMirror { lba });
-                };
-                (reference, skip)
-            };
-            let (ref_data, done) =
-                self.members[reference].lock().read_from(lba, 1, self.clock.now())?;
+        for &lba in &st.written {
+            let reference = st.source_for(lba, st.members.len())?;
+            let (ref_data, done) = st.members[reference].dev.read_from(lba, 1, self.clock.now())?;
             self.clock.advance_to(done);
             // The reference copy is canonical for this block now (it may
-            // have been a best-available fallback carrying a dirty mark).
-            self.state.lock().dirty[reference].remove(&lba);
+            // have been a best-available fallback carrying a stale mark).
+            st.members[reference].stale.remove(&lba);
             report.checked_blocks += 1;
-            for (i, &skipped) in skip.iter().enumerate() {
-                if i == reference || skipped {
+            for (i, m) in st.members.iter_mut().enumerate() {
+                if i == reference || m.failed() {
                     continue;
                 }
-                let stale = self.state.lock().dirty[i].contains(&lba);
-                let needs_repair = if stale {
-                    true
-                } else {
-                    match self.members[i].lock().read_from(lba, 1, self.clock.now()) {
+                let needs_repair = m.stale.contains(&lba)
+                    || match m.dev.read_from(lba, 1, self.clock.now()) {
                         Ok((data, done)) => {
                             self.clock.advance_to(done);
-                            if data != ref_data {
-                                report.mismatched_blocks += 1;
-                                true
-                            } else {
-                                false
-                            }
+                            let differs = data != ref_data;
+                            report.mismatched_blocks += differs as u64;
+                            differs
                         }
                         Err(_) => true,
-                    }
-                };
+                    };
                 if needs_repair {
-                    self.members[i].lock().write(lba, &ref_data)?;
-                    let mut st = self.state.lock();
-                    st.dirty[i].remove(&lba);
+                    m.dev.write(lba, &ref_data)?;
+                    m.stale.remove(&lba);
                     st.bad_blocks_remapped += 1;
                     report.repaired_blocks += 1;
                 }
@@ -606,30 +535,22 @@ impl MirrorHandle {
         }
         // Everything written has been verified or repaired on every
         // non-failed member: the survivors are trustworthy again.
-        let mut st = self.state.lock();
-        for i in 0..n {
+        for i in 0..st.members.len() {
             st.finish_rebuild_if_clean(i);
         }
         Ok(report)
     }
 
-    /// Reads every written block from every non-failed mirror and
-    /// compares, repairing nothing: the byte-identity check the
-    /// degraded-mode acceptance test asserts after a rebuild.
+    /// Reads every live block from every non-failed mirror and compares,
+    /// repairing nothing: the byte-identity check the degraded-mode
+    /// acceptance test asserts after a rebuild.
     pub fn mirrors_identical(&self) -> Result<bool> {
-        let written: Vec<u64> = self.state.lock().written.iter().copied().collect();
-        let n = self.members.len();
-        let skip: Vec<bool> = {
-            let st = self.state.lock();
-            (0..n).map(|i| st.health[i].state() == HealthState::Failed).collect()
-        };
-        for lba in written {
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        for &lba in &st.written {
             let mut reference: Option<Vec<u8>> = None;
-            for (i, &skipped) in skip.iter().enumerate() {
-                if skipped {
-                    continue;
-                }
-                let (data, done) = self.members[i].lock().read_from(lba, 1, self.clock.now())?;
+            for m in st.members.iter_mut().filter(|m| !m.failed()) {
+                let (data, done) = m.dev.read_from(lba, 1, self.clock.now())?;
                 self.clock.advance_to(done);
                 match &reference {
                     None => reference = Some(data),
@@ -644,61 +565,39 @@ impl MirrorHandle {
     /// Waits out all queued writes on every non-failed member (test
     /// helper mirroring [`BlockDevice::flush`]).
     pub fn flush_members(&self) {
-        let skip: Vec<bool> = {
-            let st = self.state.lock();
-            st.health.iter().map(|h| h.state() == HealthState::Failed).collect()
-        };
-        for (i, m) in self.members.iter().enumerate() {
-            if !skip[i] {
-                m.lock().flush();
-            }
-        }
+        self.state.lock().flush(self.clock.now());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faulty::{FaultPlan, FaultyDevice};
     use crate::nvme::{NvmeDevice, NvmeParams, BLOCK_SIZE};
 
-    fn plain_member(clock: &Clock) -> Box<dyn BlockDevice + Send> {
-        Box::new(NvmeDevice::new(clock.clone(), NvmeParams::optane_900p(), 1 << 24))
+    fn plain_member(clock: &Clock) -> NvmeDevice {
+        NvmeDevice::new(clock.clone(), NvmeParams::optane_900p(), 1 << 24)
     }
 
     fn mirror() -> (Raid1, MirrorHandle) {
         let clock = Clock::new();
-        Raid1::new(vec![plain_member(&clock), plain_member(&clock)], HealthPolicy::default())
-            .unwrap()
+        Raid1::new(vec![plain_member(&clock), plain_member(&clock)]).unwrap()
     }
 
-    fn faulty_mirror() -> (Raid1, MirrorHandle, Vec<crate::faulty::FaultHandle>) {
-        let clock = Clock::new();
-        let mut members: Vec<Box<dyn BlockDevice + Send>> = Vec::new();
-        let mut handles = Vec::new();
-        for _ in 0..2 {
-            let (f, h) = FaultyDevice::new(plain_member(&clock), FaultPlan::none());
-            members.push(Box::new(f));
-            handles.push(h);
-        }
-        let (r, mh) = Raid1::new(members, HealthPolicy::default()).unwrap();
-        (r, mh, handles)
+    /// Arms `member` to die at its next write: the unannounced death.
+    fn die_at_next_write(h: &MirrorHandle, member: usize) {
+        let faults = h.faults(member);
+        faults.set_plan(FaultPlan { die_at_write: Some(faults.writes_seen()), ..FaultPlan::none() });
     }
 
     #[test]
     fn constructor_rejects_bad_configs() {
         let clock = Clock::new();
-        let err = Raid1::new(vec![plain_member(&clock)], HealthPolicy::default())
-            .err()
-            .expect("one mirror is not a mirror");
+        let err = Raid1::new(vec![plain_member(&clock)]).err().expect("one mirror is not a mirror");
         assert!(matches!(err, DeviceError::BadConfig { .. }));
 
         let a = plain_member(&clock);
-        let b: Box<dyn BlockDevice + Send> =
-            Box::new(NvmeDevice::new(clock.clone(), NvmeParams::optane_900p(), 1 << 25));
-        let err = Raid1::new(vec![a, b], HealthPolicy::default())
-            .err()
-            .expect("mixed capacities must fail");
+        let b = NvmeDevice::new(clock.clone(), NvmeParams::optane_900p(), 1 << 25);
+        let err = Raid1::new(vec![a, b]).err().expect("mixed capacities must fail");
         assert!(matches!(err, DeviceError::BadConfig { .. }));
     }
 
@@ -715,12 +614,12 @@ mod tests {
 
     #[test]
     fn write_survives_one_dead_mirror_and_rebuild_resilvers() {
-        let (mut r, h, fh) = faulty_mirror();
+        let (mut r, h) = mirror();
         r.write(0, &vec![1u8; BLOCK_SIZE]).unwrap();
         r.flush();
 
-        // Mirror 0 dies: writes keep succeeding on the survivor.
-        fh[0].kill();
+        // Mirror 0 is pulled: writes keep succeeding on the survivor.
+        h.fail_mirror(0);
         for i in 1..5u64 {
             r.write(i, &vec![i as u8; BLOCK_SIZE]).unwrap();
         }
@@ -731,7 +630,6 @@ mod tests {
         assert_eq!(r.read(3, 1).unwrap(), vec![3u8; BLOCK_SIZE], "survivor serves reads");
 
         // Replace the mirror and resilver it incrementally.
-        fh[0].revive();
         h.revive_mirror(0);
         assert_eq!(h.health_report().member_states[0], HealthState::Degraded);
         while h.rebuild_pending(0) > 0 {
@@ -745,13 +643,13 @@ mod tests {
 
     #[test]
     fn read_falls_back_and_remaps_bad_blocks() {
-        let (mut r, _h, fh) = faulty_mirror();
+        let (mut r, h) = mirror();
         r.write(7, &vec![9u8; BLOCK_SIZE]).unwrap();
         r.flush();
 
         // Mirror 0 grows a bad block at lba 7: the read falls back to
         // mirror 1 and repairs mirror 0 in place.
-        fh[0].set_plan(FaultPlan { bad_read_blocks: [7].into(), ..FaultPlan::none() });
+        h.faults(0).set_plan(FaultPlan { bad_read_blocks: [7].into(), ..FaultPlan::none() });
         assert_eq!(r.read(7, 1).unwrap(), vec![9u8; BLOCK_SIZE]);
         let report = r.health_report();
         assert_eq!(report.read_fallbacks, 1);
@@ -763,13 +661,12 @@ mod tests {
 
     #[test]
     fn stale_member_is_never_read() {
-        let (mut r, h, fh) = faulty_mirror();
+        let (mut r, h) = mirror();
         r.write(0, &vec![1u8; BLOCK_SIZE]).unwrap();
         r.flush();
-        fh[0].kill();
+        h.fail_mirror(0);
         r.write(0, &vec![2u8; BLOCK_SIZE]).unwrap();
         r.flush();
-        fh[0].revive();
         h.revive_mirror(0);
         // Mirror 0 is back but stale at lba 0: reads must come from 1.
         assert_eq!(r.read(0, 1).unwrap(), vec![2u8; BLOCK_SIZE]);
@@ -777,11 +674,11 @@ mod tests {
 
     #[test]
     fn all_mirrors_failed_is_a_structured_error() {
-        let (mut r, _h, fh) = faulty_mirror();
+        let (mut r, h) = mirror();
         r.write(0, &vec![1u8; BLOCK_SIZE]).unwrap();
         r.flush();
-        fh[0].kill();
-        fh[1].kill();
+        die_at_next_write(&h, 0);
+        die_at_next_write(&h, 1);
         // Two fatal write errors push both members to Failed.
         for _ in 0..2 {
             let _ = r.write(1, &vec![1u8; BLOCK_SIZE]);
@@ -795,11 +692,11 @@ mod tests {
 
     #[test]
     fn scrub_detects_and_repairs_divergence() {
-        let (mut r, h, _fh) = faulty_mirror();
+        let (mut r, h) = mirror();
         r.write(4, &vec![6u8; BLOCK_SIZE]).unwrap();
         r.flush();
         // Corrupt mirror 1 behind the array's back.
-        h.members[1].lock().write(4, &vec![0xEEu8; BLOCK_SIZE]).unwrap();
+        h.state.lock().members[1].dev.write(4, &vec![0xEEu8; BLOCK_SIZE]).unwrap();
         h.flush_members();
         assert!(!h.mirrors_identical().unwrap());
         let rep = h.scrub().unwrap();
@@ -817,5 +714,66 @@ mod tests {
         let boxed: Box<dyn BlockDevice + Send> = Box::new(r);
         assert_eq!(boxed.health_report(), h.health_report());
         assert_eq!(boxed.health_report().member_states.len(), 2);
+    }
+
+    /// A replaced drive starts with a clean error record: its first fatal
+    /// error after the revive is its first, not the dead drive's third.
+    #[test]
+    fn revived_member_starts_with_a_clean_error_record() {
+        let (mut r, h) = mirror();
+        die_at_next_write(&h, 0);
+        for b in 0..2 {
+            r.write(b, &vec![1u8; BLOCK_SIZE]).unwrap();
+        }
+        assert_eq!(h.health_report().member_states[0], HealthState::Failed, "two fatal errors");
+        h.revive_mirror(0);
+        assert_eq!(h.health_report().member_states[0], HealthState::Degraded);
+        die_at_next_write(&h, 0);
+        r.write(2, &vec![1u8; BLOCK_SIZE]).unwrap();
+        assert_eq!(
+            h.health_report().member_states[0],
+            HealthState::Degraded,
+            "one fatal error on the replacement degrades it; it does not fail it"
+        );
+    }
+
+    /// An unannounced death needs no second handle to undo: one
+    /// `revive_mirror` clears the injector, and the rebuild runs to
+    /// `Healthy` with identical mirrors.
+    #[test]
+    fn one_call_revives_a_member_killed_by_die_at_write() {
+        let (mut r, h) = mirror();
+        r.write(0, &vec![1u8; BLOCK_SIZE]).unwrap();
+        r.flush();
+        die_at_next_write(&h, 0);
+        for b in 1..6u64 {
+            r.write(b, &vec![b as u8; BLOCK_SIZE]).unwrap();
+        }
+        r.flush();
+        assert_eq!(h.health_report().member_states[0], HealthState::Failed);
+        h.revive_mirror(0);
+        while h.rebuild_pending(0) > 0 {
+            assert!(h.rebuild_step(0, 4).unwrap() > 0);
+        }
+        h.flush_members();
+        assert_eq!(h.health_report().member_states[0], HealthState::Healthy);
+        assert!(h.mirrors_identical().unwrap());
+    }
+
+    /// A discarded range leaves the resilver bound and every stale set;
+    /// the next write brings it back.
+    #[test]
+    fn discard_forgets_freed_blocks() {
+        let (mut r, h) = mirror();
+        r.write(0, &vec![1u8; 8 * BLOCK_SIZE]).unwrap();
+        h.fail_mirror(0);
+        r.write(2, &vec![2u8; 4 * BLOCK_SIZE]).unwrap();
+        assert_eq!(h.rebuild_pending(0), 4, "missed while failed");
+        r.discard(3, 4);
+        assert_eq!(h.rebuild_pending(0), 1, "only block 2 is still live and missed");
+        h.revive_mirror(0);
+        assert_eq!(h.rebuild_pending(0), 4, "blocks 0-2 and 7 are live");
+        r.write(4, &vec![3u8; BLOCK_SIZE]).unwrap();
+        assert_eq!(h.state.lock().written.len(), 5, "a rewrite makes a block live again");
     }
 }
