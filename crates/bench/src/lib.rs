@@ -93,7 +93,7 @@ impl BenchReport {
     /// Merges `h` into the named histogram (creating it on first use) —
     /// per-run histograms accumulate via [`aurora_trace::Histogram::merge`].
     pub fn merge_histogram(&mut self, name: &str, h: &aurora_trace::Histogram) {
-        if h.count == 0 {
+        if h.count() == 0 {
             return;
         }
         match self.histograms.iter_mut().find(|(n, _)| n == name) {
@@ -145,14 +145,14 @@ impl BenchReport {
                     "\"{}\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{},\
                      \"p50\":{},\"p95\":{},\"p99\":{}}}",
                     escape(name),
-                    h.count,
-                    h.sum,
-                    if h.count == 0 { 0 } else { h.min },
-                    h.max,
+                    h.count(),
+                    h.sum(),
+                    h.min(),
+                    h.max(),
                     h.mean(),
-                    h.percentile(50),
-                    h.percentile(95),
-                    h.percentile(99),
+                    h.percentile(50.0),
+                    h.percentile(95.0),
+                    h.percentile(99.0),
                 ));
             }
             out.push('}');

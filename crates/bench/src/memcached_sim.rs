@@ -14,7 +14,7 @@ use aurora_apps::memcached::Memcached;
 use aurora_core::world::World;
 use aurora_core::{AuroraApi, SlsOptions};
 use aurora_sim::units::{MS, SEC};
-use aurora_sim::Histogram;
+use aurora_trace::Histogram;
 use aurora_vm::CollapseMode;
 use aurora_workloads::mutilate::{McOp, Mutilate, MutilateConfig};
 use std::cmp::Reverse;
@@ -86,7 +86,7 @@ pub fn run(cfg: McSimConfig) -> McSimResult {
     let deadline = t0 + cfg.duration_ns;
     let mut next_ckpt = cfg.period_ns.map(|p| t0 + p);
     let mut checkpoints = 0u64;
-    let mut lat = Histogram::new();
+    let mut lat = Histogram::default();
     let mut completed = 0u64;
 
     // The pending-request queue: (client send time, connection id).
@@ -149,7 +149,7 @@ pub fn run(cfg: McSimConfig) -> McSimResult {
     let elapsed = (w.clock.now().max(t0 + 1) - t0) as f64 / SEC as f64;
     McSimResult {
         throughput: completed as f64 / elapsed,
-        avg_ns: lat.mean() as u64,
+        avg_ns: lat.mean(),
         p95_ns: lat.percentile(95.0),
         checkpoints,
     }

@@ -271,13 +271,13 @@ pub fn run() -> BenchReport {
             name.to_string(),
             format!("{:.0}", o.throughput),
             o.checkpoints.to_string(),
-            fmt_ns(o.ckpt.percentile(50)),
-            fmt_ns(o.ckpt.percentile(95)),
-            fmt_ns(o.ckpt.percentile(99)),
+            fmt_ns(o.ckpt.percentile(50.0)),
+            fmt_ns(o.ckpt.percentile(95.0)),
+            fmt_ns(o.ckpt.percentile(99.0)),
         ]);
         report.push(name, "throughput_ops_per_sec", o.throughput);
         report.push(name, "checkpoints", o.checkpoints as f64);
-        report.push(name, "ckpt_p95_ns", o.ckpt.percentile(95) as f64);
+        report.push(name, "ckpt_p95_ns", o.ckpt.percentile(95.0) as f64);
         report.merge_histogram(&format!("ckpt.{name}"), &o.ckpt);
     }
     println!(

@@ -97,11 +97,11 @@ pub fn run() -> BenchReport {
             name.to_string(),
             format!("{:.0}", r.bytes_per_epoch),
             format!("{:.1}x", r.write_amp),
-            format!("{}", r.flush_hist.percentile(95)),
+            format!("{}", r.flush_hist.percentile(95.0)),
         ]);
         report.push(name, "bytes_per_epoch", r.bytes_per_epoch);
         report.push(name, "write_amp", r.write_amp);
-        report.push(name, "flush_p95_ns", r.flush_hist.percentile(95) as f64);
+        report.push(name, "flush_p95_ns", r.flush_hist.percentile(95.0) as f64);
         report.merge_histogram(&format!("flush.{name}"), &r.flush_hist);
         results.push(r);
     }

@@ -16,7 +16,7 @@ use aurora_apps::rocksdb::{Persistence, RocksDb};
 use aurora_core::world::World;
 use aurora_core::{AuroraApi, SlsOptions};
 use aurora_sim::units::{fmt_ns, fmt_ops, MS, SEC};
-use aurora_sim::Histogram;
+use aurora_trace::Histogram;
 use aurora_vm::CollapseMode;
 use aurora_workloads::prefixdist::{KvOp, PrefixDist, PrefixDistConfig};
 
@@ -83,7 +83,7 @@ fn run_config(label: &'static str, mode: Persistence, sync_class: bool) -> Outco
     let t0 = w.clock.now();
     let transparent = matches!(mode, Persistence::AuroraTransparent);
     let mut next_ckpt = t0 + 10 * MS;
-    let mut writes = Histogram::new();
+    let mut writes = Histogram::default();
     let mut done_ops = 0u64;
     for _ in 0..ops() {
         let arrival = w.clock.now();

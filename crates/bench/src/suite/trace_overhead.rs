@@ -96,12 +96,12 @@ pub fn run() -> BenchReport {
         row(&[
             name.to_string(),
             format!("{}", r.end_ns),
-            format!("{}", r.stop_hist.percentile(95)),
+            format!("{}", r.stop_hist.percentile(95.0)),
             format!("{}", r.ring_events),
             format!("{}", r.graphs),
         ]);
         report.push(name, "virtual_end_ns", r.end_ns as f64);
-        report.push(name, "stop_p95_ns", r.stop_hist.percentile(95) as f64);
+        report.push(name, "stop_p95_ns", r.stop_hist.percentile(95.0) as f64);
         report.push(name, "quorum_watermark", r.watermark as f64);
         report.push(name, "ring_events", r.ring_events as f64);
         report.push(name, "flight_graphs", r.graphs as f64);
@@ -110,8 +110,8 @@ pub fn run() -> BenchReport {
     }
     let (off, on) = (&runs[0], &runs[1]);
     let identical = off.end_ns == on.end_ns
-        && off.stop_hist.count == on.stop_hist.count
-        && off.stop_hist.sum == on.stop_hist.sum
+        && off.stop_hist.count() == on.stop_hist.count()
+        && off.stop_hist.sum() == on.stop_hist.sum()
         && off.durable_sum == on.durable_sum
         && off.watermark == on.watermark;
     println!(
@@ -126,7 +126,7 @@ pub fn run() -> BenchReport {
     report.push(
         "overhead",
         "release_p95_ns",
-        on.release_hist.percentile(95) as f64,
+        on.release_hist.percentile(95.0) as f64,
     );
     report.merge_histogram("release_latency.provenance_on", &on.release_hist);
     report
@@ -144,12 +144,12 @@ mod tests {
         let off = run_mode(false);
         let on = run_mode(true);
         assert_eq!(off.end_ns, on.end_ns, "virtual end diverged");
-        assert_eq!(off.stop_hist.sum, on.stop_hist.sum, "stop times diverged");
+        assert_eq!(off.stop_hist.sum(), on.stop_hist.sum(), "stop times diverged");
         assert_eq!(off.durable_sum, on.durable_sum, "durability horizons diverged");
         assert_eq!(off.watermark, on.watermark);
         assert_eq!(off.ring_events, 0, "disabled tracing records nothing");
         assert_eq!(off.graphs, 0);
         assert!(on.ring_events > 0 && on.graphs > 0, "enabled run observed the epochs");
-        assert!(on.release_hist.count > 0, "release latency measured with provenance on");
+        assert!(on.release_hist.count() > 0, "release latency measured with provenance on");
     }
 }

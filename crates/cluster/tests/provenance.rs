@@ -135,7 +135,7 @@ fn graph_json_and_series_are_byte_identical_across_runs() {
         aurora_trace::json::validate(&json).expect("graph JSON well-formed");
         let sampler = Sampler::new(1);
         for node in 0..c.nodes.len() {
-            sampler.force(c.clock.now() + node as u64, c.nodes[node].sls.stat_gauges());
+            sampler.record(c.clock.now() + node as u64, c.nodes[node].sls.stat_gauges());
         }
         let dump = c.flight_recorder().unwrap().trigger("test", c.clock.now());
         aurora_trace::json::validate(&dump).expect("dump JSON well-formed");

@@ -535,7 +535,6 @@ impl Sls {
             ("extsync.pending_batches".into(), pending),
             ("trace.dropped_records".into(), self.trace.dropped_records()),
             ("trace.capacity".into(), self.trace.capacity() as u64),
-            ("trace.cap_invalid".into(), self.trace.cap_override_invalid() as u64),
             ("device.health.degraded_members".into(), health.degraded_members()),
             ("device.health.worst".into(), health.worst_code()),
             ("device.health.read_fallbacks".into(), health.read_fallbacks),

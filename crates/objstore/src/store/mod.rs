@@ -31,6 +31,7 @@ use alloc::Allocator;
 use aurora_frames::FrameArena;
 use aurora_sim::cost::Charge;
 use aurora_storage::device::SharedDevice;
+use aurora_trace::Histogram;
 use cache::{PageCache, Watermarks};
 use index::Index;
 use std::collections::{BTreeSet, HashMap};
@@ -104,33 +105,13 @@ pub struct ObjectStore {
 }
 
 /// Redo observability counters since open.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Debug, Default)]
 struct RedoStats {
     appended: u64,
     materializations: u64,
     bytes_saved: u64,
-    /// Materialization chain-length histogram: bucket i counts chains of
-    /// length i (last bucket is open-ended).
-    chain_hist: [u64; 32],
-}
-
-impl RedoStats {
-    /// 95th percentile of the materialization chain-length histogram.
-    fn chain_p95(&self) -> u64 {
-        let total: u64 = self.chain_hist.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let target = total - total / 20; // ceil(0.95 * total) for the discrete CDF
-        let mut cum = 0;
-        for (len, &n) in self.chain_hist.iter().enumerate() {
-            cum += n;
-            if cum >= target {
-                return len as u64;
-            }
-        }
-        31
-    }
+    /// Materialization chain lengths.
+    chain_len: Histogram,
 }
 
 impl ObjectStore {
@@ -330,7 +311,7 @@ impl ObjectStore {
             redo_appended: self.redo.appended,
             redo_materializations: self.redo.materializations,
             redo_bytes_saved: self.redo.bytes_saved,
-            redo_chain_len_p95: self.redo.chain_p95(),
+            redo_chain_len_p95: self.redo.chain_len.percentile(95.0),
             redo_vcl: self.marks.vcl,
             redo_vdl: self.marks.vdl,
             log_blocks: self.meta_head - self.meta_start,
@@ -905,5 +886,34 @@ mod tests {
         put(&mut s, oid, 0, page(3));
         let c = s.commit().unwrap();
         assert_eq!(c.epoch, 2);
+    }
+
+    #[test]
+    fn chain_length_gauge_reports_chains_past_31_links() {
+        let mut s = fresh();
+        let oid = s.alloc_oid();
+        s.create_object(oid, ObjectKind::Memory).unwrap();
+        let mut cur = [0u8; PAGE];
+        put(&mut s, oid, 0, PageRef::detached(cur));
+        let _ = s.commit().unwrap();
+        // Forty sub-page deltas, one per epoch, each chained on the last.
+        for i in 1..=40u8 {
+            let mut new = cur;
+            new[i as usize * 16..][..16].fill(i);
+            let w = RedoWrite {
+                pindex: 0,
+                page: s.arena().alloc(new),
+                delta: Some((i as u32 * 16, new[i as usize * 16..][..16].to_vec())),
+                base_csum: content_hash(&cur),
+            };
+            s.append_redo(oid, &[w]).unwrap();
+            let _ = s.commit().unwrap();
+            cur = new;
+        }
+        s.drop_page_cache(); // force materialization from the chain
+        assert_eq!(s.read_page(oid, 0, 41).unwrap(), PageRef::detached(cur));
+        let g = s.gauges();
+        assert_eq!(g.redo_materializations, 1);
+        assert!(g.redo_chain_len_p95 >= 40, "p95 {} capped below the chain", g.redo_chain_len_p95);
     }
 }

@@ -220,8 +220,7 @@ impl ObjectStore {
         // replay — a torn record or stale base surfaces here.
         self.verify("verify-materialized", oid, epoch, &v, &buf)?;
         self.redo.materializations += 1;
-        let bucket = chain.len().min(self.redo.chain_hist.len() - 1);
-        self.redo.chain_hist[bucket] += 1;
+        self.redo.chain_len.record(chain.len() as u64);
         self.trace_materialize(oid, chain.len(), true);
         let page = self.arena.alloc(buf);
         if cache {

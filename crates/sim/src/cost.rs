@@ -260,7 +260,7 @@ mod tests {
         let hists = charge.trace().histograms();
         let names: Vec<&str> = hists.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, vec!["charge.locks", "charge.memcpy"]);
-        assert_eq!(hists[0].1.count, 1);
+        assert_eq!(hists[0].1.count(), 1);
     }
 
     #[test]

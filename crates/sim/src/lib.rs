@@ -14,7 +14,7 @@
 //!   experiment harnesses (Memcached, RocksDB).
 //! * [`net`] — the latency/bandwidth/loss message fabric connecting
 //!   simulated nodes in multi-node (cluster) experiments.
-//! * [`stats`] — streaming histograms and percentile summaries.
+//! * [`stats`] — mean / standard deviation over repeated runs.
 //! * [`codec`] — the hand-written, versioned binary codec used for every
 //!   on-disk record in the object store and for checkpoint serialization.
 //! * [`dist`] — deterministic workload distributions (Zipf, the Facebook
@@ -44,4 +44,3 @@ pub use hash::content_hash;
 pub use hash::content_hash as fnv1a;
 pub use cost::CostModel;
 pub use rng::{DetRng, Rng};
-pub use stats::Histogram;

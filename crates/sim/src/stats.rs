@@ -1,138 +1,6 @@
-//! Streaming statistics: an HDR-style log-bucketed histogram and run
-//! summaries (mean / standard deviation over repeated runs, as the paper's
-//! error bars report).
-
-/// Sub-buckets per power of two. 32 gives ~3% relative error, plenty for
-/// latency percentiles.
-const SUBBUCKETS: usize = 32;
-const SUBBUCKET_BITS: u32 = 5;
-
-/// A log-bucketed histogram of `u64` samples (typically nanoseconds).
-///
-/// Values are bucketed with bounded relative error; percentile queries
-/// return a representative value for the bucket.
-///
-/// # Examples
-///
-/// ```
-/// use aurora_sim::Histogram;
-///
-/// let mut h = Histogram::new();
-/// for v in 1..=1000u64 {
-///     h.record(v);
-/// }
-/// let p50 = h.percentile(50.0);
-/// assert!((450..=550).contains(&p50));
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-fn bucket_index(v: u64) -> usize {
-    if v < SUBBUCKETS as u64 {
-        return v as usize;
-    }
-    let msb = 63 - v.leading_zeros();
-    let shift = msb - SUBBUCKET_BITS;
-    let sub = ((v >> shift) as usize) & (SUBBUCKETS - 1);
-    // Buckets 0..SUBBUCKETS are exact; each further power of two
-    // contributes SUBBUCKETS buckets.
-    SUBBUCKETS + (msb - SUBBUCKET_BITS) as usize * SUBBUCKETS + sub
-}
-
-fn bucket_value(index: usize) -> u64 {
-    if index < SUBBUCKETS {
-        return index as u64;
-    }
-    let rest = index - SUBBUCKETS;
-    let exp = (rest / SUBBUCKETS) as u32 + SUBBUCKET_BITS;
-    let sub = (rest % SUBBUCKETS) as u64;
-    // Midpoint of the bucket.
-    (1u64 << exp) + (sub << (exp - SUBBUCKET_BITS)) + (1u64 << (exp - SUBBUCKET_BITS)) / 2
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Self { min: u64::MAX, ..Self::default() }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, v: u64) {
-        let idx = bucket_index(v);
-        if idx >= self.buckets.len() {
-            self.buckets.resize(idx + 1, 0);
-        }
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.buckets.len() > self.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (i, c) in other.buckets.iter().enumerate() {
-            self.buckets[i] += c;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of samples (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Smallest recorded sample (0 when empty).
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest recorded sample.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// The `p`-th percentile (0 < p ≤ 100); 0 when empty.
-    pub fn percentile(&self, p: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return bucket_value(i).min(self.max).max(self.min);
-            }
-        }
-        self.max
-    }
-}
+//! Run summaries: mean / standard deviation over repeated runs, as the
+//! paper's error bars report. (Percentiles come from
+//! `aurora_trace::Histogram`.)
 
 /// Mean and sample standard deviation over repeated experiment runs.
 ///
@@ -167,63 +35,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bucket_roundtrip_small_values_exact() {
-        for v in 0..32u64 {
-            assert_eq!(bucket_value(bucket_index(v)), v);
-        }
-    }
-
-    #[test]
-    fn bucket_relative_error_bounded() {
-        for shift in 6..40u32 {
-            for off in [0u64, 1, 1234] {
-                let v = (1u64 << shift) + off * ((1 << shift) / 2000 + 1);
-                let rep = bucket_value(bucket_index(v));
-                let err = (rep as f64 - v as f64).abs() / v as f64;
-                assert!(err < 0.05, "v={v} rep={rep} err={err}");
-            }
-        }
-    }
-
-    #[test]
-    fn percentiles_are_ordered() {
-        let mut h = Histogram::new();
-        for v in (0..10_000u64).map(|i| i * 37 % 100_000) {
-            h.record(v);
-        }
-        let p50 = h.percentile(50.0);
-        let p95 = h.percentile(95.0);
-        let p999 = h.percentile(99.9);
-        assert!(p50 <= p95 && p95 <= p999);
-        assert!(p999 <= h.max());
-    }
-
-    #[test]
-    fn merge_combines_counts() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(10);
-        b.record(1_000_000);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.min(), 10);
-        assert!(a.max() >= 900_000);
-    }
-
-    #[test]
     fn run_summary_matches_hand_computation() {
         let s = summarize_runs(&[1.0, 2.0, 3.0]);
         assert!((s.mean - 2.0).abs() < 1e-12);
         assert!((s.stddev - 1.0).abs() < 1e-12);
         let single = summarize_runs(&[5.0]);
         assert_eq!(single.stddev, 0.0);
-    }
-
-    #[test]
-    fn empty_histogram_is_sane() {
-        let h = Histogram::new();
-        assert_eq!(h.percentile(99.0), 0);
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.min(), 0);
     }
 }

@@ -78,11 +78,6 @@ pub fn export(events: &[TraceEvent]) -> String {
                  \"pid\":{PID},\"tid\":{tid},\"args\":{args}}}",
                 us(e.ts)
             ),
-            Phase::Counter => format!(
-                "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"C\",\"ts\":{},\
-                 \"pid\":{PID},\"tid\":{tid},\"args\":{args}}}",
-                us(e.ts)
-            ),
         };
         push(line, &mut first);
     }
@@ -107,7 +102,7 @@ mod tests {
         clk.store(4_750, Ordering::Relaxed);
         s.end();
         t.instant("storage", "write", &[("lba", 12), ("nblocks", 4)]);
-        t.counter("vm", "dirty_pages", 37);
+        t.instant("vm", "dirty_pages", &[("value", 37)]);
         t
     }
 
@@ -126,7 +121,6 @@ mod tests {
         assert!(doc.contains("\"dur\":3.250"));
         assert!(doc.contains("\"ph\":\"i\""));
         assert!(doc.contains("\"lba\":12"));
-        assert!(doc.contains("\"ph\":\"C\""));
         assert!(doc.contains("\"value\":37"));
         // Track metadata for each category.
         for cat in ["pipeline", "storage", "vm"] {

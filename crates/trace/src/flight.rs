@@ -27,7 +27,6 @@ struct FlightInner {
     cap: usize,
     graphs: VecDeque<CausalGraph>,
     last_dump: Option<String>,
-    last_reason: Option<String>,
     dump_count: u64,
 }
 
@@ -52,7 +51,6 @@ impl FlightRecorder {
                 cap: cap.max(1),
                 graphs: VecDeque::new(),
                 last_dump: None,
-                last_reason: None,
                 dump_count: 0,
             })),
         }
@@ -113,7 +111,6 @@ impl FlightRecorder {
         }
         out.push_str("]}");
         st.last_dump = Some(out.clone());
-        st.last_reason = Some(reason.to_string());
         st.dump_count += 1;
         out
     }
@@ -121,11 +118,6 @@ impl FlightRecorder {
     /// The most recent dump, if any trigger has fired.
     pub fn last_dump(&self) -> Option<String> {
         self.inner.lock().unwrap().last_dump.clone()
-    }
-
-    /// The reason of the most recent trigger.
-    pub fn last_reason(&self) -> Option<String> {
-        self.inner.lock().unwrap().last_reason.clone()
     }
 
     /// How many times a trigger has fired.
@@ -186,7 +178,6 @@ mod tests {
         assert!(a.contains("\"truncated\":false"));
         assert_eq!(fr.dump_count(), 2);
         assert_eq!(fr.last_dump().unwrap(), b);
-        assert_eq!(fr.last_reason().unwrap(), "invariant: epoch monotonicity");
     }
 
     #[test]

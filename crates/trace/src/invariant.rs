@@ -35,8 +35,8 @@
 //! the flight recorder uses this to dump the causal graphs of the last
 //! few epochs while the evidence is still in the rings.
 
-use crate::probe::{ProbeId, ProbeSpec};
-use crate::{Trace, TraceEvent};
+use crate::probe::ProbeSpec;
+use crate::{Phase, Trace, TraceEvent};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
@@ -51,221 +51,187 @@ struct State {
 
 type Sink = Arc<dyn Fn(&str) + Send + Sync>;
 
+/// One invariant's check: updates its watch state from a matching event
+/// and returns the violations that event reveals.
+type Check = fn(&mut State, &TraceEvent) -> Vec<String>;
+
 /// A live invariant checker. Cloning shares the collected state.
 #[derive(Clone, Default)]
 pub struct InvariantChecker {
     state: Arc<Mutex<State>>,
     sinks: Arc<Mutex<Vec<Sink>>>,
-    ids: Vec<ProbeId>,
 }
 
 fn arg(ev: &TraceEvent, key: &str) -> Option<u64> {
     ev.args.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
 }
 
-/// Dispatches freshly detected violations to the registered sinks. Runs
-/// outside the state lock so a sink may inspect the checker (or trigger
-/// a flight-recorder dump) without deadlocking.
-fn notify(sinks: &Arc<Mutex<Vec<Sink>>>, fresh: &[String]) {
-    if fresh.is_empty() {
-        return;
+/// Every invariant: the events it watches and its check.
+fn invariants() -> [(ProbeSpec, Check); 7] {
+    [
+        (ProbeSpec::any().cat("objstore").name_prefix("epoch.commit"), epoch_commit),
+        (ProbeSpec::any().cat("objstore").name_prefix("recovery."), recovery),
+        (ProbeSpec::any().name_prefix("extsync."), extsync),
+        (
+            ProbeSpec::any().cat("posix").name_prefix("posix.quiesce").phase(Phase::Complete),
+            quiesce_exclusion,
+        ),
+        (ProbeSpec::any().cat("frames").name_prefix("frames.write"), frozen_frame),
+        (ProbeSpec::any().cat("objstore").name_prefix("redo.materialize"), chain_termination),
+        (ProbeSpec::any().cat("objstore").name_prefix("redo.watermark"), watermark_ordering),
+    ]
+}
+
+/// Moves the epoch watermark to `epoch`; returns the previous watermark
+/// when `epoch` does not exceed it.
+fn advance_epoch(st: &mut State, epoch: u64) -> Option<u64> {
+    st.last_epoch.replace(epoch).filter(|&last| epoch <= last)
+}
+
+/// Invariant 1: committed epochs strictly increase.
+fn epoch_commit(st: &mut State, ev: &TraceEvent) -> Vec<String> {
+    let epoch = arg(ev, "epoch").unwrap_or(0);
+    match advance_epoch(st, epoch) {
+        Some(last) => vec![format!(
+            "epoch monotonicity: commit of epoch {epoch} at t={} after epoch {last}",
+            ev.ts
+        )],
+        None => Vec::new(),
     }
-    let snapshot: Vec<Sink> = sinks.lock().unwrap().clone();
-    for msg in fresh {
-        for sink in &snapshot {
-            sink(msg);
+}
+
+/// Invariant 1 across a crash: `recovery.begin` rewinds the epoch space,
+/// and replays must ascend.
+fn recovery(st: &mut State, ev: &TraceEvent) -> Vec<String> {
+    match ev.name.as_ref() {
+        "recovery.begin" => st.last_epoch = None,
+        "recovery.replay" => {
+            let epoch = arg(ev, "epoch").unwrap_or(0);
+            if let Some(last) = advance_epoch(st, epoch) {
+                return vec![format!(
+                    "epoch monotonicity: recovery replayed epoch {epoch} after {last}"
+                )];
+            }
         }
+        _ => {}
     }
+    Vec::new()
+}
+
+/// Invariant 2: external synchrony ordering.
+fn extsync(st: &mut State, ev: &TraceEvent) -> Vec<String> {
+    let mut fresh = Vec::new();
+    let epoch = arg(ev, "epoch").unwrap_or(0);
+    match ev.name.as_ref() {
+        "extsync.seal" => {
+            st.sealed.insert(epoch);
+        }
+        "extsync.release" => {
+            if !st.sealed.contains(&epoch) {
+                fresh.push(format!(
+                    "extsync ordering: release of epoch {epoch} at t={} never sealed",
+                    ev.ts
+                ));
+            }
+            if let Some(durable_at) = arg(ev, "durable_at") {
+                if ev.ts < durable_at {
+                    fresh.push(format!(
+                        "extsync durability: epoch {epoch} released at t={} before \
+                         durable_at={durable_at}",
+                        ev.ts
+                    ));
+                }
+            }
+        }
+        _ => {}
+    }
+    fresh
+}
+
+/// Invariant 3: quiesce-window mutual exclusion.
+fn quiesce_exclusion(st: &mut State, ev: &TraceEvent) -> Vec<String> {
+    let mut fresh = Vec::new();
+    if ev.ts < st.quiesce_end {
+        fresh.push(format!(
+            "quiesce exclusion: window [{}, {}) overlaps one ending at {}",
+            ev.ts,
+            ev.ts + ev.dur,
+            st.quiesce_end
+        ));
+    }
+    st.quiesce_end = st.quiesce_end.max(ev.ts + ev.dur);
+    fresh
+}
+
+/// Invariant 4: frozen-frame immutability.
+fn frozen_frame(_: &mut State, ev: &TraceEvent) -> Vec<String> {
+    let shared = arg(ev, "shared").unwrap_or(0);
+    let copied = arg(ev, "copied").unwrap_or(0);
+    if shared == 1 && copied == 0 {
+        return vec![format!(
+            "frozen-frame immutability: in-place write to a shared frame at t={}",
+            ev.ts
+        )];
+    }
+    Vec::new()
+}
+
+/// Invariant 5: redo-chain termination.
+fn chain_termination(_: &mut State, ev: &TraceEvent) -> Vec<String> {
+    if arg(ev, "full_base").unwrap_or(0) == 0 {
+        return vec![format!(
+            "redo chain termination: materialization at t={} walked a chain with \
+             no full-image base",
+            ev.ts
+        )];
+    }
+    Vec::new()
+}
+
+/// Invariant 6: durability watermark ordering, VDL never exceeds VCL.
+fn watermark_ordering(_: &mut State, ev: &TraceEvent) -> Vec<String> {
+    let vcl = arg(ev, "vcl").unwrap_or(0);
+    let vdl = arg(ev, "vdl").unwrap_or(0);
+    if vdl > vcl {
+        return vec![format!("watermark ordering: VDL {vdl} exceeds VCL {vcl} at t={}", ev.ts)];
+    }
+    Vec::new()
 }
 
 impl InvariantChecker {
     /// Arms every invariant on `trace`. On a disabled trace this is a
     /// no-op checker that trivially stays clean.
     pub fn arm(trace: &Trace) -> Self {
-        let state = Arc::new(Mutex::new(State::default()));
-        let sinks: Arc<Mutex<Vec<Sink>>> = Arc::new(Mutex::new(Vec::new()));
-        let mut ids = Vec::new();
-
-        // 1. Epoch monotonicity (+ recovery resets).
-        let (s, k) = (state.clone(), sinks.clone());
-        ids.push(trace.probe(ProbeSpec::any().cat("objstore").name_prefix("epoch.commit"), {
-            move |ev| {
-                let mut fresh = Vec::new();
-                {
-                    let mut st = s.lock().unwrap();
+        let checker = Self::default();
+        for (spec, check) in invariants() {
+            let c = checker.clone();
+            trace.probe(spec, move |ev| {
+                let fresh = {
+                    let mut st = c.state.lock().unwrap();
                     st.checked += 1;
-                    let epoch = arg(ev, "epoch").unwrap_or(0);
-                    if let Some(last) = st.last_epoch {
-                        if epoch <= last {
-                            fresh.push(format!(
-                                "epoch monotonicity: commit of epoch {epoch} at t={} after epoch {last}",
-                                ev.ts
-                            ));
-                        }
-                    }
-                    st.last_epoch = Some(epoch);
+                    let fresh = check(&mut st, ev);
                     st.violations.extend(fresh.iter().cloned());
-                }
-                notify(&k, &fresh);
-            }
-        }));
-        let (s, k) = (state.clone(), sinks.clone());
-        ids.push(trace.probe(ProbeSpec::any().cat("objstore").name_prefix("recovery."), {
-            move |ev| {
-                let mut fresh = Vec::new();
-                {
-                    let mut st = s.lock().unwrap();
-                    st.checked += 1;
-                    if ev.name.as_ref() == "recovery.begin" {
-                        // A crash rewinds the epoch space; restart the watch.
-                        st.last_epoch = None;
-                    } else if ev.name.as_ref() == "recovery.replay" {
-                        let epoch = arg(ev, "epoch").unwrap_or(0);
-                        if let Some(last) = st.last_epoch {
-                            if epoch <= last {
-                                fresh.push(format!(
-                                    "epoch monotonicity: recovery replayed epoch {epoch} after {last}"
-                                ));
-                            }
-                        }
-                        st.last_epoch = Some(epoch);
-                    }
-                    st.violations.extend(fresh.iter().cloned());
-                }
-                notify(&k, &fresh);
-            }
-        }));
+                    fresh
+                };
+                c.notify(&fresh);
+            });
+        }
+        checker
+    }
 
-        // 2. External synchrony ordering.
-        let (s, k) = (state.clone(), sinks.clone());
-        ids.push(trace.probe(ProbeSpec::any().name_prefix("extsync."), {
-            move |ev| {
-                let mut fresh = Vec::new();
-                {
-                    let mut st = s.lock().unwrap();
-                    st.checked += 1;
-                    let epoch = arg(ev, "epoch").unwrap_or(0);
-                    match ev.name.as_ref() {
-                        "extsync.seal" => {
-                            st.sealed.insert(epoch);
-                        }
-                        "extsync.release" => {
-                            if !st.sealed.contains(&epoch) {
-                                fresh.push(format!(
-                                    "extsync ordering: release of epoch {epoch} at t={} never sealed",
-                                    ev.ts
-                                ));
-                            }
-                            if let Some(durable_at) = arg(ev, "durable_at") {
-                                if ev.ts < durable_at {
-                                    fresh.push(format!(
-                                        "extsync durability: epoch {epoch} released at t={} before \
-                                         durable_at={durable_at}",
-                                        ev.ts
-                                    ));
-                                }
-                            }
-                        }
-                        _ => {}
-                    }
-                    st.violations.extend(fresh.iter().cloned());
-                }
-                notify(&k, &fresh);
+    /// Dispatches freshly detected violations to the registered sinks.
+    /// Runs outside the state lock so a sink may inspect the checker (or
+    /// trigger a flight-recorder dump) without deadlocking.
+    fn notify(&self, fresh: &[String]) {
+        if fresh.is_empty() {
+            return;
+        }
+        let snapshot: Vec<Sink> = self.sinks.lock().unwrap().clone();
+        for msg in fresh {
+            for sink in &snapshot {
+                sink(msg);
             }
-        }));
-
-        // 3. Quiesce-window mutual exclusion.
-        let (s, k) = (state.clone(), sinks.clone());
-        ids.push(trace.probe(
-            ProbeSpec::any().cat("posix").name_prefix("posix.quiesce").phase(crate::Phase::Complete),
-            {
-                move |ev| {
-                    let mut fresh = Vec::new();
-                    {
-                        let mut st = s.lock().unwrap();
-                        st.checked += 1;
-                        if ev.ts < st.quiesce_end {
-                            fresh.push(format!(
-                                "quiesce exclusion: window [{}, {}) overlaps one ending at {}",
-                                ev.ts,
-                                ev.ts + ev.dur,
-                                st.quiesce_end
-                            ));
-                        }
-                        st.quiesce_end = st.quiesce_end.max(ev.ts + ev.dur);
-                        st.violations.extend(fresh.iter().cloned());
-                    }
-                    notify(&k, &fresh);
-                }
-            },
-        ));
-
-        // 4. Frozen-frame immutability.
-        let (s, k) = (state.clone(), sinks.clone());
-        ids.push(trace.probe(ProbeSpec::any().cat("frames").name_prefix("frames.write"), {
-            move |ev| {
-                let mut fresh = Vec::new();
-                {
-                    let mut st = s.lock().unwrap();
-                    st.checked += 1;
-                    let shared = arg(ev, "shared").unwrap_or(0);
-                    let copied = arg(ev, "copied").unwrap_or(0);
-                    if shared == 1 && copied == 0 {
-                        fresh.push(format!(
-                            "frozen-frame immutability: in-place write to a shared frame at t={}",
-                            ev.ts
-                        ));
-                    }
-                    st.violations.extend(fresh.iter().cloned());
-                }
-                notify(&k, &fresh);
-            }
-        }));
-
-        // 5. Redo-chain termination.
-        let (s, k) = (state.clone(), sinks.clone());
-        ids.push(trace.probe(ProbeSpec::any().cat("objstore").name_prefix("redo.materialize"), {
-            move |ev| {
-                let mut fresh = Vec::new();
-                {
-                    let mut st = s.lock().unwrap();
-                    st.checked += 1;
-                    if arg(ev, "full_base").unwrap_or(0) == 0 {
-                        fresh.push(format!(
-                            "redo chain termination: materialization at t={} walked a chain with \
-                             no full-image base",
-                            ev.ts
-                        ));
-                    }
-                    st.violations.extend(fresh.iter().cloned());
-                }
-                notify(&k, &fresh);
-            }
-        }));
-
-        // 6. Durability watermark ordering: VDL never exceeds VCL.
-        let (s, k) = (state.clone(), sinks.clone());
-        ids.push(trace.probe(ProbeSpec::any().cat("objstore").name_prefix("redo.watermark"), {
-            move |ev| {
-                let mut fresh = Vec::new();
-                {
-                    let mut st = s.lock().unwrap();
-                    st.checked += 1;
-                    let vcl = arg(ev, "vcl").unwrap_or(0);
-                    let vdl = arg(ev, "vdl").unwrap_or(0);
-                    if vdl > vcl {
-                        fresh.push(format!(
-                            "watermark ordering: VDL {vdl} exceeds VCL {vcl} at t={}",
-                            ev.ts
-                        ));
-                    }
-                    st.violations.extend(fresh.iter().cloned());
-                }
-                notify(&k, &fresh);
-            }
-        }));
-
-        Self { state, sinks, ids }
+        }
     }
 
     /// Registers a sink invoked synchronously (outside the checker's
@@ -273,13 +239,6 @@ impl InvariantChecker {
     /// flight recorder hangs its dump trigger here.
     pub fn on_violation(&self, f: impl Fn(&str) + Send + Sync + 'static) {
         self.sinks.lock().unwrap().push(Arc::new(f));
-    }
-
-    /// Removes the checker's probes from `trace` (state is retained).
-    pub fn disarm(&self, trace: &Trace) {
-        for &id in &self.ids {
-            trace.unprobe(id);
-        }
     }
 
     /// Events the checker has examined.
@@ -418,17 +377,6 @@ mod tests {
         t.instant("objstore", "redo.watermark", &[("vcl", 12), ("vdl", 13)]);
         assert!(!c.is_clean());
         assert!(c.violations()[0].contains("watermark ordering"));
-    }
-
-    #[test]
-    fn disarm_stops_checking() {
-        let (_, t) = clocked();
-        let c = InvariantChecker::arm(&t);
-        t.instant("objstore", "epoch.commit", &[("epoch", 1)]);
-        c.disarm(&t);
-        t.instant("objstore", "epoch.commit", &[("epoch", 1)]);
-        assert!(c.is_clean(), "violation after disarm must not be seen");
-        assert_eq!(c.checked(), 1);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   one with it disabled — recording never charges time.
 //! * **Exportable**: [`chrome::export`] renders the event list as Chrome
 //!   trace-event JSON (loadable in `about://tracing` or Perfetto);
-//!   aggregated [`Histogram`]s and counters feed the bench harness's
-//!   machine-readable metrics files.
+//!   aggregated [`Histogram`]s feed the bench harness's machine-readable
+//!   metrics files.
 //!
 //! The crate is dependency-free and sits below `aurora-sim`: the
 //! simulator's `Charge` accountant carries a `Trace`, so every subsystem
@@ -29,12 +29,14 @@ pub mod invariant;
 pub mod json;
 pub mod probe;
 pub mod sampler;
+pub mod stats;
 
 pub use causal::{CausalEvent, CausalGraph, CriticalPath, HopKind, PathHop};
 pub use flight::FlightRecorder;
 pub use invariant::InvariantChecker;
 pub use probe::{ProbeId, ProbeSpec};
 pub use sampler::{Sample, Sampler};
+pub use stats::Histogram;
 
 use probe::ProbeSet;
 use std::borrow::Cow;
@@ -46,9 +48,6 @@ use std::sync::{Arc, Mutex};
 /// bench run evicts, small enough to bound a pathological run's memory.
 pub const DEFAULT_TRACE_CAP: usize = 1 << 20;
 
-/// Environment override for the event-ring capacity.
-pub const TRACE_CAP_ENV: &str = "AURORA_TRACE_CAP";
-
 /// Event kinds, mirroring the Chrome trace-event phases we emit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
@@ -56,8 +55,6 @@ pub enum Phase {
     Complete,
     /// A point event (`ph: "i"`).
     Instant,
-    /// A counter sample (`ph: "C"`).
-    Counter,
 }
 
 /// One recorded event. Arguments are `u64` only — every quantity in the
@@ -79,88 +76,11 @@ pub struct TraceEvent {
     pub args: Vec<(&'static str, u64)>,
 }
 
-/// A log₂-bucketed histogram of `u64` samples (latencies, sizes).
-///
-/// Bucket `i` holds samples whose value has `i` significant bits, i.e.
-/// `v == 0` → bucket 0, otherwise bucket `64 - v.leading_zeros()`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Histogram {
-    /// Samples recorded.
-    pub count: u64,
-    /// Sum of all samples.
-    pub sum: u64,
-    /// Smallest sample (u64::MAX when empty).
-    pub min: u64,
-    /// Largest sample.
-    pub max: u64,
-    /// Log₂ buckets.
-    pub buckets: [u64; 65],
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self { count: 0, sum: 0, min: u64::MAX, max: 0, buckets: [0; 65] }
-    }
-}
-
-impl Histogram {
-    fn bucket_of(v: u64) -> usize {
-        (64 - v.leading_zeros()) as usize
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, v: u64) {
-        self.count += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-        self.buckets[Self::bucket_of(v)] += 1;
-    }
-
-    /// Mean sample, 0 when empty.
-    pub fn mean(&self) -> u64 {
-        self.sum.checked_div(self.count).unwrap_or(0)
-    }
-
-    /// Folds `other` into `self`, as if every sample recorded into
-    /// `other` had been recorded here.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-    }
-
-    /// Upper bound of the bucket holding the `p`-th percentile
-    /// (`p` in 0..=100). A coarse estimate — within 2× of the true value
-    /// — which is enough for trend tracking.
-    pub fn percentile(&self, p: u64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = (self.count * p.min(100)).div_ceil(100).max(1);
-        let mut seen = 0;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return if i == 0 { 0 } else { (1u64 << (i - 1)).saturating_mul(2) - 1 };
-            }
-        }
-        self.max
-    }
-}
-
 struct Inner {
     now: Box<dyn Fn() -> u64 + Send + Sync>,
     /// Bounded ring: oldest records are evicted once `cap` is reached.
     events: Mutex<VecDeque<TraceEvent>>,
     cap: usize,
-    /// True when `AURORA_TRACE_CAP` was set but unparsable, so `cap` is
-    /// the default rather than what the operator asked for.
-    cap_override_invalid: bool,
     dropped: AtomicU64,
     hists: Mutex<BTreeMap<String, Histogram>>,
     probes: ProbeSet,
@@ -191,46 +111,21 @@ impl Trace {
         Self::default()
     }
 
-    /// A recording handle stamping events with `now` (the virtual clock).
-    /// The event ring holds [`DEFAULT_TRACE_CAP`] records unless the
-    /// `AURORA_TRACE_CAP` environment variable overrides it. An override
-    /// that fails to parse is *not* swallowed silently: the handle falls
-    /// back to the default capacity, records a `trace.cap_invalid`
-    /// warning event, and reports the condition through
-    /// [`Trace::cap_override_invalid`] so it can be surfaced as a gauge.
+    /// A recording handle stamping events with `now` (the virtual clock),
+    /// its event ring holding [`DEFAULT_TRACE_CAP`] records.
     pub fn recording(now: impl Fn() -> u64 + Send + Sync + 'static) -> Self {
-        let (cap, invalid) = match std::env::var(TRACE_CAP_ENV) {
-            Ok(raw) => match raw.trim().parse::<usize>() {
-                Ok(n) => (n, false),
-                Err(_) => (DEFAULT_TRACE_CAP, true),
-            },
-            Err(_) => (DEFAULT_TRACE_CAP, false),
-        };
-        let t = Self::build(now, cap, invalid);
-        if invalid {
-            t.instant(
-                "trace",
-                "trace.cap_invalid",
-                &[("effective_cap", cap as u64)],
-            );
-        }
-        t
+        Self::recording_with_cap(now, DEFAULT_TRACE_CAP)
     }
 
     /// A recording handle with an explicit event-ring capacity (clamped
     /// to ≥ 1). Probes and histograms are unaffected by the cap: probes
     /// run before eviction, histograms aggregate in place.
     pub fn recording_with_cap(now: impl Fn() -> u64 + Send + Sync + 'static, cap: usize) -> Self {
-        Self::build(now, cap, false)
-    }
-
-    fn build(now: impl Fn() -> u64 + Send + Sync + 'static, cap: usize, invalid: bool) -> Self {
         Self {
             inner: Some(Arc::new(Inner {
                 now: Box::new(now),
                 events: Mutex::new(VecDeque::new()),
                 cap: cap.max(1),
-                cap_override_invalid: invalid,
                 dropped: AtomicU64::new(0),
                 hists: Mutex::new(BTreeMap::new()),
                 probes: ProbeSet::default(),
@@ -279,21 +174,6 @@ impl Trace {
                 cat,
                 name: name.into(),
                 args: args.to_vec(),
-            });
-        }
-    }
-
-    /// Records a counter sample stamped now.
-    pub fn counter(&self, cat: &'static str, name: impl Into<Cow<'static, str>>, value: u64) {
-        if self.inner.is_some() {
-            let ts = self.now();
-            self.push(TraceEvent {
-                ts,
-                dur: 0,
-                ph: Phase::Counter,
-                cat,
-                name: name.into(),
-                args: vec![("value", value)],
             });
         }
     }
@@ -364,12 +244,6 @@ impl Trace {
         self.inner.as_ref().map(|i| i.cap).unwrap_or(0)
     }
 
-    /// True when `AURORA_TRACE_CAP` was set but unparsable and the ring
-    /// silently-no-more fell back to [`DEFAULT_TRACE_CAP`].
-    pub fn cap_override_invalid(&self) -> bool {
-        self.inner.as_ref().map(|i| i.cap_override_invalid).unwrap_or(false)
-    }
-
     /// Records evicted from the ring since recording began.
     pub fn dropped_records(&self) -> u64 {
         self.inner.as_ref().map(|i| i.dropped.load(Ordering::Relaxed)).unwrap_or(0)
@@ -386,21 +260,9 @@ impl Trace {
         self.inner.as_ref().map(|i| i.probes.add(spec, f)).unwrap_or(ProbeId(0))
     }
 
-    /// Removes a probe (no-op for unknown or null ids).
-    pub fn unprobe(&self, id: ProbeId) {
-        if let Some(i) = &self.inner {
-            i.probes.remove(id);
-        }
-    }
-
-    /// How many records a probe has matched (0 after removal).
+    /// How many records a probe has matched.
     pub fn probe_hits(&self, id: ProbeId) -> u64 {
         self.inner.as_ref().map(|i| i.probes.hits(id)).unwrap_or(0)
-    }
-
-    /// Number of registered probes.
-    pub fn probe_count(&self) -> usize {
-        self.inner.as_ref().map(|i| i.probes.len()).unwrap_or(0)
     }
 
     /// A snapshot of the aggregated histograms, sorted by name.
@@ -485,7 +347,6 @@ mod tests {
     fn disabled_records_nothing() {
         let t = Trace::disabled();
         t.instant("x", "e", &[("a", 1)]);
-        t.counter("x", "c", 5);
         t.hist("h", 3);
         let mut s = t.span("x", "s");
         s.arg("k", 1);
@@ -538,14 +399,14 @@ mod tests {
         for v in [1u64, 2, 3, 4, 100, 1000] {
             h.record(v);
         }
-        assert_eq!(h.count, 6);
-        assert_eq!(h.min, 1);
-        assert_eq!(h.max, 1000);
+        assert_eq!(h.count(), 6);
+        assert_eq!(h.min(), 1);
+        assert_eq!(h.max(), 1000);
         assert_eq!(h.mean(), 1110 / 6);
-        assert!(h.percentile(50) >= 3);
-        assert!(h.percentile(100) >= 1000);
+        assert!(h.percentile(50.0) >= 3);
+        assert!(h.percentile(100.0) >= 1000);
         let empty = Histogram::default();
-        assert_eq!(empty.percentile(99), 0);
+        assert_eq!(empty.percentile(99.0), 0);
         assert_eq!(empty.mean(), 0);
     }
 
@@ -581,9 +442,6 @@ mod tests {
         assert_eq!(t.event_count(), 2, "ring bounded");
         assert_eq!(seen.load(Ordering::Relaxed), 10, "probe saw every record");
         assert_eq!(t.probe_hits(id), 10);
-        assert_eq!(t.probe_count(), 1);
-        t.unprobe(id);
-        assert_eq!(t.probe_count(), 0);
     }
 
     #[test]
@@ -605,9 +463,7 @@ mod tests {
         assert_eq!(id, ProbeId(0));
         t.instant("a", "e", &[]);
         assert_eq!(t.probe_hits(id), 0);
-        assert_eq!(t.probe_count(), 0);
         assert_eq!(t.dropped_records(), 0);
-        t.unprobe(id);
     }
 
     #[test]
@@ -623,8 +479,14 @@ mod tests {
             b.record(v);
             combined.record(v);
         }
+        let mut into_empty = Histogram::default();
+        into_empty.merge(&b);
+        assert_eq!(into_empty, b, "merging into an empty histogram copies the other");
         a.merge(&b);
         assert_eq!(a, combined);
+        for p in [50.0, 95.0, 99.0, 99.9] {
+            assert_eq!(a.percentile(p), combined.percentile(p));
+        }
         let mut empty = Histogram::default();
         empty.merge(&Histogram::default());
         assert_eq!(empty, Histogram::default(), "merging empties stays empty");

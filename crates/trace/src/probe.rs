@@ -29,12 +29,6 @@ pub struct ProbeSpec {
     pub cat: Option<&'static str>,
     /// Event phase must equal this.
     pub phase: Option<Phase>,
-    /// Complete-span duration must be at least this (instants and
-    /// counters have duration 0, so a nonzero threshold selects spans).
-    pub min_dur_ns: u64,
-    /// Every listed argument must be present with exactly this value
-    /// (e.g. a specific OID or PID).
-    pub arg_eq: Vec<(&'static str, u64)>,
 }
 
 impl ProbeSpec {
@@ -61,45 +55,15 @@ impl ProbeSpec {
         self
     }
 
-    /// Restricts to spans at least `ns` long.
-    pub fn min_dur(mut self, ns: u64) -> Self {
-        self.min_dur_ns = ns;
-        self
-    }
-
-    /// Requires argument `key` to be present and equal `value`.
-    pub fn arg(mut self, key: &'static str, value: u64) -> Self {
-        self.arg_eq.push((key, value));
-        self
-    }
-
     /// Whether `ev` satisfies every populated field.
     pub fn matches(&self, ev: &TraceEvent) -> bool {
-        if let Some(p) = &self.name_prefix {
-            if !ev.name.starts_with(p.as_ref()) {
-                return false;
-            }
-        }
-        if let Some(c) = self.cat {
-            if ev.cat != c {
-                return false;
-            }
-        }
-        if let Some(ph) = self.phase {
-            if ev.ph != ph {
-                return false;
-            }
-        }
-        if ev.dur < self.min_dur_ns {
-            return false;
-        }
-        self.arg_eq
-            .iter()
-            .all(|&(k, v)| ev.args.iter().any(|&(ak, av)| ak == k && av == v))
+        self.name_prefix.as_ref().is_none_or(|p| ev.name.starts_with(p.as_ref()))
+            && self.cat.is_none_or(|c| ev.cat == c)
+            && self.phase.is_none_or(|ph| ev.ph == ph)
     }
 }
 
-/// Handle to a registered probe (remove it, read its hit count).
+/// Handle to a registered probe (read its hit count).
 /// `ProbeId(0)` is the null id a disabled trace hands out.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ProbeId(pub u64);
@@ -141,12 +105,6 @@ impl ProbeSet {
         ProbeId(id)
     }
 
-    pub(crate) fn remove(&self, id: ProbeId) {
-        let mut probes = self.probes.lock().unwrap();
-        probes.retain(|p| p.id != id.0);
-        self.count.store(probes.len(), Ordering::Relaxed);
-    }
-
     pub(crate) fn hits(&self, id: ProbeId) -> u64 {
         self.probes
             .lock()
@@ -155,10 +113,6 @@ impl ProbeSet {
             .find(|p| p.id == id.0)
             .map(|p| p.hits.load(Ordering::Relaxed))
             .unwrap_or(0)
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.count.load(Ordering::Relaxed)
     }
 
     /// Runs every matching probe on `ev`. Callbacks are invoked with the
@@ -206,24 +160,12 @@ mod tests {
         assert!(!ProbeSpec::any().name_prefix("pipeline").matches(&e));
         assert!(ProbeSpec::any().cat("objstore").matches(&e));
         assert!(!ProbeSpec::any().cat("vm").matches(&e));
-        assert!(ProbeSpec::any().arg("oid", 7).matches(&e));
-        assert!(!ProbeSpec::any().arg("oid", 8).matches(&e));
-        assert!(!ProbeSpec::any().arg("pid", 7).matches(&e));
         assert!(ProbeSpec::any().phase(Phase::Instant).matches(&e));
         assert!(!ProbeSpec::any().phase(Phase::Complete).matches(&e));
     }
 
     #[test]
-    fn min_dur_selects_slow_spans() {
-        let fast = ev("pipeline", "flush", 10, &[]);
-        let slow = ev("pipeline", "flush", 10_000, &[]);
-        let spec = ProbeSpec::any().min_dur(1_000);
-        assert!(!spec.matches(&fast));
-        assert!(spec.matches(&slow));
-    }
-
-    #[test]
-    fn dispatch_counts_hits_and_respects_removal() {
+    fn dispatch_counts_hits_of_matching_probes() {
         let set = ProbeSet::default();
         let seen = Arc::new(AtomicU64::new(0));
         let s2 = seen.clone();
@@ -234,9 +176,5 @@ mod tests {
         set.dispatch(&ev("x", "zzz", 0, &[]));
         assert_eq!(seen.load(Ordering::Relaxed), 1);
         assert_eq!(set.hits(id), 1);
-        set.remove(id);
-        set.dispatch(&ev("x", "abc", 0, &[]));
-        assert_eq!(seen.load(Ordering::Relaxed), 1);
-        assert_eq!(set.hits(id), 0, "removed probes report no hits");
     }
 }

@@ -37,6 +37,12 @@ struct State {
     last_ts: Option<u64>,
 }
 
+impl State {
+    fn due(&self, now: u64, period_ns: u64) -> bool {
+        self.last_ts.is_none_or(|last| now >= last.saturating_add(period_ns))
+    }
+}
+
 /// A cloneable handle to one deterministic gauge time-series. All
 /// clones share the rows.
 #[derive(Clone)]
@@ -67,39 +73,16 @@ impl Sampler {
 
     /// Whether a poll at `now` would record a row.
     pub fn due(&self, now: u64) -> bool {
-        match self.state.lock().unwrap().last_ts {
-            None => true,
-            Some(last) => now >= last.saturating_add(self.period_ns),
-        }
+        self.state.lock().unwrap().due(now, self.period_ns)
     }
 
     /// Records a row at `now` if the period has elapsed. Returns whether
     /// the row was kept. `values` need not be sorted.
-    pub fn record(&self, now: u64, values: Vec<(String, u64)>) -> bool {
+    pub fn record(&self, now: u64, mut values: Vec<(String, u64)>) -> bool {
         let mut s = self.state.lock().unwrap();
-        let due = match s.last_ts {
-            None => true,
-            Some(last) => now >= last.saturating_add(self.period_ns),
-        };
-        if !due {
+        if !s.due(now, self.period_ns) {
             return false;
         }
-        let mut values = values;
-        values.sort_by(|a, b| a.0.cmp(&b.0));
-        s.rows.push(Sample { ts: now, values });
-        s.last_ts = Some(now);
-        true
-    }
-
-    /// Records a row unconditionally (a final snapshot), unless a row at
-    /// this exact or a later timestamp already exists — timestamps stay
-    /// strictly increasing.
-    pub fn force(&self, now: u64, values: Vec<(String, u64)>) -> bool {
-        let mut s = self.state.lock().unwrap();
-        if matches!(s.last_ts, Some(last) if last >= now) {
-            return false;
-        }
-        let mut values = values;
         values.sort_by(|a, b| a.0.cmp(&b.0));
         s.rows.push(Sample { ts: now, values });
         s.last_ts = Some(now);
@@ -210,11 +193,11 @@ mod tests {
     }
 
     #[test]
-    fn timestamps_strictly_increase_even_under_force() {
-        let s = Sampler::new(10);
-        s.record(5, vals(&[("g", 1)]));
-        assert!(!s.force(5, vals(&[("g", 2)])), "same-instant force dropped");
-        assert!(s.force(6, vals(&[("g", 3)])));
+    fn timestamps_strictly_increase_even_at_period_zero() {
+        let s = Sampler::new(0);
+        assert!(s.record(5, vals(&[("g", 1)])));
+        assert!(!s.record(5, vals(&[("g", 2)])), "same-instant row dropped");
+        assert!(s.record(6, vals(&[("g", 3)])));
         let ts: Vec<u64> = s.samples().iter().map(|r| r.ts).collect();
         assert!(ts.windows(2).all(|w| w[0] < w[1]), "{ts:?}");
     }

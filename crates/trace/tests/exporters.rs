@@ -64,12 +64,12 @@ fn series_json_escapes_hostile_gauge_names_and_marks() {
 #[test]
 fn empty_histogram_percentiles_are_zero() {
     let h = Histogram::default();
-    assert_eq!(h.count, 0);
-    assert_eq!(h.percentile(50), 0);
-    assert_eq!(h.percentile(95), 0);
-    assert_eq!(h.percentile(99), 0);
-    assert_eq!(h.percentile(0), 0);
-    assert_eq!(h.percentile(100), 0);
+    assert_eq!(h.count(), 0);
+    assert_eq!(h.percentile(50.0), 0);
+    assert_eq!(h.percentile(95.0), 0);
+    assert_eq!(h.percentile(99.0), 0);
+    assert_eq!(h.percentile(0.0), 0);
+    assert_eq!(h.percentile(100.0), 0);
     assert_eq!(h.mean(), 0);
 }
 
@@ -77,11 +77,11 @@ fn empty_histogram_percentiles_are_zero() {
 fn single_sample_histogram_percentiles_cover_the_sample() {
     let mut h = Histogram::default();
     h.record(1000);
-    for p in [50, 95, 99, 100] {
+    for p in [50.0, 95.0, 99.0, 100.0] {
         assert!(h.percentile(p) >= 1000, "p{p} below the only sample");
     }
     let mut z = Histogram::default();
     z.record(0);
-    assert_eq!(z.percentile(50), 0);
-    assert_eq!(z.percentile(99), 0);
+    assert_eq!(z.percentile(50.0), 0);
+    assert_eq!(z.percentile(99.0), 0);
 }
