@@ -67,6 +67,8 @@ fn run_profile(profile: &AppProfile) -> AppNumbers {
     // Mostly-idle incremental (the paper's lower bound).
     let incr = sls.sls_checkpoint(gid).unwrap();
     sls.sls_barrier(gid).unwrap();
+    // "Full from disk": nothing of the image is in the page cache.
+    sls.store().lock().drop_page_cache();
     let r_full = sls.sls_restore(gid, None, RestoreMode::Full).unwrap();
     let r_lazy = sls.sls_restore(gid, None, RestoreMode::Lazy).unwrap();
 

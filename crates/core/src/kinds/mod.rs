@@ -20,9 +20,11 @@ use crate::oidmap::{KObj, Kind, OidMap, MANIFEST};
 use crate::restore::RestoreMode;
 use crate::wire::{record, Record};
 use crate::{LineageBinding, Sls};
-use aurora_objstore::{ObjectStore, Oid};
+use aurora_objstore::{ObjectStore, Oid, StoreError, View, PAGE};
 use aurora_posix::ids::PidNamespace;
+use aurora_posix::vfs::VnodeKind;
 use aurora_posix::{Kernel, Pid, VnodeId};
+use aurora_vm::ObjId;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 record! {
@@ -50,6 +52,9 @@ pub struct AssignCtx<'a> {
     pub oids: &'a mut OidMap,
     /// The pager's lineage → binding map.
     pub lineages: &'a mut HashMap<u64, LineageBinding>,
+    /// Lineages whose binding this assignment inserted (an abort's undo
+    /// list).
+    pub new_lineages: &'a mut Vec<u64>,
 }
 
 /// State handed to [`KindDef::flush`] during the pipeline's Flush stage
@@ -77,8 +82,9 @@ pub struct FlushCtx<'a> {
     /// emits sub-page redo records with the contained payload cap (see
     /// [`CheckpointConfig::redo_delta_max`](crate::CheckpointConfig)).
     pub redo_delta_max: Option<usize>,
-    /// Lineage bindings at flush time: a restored branch's floor/resume
-    /// pin its redo chains to branch-visible versions.
+    /// Lineage bindings of the flushed memory objects: a restored
+    /// branch's floor/resume pin its redo chains to branch-visible
+    /// versions.
     pub lineages: HashMap<u64, LineageBinding>,
     /// Redo records appended by this flush (delta path only).
     pub redo_records: u64,
@@ -106,6 +112,18 @@ pub struct Rebuild<'a> {
     /// The process whose threads are being installed: a thread has no
     /// standalone existence, it restores only inside its process.
     pub(crate) owner: Option<Pid>,
+    /// Pages the installed records want, queued for the restore's one
+    /// read plan: where they land, their store object, their indices.
+    reads: Vec<(PageSink, Oid, Vec<u64>)>,
+}
+
+/// Where a page a restore reads lands.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum PageSink {
+    /// A memory object's page.
+    Mem(ObjId),
+    /// A page of a regular file's contents.
+    Vnode(VnodeId),
 }
 
 impl<'a> Rebuild<'a> {
@@ -121,7 +139,44 @@ impl<'a> Rebuild<'a> {
             kernel_ns,
             new_pids: Vec::new(),
             owner: None,
+            reads: Vec::new(),
         }
+    }
+
+    /// Queues `pages` of store object `oid` for the restore's read plan,
+    /// to land in `sink` once every record is installed.
+    pub(crate) fn plan_pages(&mut self, sink: PageSink, oid: Oid, pages: Vec<u64>) {
+        self.reads.push((sink, oid, pages));
+    }
+
+    /// Reads every queued page as one plan and lands each one: memory
+    /// pages install as shared refs of the store's cache frames (the
+    /// restored space shares them until its first write breaks COW),
+    /// file pages are copied into their vnode.
+    pub(crate) fn read_planned(&mut self) -> Result<(), SlsError> {
+        let reads = std::mem::take(&mut self.reads);
+        let pages: Vec<(Oid, u64)> =
+            reads.iter().flat_map(|(_, oid, pis)| pis.iter().map(|&pi| (*oid, pi))).collect();
+        let got = self.sls.store.lock().read_pages(View::Epoch(self.epoch), &pages)?;
+        let mut got = got.into_iter();
+        let k = &mut self.sls.kernel;
+        for (sink, oid, pis) in reads {
+            for (pi, page) in pis.into_iter().zip(&mut got) {
+                let page = page.ok_or(StoreError::NoSuchPage(oid, pi))?;
+                match sink {
+                    PageSink::Mem(obj) => k.vm.install_page(obj, pi, page, false)?,
+                    PageSink::Vnode(v) => {
+                        if let VnodeKind::Regular { data } = &mut k.vfs.vnode_mut(v)?.kind {
+                            let at = pi as usize * PAGE;
+                            let n = PAGE.min(data.len() - at);
+                            data[at..at + n].copy_from_slice(&page.bytes()[..n]);
+                        }
+                    }
+                }
+                self.pages_read += 1;
+            }
+        }
+        Ok(())
     }
 
     /// Rebuilds the object stored at `oid` (and, recursively, whatever

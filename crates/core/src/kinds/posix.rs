@@ -7,7 +7,7 @@
 //! costs. In-flight descriptors inside socket buffers are wired up by
 //! the post-restore pass once the whole population exists.
 
-use super::{FlushCtx, KindDef, Rebuild};
+use super::{FlushCtx, KindDef, PageSink, Rebuild};
 use crate::checkpoint::Reach;
 use crate::error::SlsError;
 use crate::oidmap::{KObj, Kind, OidMap};
@@ -517,14 +517,10 @@ impl KindDef for VnodeRecord {
                 entries: self.dirents.iter().map(|(n, ino)| (n.clone(), VnodeId(*ino))).collect(),
             }
         } else {
-            let pages: Vec<u64> = (0..self.size.div_ceil(PAGE as u64)).collect();
-            let mut data = vec![0u8; pages.len() * PAGE];
-            for (pi, page) in cx.sls.store.lock().read_pages_bulk(oid, cx.epoch, &pages)? {
-                data[pi as usize * PAGE..][..PAGE].copy_from_slice(page.bytes());
-                cx.pages_read += 1;
-            }
-            data.truncate(self.size as usize);
-            VnodeKind::Regular { data }
+            // The contents arrive with the restore's read plan.
+            let pages = (0..self.size.div_ceil(PAGE as u64)).collect();
+            cx.plan_pages(PageSink::Vnode(VnodeId(self.ino)), oid, pages);
+            VnodeKind::Regular { data: vec![0u8; self.size as usize] }
         };
         let k = &mut cx.sls.kernel;
         k.charge.allocs(2);
@@ -862,6 +858,7 @@ impl KindDef for ShmPosixRecord {
         let k = &mut cx.sls.kernel;
         k.charge.allocs(1);
         k.charge.locks(2);
+        k.vm.ref_object(object)?; // the segment's own reference
         let id = k.shm.next_id();
         k.shm.posix.insert(id, PosixShm { id, name: self.name.clone(), object, pages: self.pages });
         Ok(id)
@@ -915,6 +912,7 @@ impl KindDef for ShmSysvRecord {
         let k = &mut cx.sls.kernel;
         k.charge.allocs(1);
         k.charge.locks(2);
+        k.vm.ref_object(object)?; // the segment's own reference
         let id = k.shm.next_id();
         let (key, pages, nattch) = (self.key, self.pages, self.nattch);
         k.shm.sysv.insert(id, SysvShm { id, key, object, pages, nattch });

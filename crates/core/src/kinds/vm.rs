@@ -6,7 +6,7 @@
 //! to the restored branch.
 
 use super::posix::ShmSysvRecord;
-use super::{AssignCtx, FlushCtx, KindDef, Rebuild};
+use super::{AssignCtx, FlushCtx, KindDef, PageSink, Rebuild};
 use crate::checkpoint::Reach;
 use crate::error::SlsError;
 use crate::oidmap::{KObj, Kind, OidMap};
@@ -16,6 +16,7 @@ use crate::LineageBinding;
 use aurora_objstore::{Oid, PAGE};
 use aurora_posix::Kernel;
 use aurora_vm::{ObjId, ObjKind};
+use std::collections::hash_map::Entry;
 
 /// What backs a memory object's pages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -62,7 +63,10 @@ impl KindDef for MemRecord {
     fn assign_oid(ctx: &mut AssignCtx<'_>, id: u64) -> Result<Oid, SlsError> {
         let key = Self::key_of(ctx.kernel, id)?;
         let oid = ctx.oids.get_or_create(ctx.store, key)?;
-        ctx.lineages.entry(key.1).or_insert_with(|| LineageBinding::live(oid));
+        if let Entry::Vacant(e) = ctx.lineages.entry(key.1) {
+            e.insert(LineageBinding::live(oid));
+            ctx.new_lineages.push(key.1);
+        }
         Ok(oid)
     }
 
@@ -210,20 +214,18 @@ impl KindDef for MemRecord {
         if let Some(b) = backer {
             sls.kernel.vm.set_backer(obj, b)?;
         }
-        // Populate pages.
+        // Bind the fresh lineage immediately so lazy faults can page in
+        // — pinned to this restore's branch: history ≤ epoch plus
+        // whatever this instance commits from now on.
+        let lineage = sls.kernel.vm.object(obj)?.lineage.0;
+        let resume = sls.store.lock().current_epoch();
+        sls.lineage_oids.lock().insert(lineage, LineageBinding { oid, floor: epoch, resume });
+        // Populate pages: a full restore queues them for its one read
+        // plan; a lazy one leaves them for the pager.
         if self.kind != MemKind::Device {
             let pages = sls.store.lock().pages_at(oid, epoch).unwrap_or_default();
             match cx.mode {
-                RestoreMode::Full => {
-                    let loaded = sls.store.lock().read_pages_bulk(oid, epoch, &pages)?;
-                    // Installed refs alias the store's page cache: the
-                    // restored space shares frames with the store until
-                    // its first post-restore write breaks COW.
-                    for (pi, data) in loaded {
-                        sls.kernel.vm.install_page(obj, pi, data, false)?;
-                        cx.pages_read += 1;
-                    }
-                }
+                RestoreMode::Full => cx.plan_pages(PageSink::Mem(obj), oid, pages),
                 RestoreMode::Lazy => {
                     for pi in pages {
                         sls.kernel.vm.mark_swapped(obj, pi)?;
@@ -231,12 +233,6 @@ impl KindDef for MemRecord {
                 }
             }
         }
-        // Bind the fresh lineage immediately so lazy faults can page in
-        // — pinned to this restore's branch: history ≤ epoch plus
-        // whatever this instance commits from now on.
-        let lineage = sls.kernel.vm.object(obj)?.lineage.0;
-        let resume = sls.store.lock().current_epoch();
-        sls.lineage_oids.lock().insert(lineage, LineageBinding { oid, floor: epoch, resume });
         Ok(obj.0)
     }
 

@@ -635,6 +635,17 @@ impl Sls {
         self.groups.entry(id).or_insert(Group::new(id, roots, opts, manifest))
     }
 
+    /// Drops the pager bindings of lineages no live VM object carries
+    /// any more (their processes exited). Lineage ids are never reused,
+    /// so nothing can look one up again; each restore runs this before
+    /// binding its own lineages, which keeps the map bounded by the live
+    /// objects instead of growing with every restore ever made.
+    pub(crate) fn forget_dead_lineages(&mut self) {
+        let mut live: Vec<u64> = self.kernel.vm.lineages().collect();
+        live.sort_unstable();
+        self.lineage_oids.lock().retain(|lineage, _| live.binary_search(lineage).is_ok());
+    }
+
     /// Marks a process ephemeral (`sls detach`): still quiesced with its
     /// group, never persisted; the parent sees SIGCHLD after a restore.
     pub fn detach(&mut self, pid: Pid) -> Result<(), SlsError> {

@@ -21,7 +21,7 @@ use crate::checkpoint::{CheckpointStats, Reach, StageFailure};
 use crate::kinds::{AssignCtx, FlushCtx, KindOps, ManifestRecord, KINDS};
 use crate::oidmap::{KObj, Kind, OidMap, MANIFEST};
 use crate::wire::Record;
-use crate::{GroupId, LineageBinding, SealedBatch, Sls, SlsError};
+use crate::{GroupId, SealedBatch, Sls, SlsError};
 use aurora_objstore::{CommitInfo, Oid};
 use aurora_posix::{Pid, VnodeId};
 use aurora_vm::{CollapseMode, ObjId, SpaceId};
@@ -111,7 +111,10 @@ pub struct FlushOut {
 struct Snapshot {
     oidmap: OidMap,
     vnode_hash: HashMap<VnodeId, u64>,
-    lineages: HashMap<u64, LineageBinding>,
+    /// The pager bindings this run's Serialize inserted — an undo list,
+    /// not a copy of the cross-group map: other groups' runs insert
+    /// theirs in between, and an abort must not erase them.
+    new_lineages: Vec<u64>,
 }
 
 /// Where a [`GroupRun`] is in its checkpoint. The Stop phase runs the
@@ -411,7 +414,7 @@ impl GroupRun {
         Ok(Snapshot {
             oidmap: g.oidmap.clone(),
             vnode_hash: g.vnode_hash.clone(),
-            lineages: sls.lineage_oids.lock().clone(),
+            new_lineages: Vec::new(),
         })
     }
 
@@ -466,12 +469,12 @@ impl GroupRun {
 
     /// Rolls the live world back after a stage exhausted its retries:
     /// the group's uncommitted draft epoch is discarded (its staged
-    /// blocks freed), the group's OID map and vnode fingerprints and
-    /// the pager's lineage bindings revert to their pre-serialize
-    /// snapshot, and every page a flush attempt marked clean is dirtied
-    /// again. Other groups' in-flight drafts are untouched. The failed
-    /// checkpoint is reported via [`CheckpointStats::failure`]; nothing
-    /// of it remains visible.
+    /// blocks freed), the group's OID map and vnode fingerprints revert
+    /// to their pre-serialize snapshot, the pager bindings its Serialize
+    /// inserted are dropped, and every page a flush attempt marked clean
+    /// is dirtied again. Other groups' in-flight drafts and bindings are
+    /// untouched. The failed checkpoint is reported via
+    /// [`CheckpointStats::failure`]; nothing of it remains visible.
     fn abort(&mut self, sls: &mut Sls, stage: &'static str, attempts: u32, cause: SlsError) {
         let trace = sls.kernel.charge.trace();
         if trace.is_enabled() {
@@ -491,7 +494,10 @@ impl GroupRun {
                 g.oidmap = snap.oidmap;
                 g.vnode_hash = snap.vnode_hash;
             }
-            *sls.lineage_oids.lock() = snap.lineages;
+            let mut lineages = sls.lineage_oids.lock();
+            for lineage in snap.new_lineages {
+                lineages.remove(&lineage);
+            }
         }
         for (obj, pi) in std::mem::take(&mut self.cleaned_pages) {
             // The page may have been shadowed since it was flushed; a
@@ -577,11 +583,13 @@ impl GroupRun {
             let g = sls.groups.get_mut(&self.gid).ok_or(SlsError::NoSuchGroup(self.gid))?;
             let mut store = sls.store.lock();
             let mut lineages = sls.lineage_oids.lock();
+            let snap = self.snap.as_mut().expect("snapshot taken before Serialize");
             let mut ctx = AssignCtx {
                 kernel: &sls.kernel,
                 store: &mut store,
                 oids: &mut g.oidmap,
                 lineages: &mut lineages,
+                new_lineages: &mut snap.new_lineages,
             };
             for (ops, ids) in &plan {
                 for &id in ids {
@@ -631,6 +639,17 @@ impl GroupRun {
     /// charged metadata batch, then each kind's bulk data through its
     /// flush hook, then the group manifest.
     fn flush(&mut self, sls: &mut Sls, s: &Serialized) -> Result<FlushOut, SlsError> {
+        // Only this flush's objects' bindings: never a copy of the whole
+        // cross-group map.
+        let lineages = {
+            let all = sls.lineage_oids.lock();
+            let mut mine = HashMap::with_capacity(s.reach.mem_objs.len());
+            for &obj in &s.reach.mem_objs {
+                let lineage = sls.kernel.vm.object(obj)?.lineage.0;
+                mine.extend(all.get(&lineage).map(|&b| (lineage, b)));
+            }
+            mine
+        };
         let g = sls.groups.get_mut(&self.gid).ok_or(SlsError::NoSuchGroup(self.gid))?;
         let mut store = sls.store.lock();
         let mut out = FlushOut::default();
@@ -651,7 +670,7 @@ impl GroupRun {
                 crate::CheckpointMode::FullPage => None,
                 crate::CheckpointMode::Delta => Some(sls.config.redo_delta_max),
             },
-            lineages: sls.lineage_oids.lock().clone(),
+            lineages,
             redo_records: 0,
         };
         // No `?` inside the hook loop: pages a partial flush marked

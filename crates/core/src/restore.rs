@@ -4,12 +4,14 @@
 //! file-system namespace and the processes; each kind's `install` pulls
 //! in the objects it references (a file restores its target, a memory
 //! object its backer, a socket its peer), so sharing is re-linked by
-//! construction and no per-type logic lives here.
+//! construction and no per-type logic lives here. Installing reads no
+//! page: records queue the pages they want, and the whole image's pages
+//! come back in one read plan once every record is installed.
 
 use crate::kinds::{post_restore_all, ManifestRecord, Rebuild};
 use crate::oidmap::{Kind, MANIFEST};
 use crate::{GroupId, Sls, SlsError, SlsOptions};
-use aurora_objstore::{ObjectKind, Oid};
+use aurora_objstore::{ObjectKind, Oid, View};
 use aurora_posix::Pid;
 
 /// How to bring memory back (§6, "lazy restores").
@@ -65,14 +67,13 @@ impl Sls {
     /// *record* boundary, not just an epoch boundary. The base image is
     /// the newest committed epoch entirely at or below `lsn`
     /// ([`epoch_for_lsn`]); every page that changed after it is then
-    /// overlaid with its content as of the target LSN (chain replay via
-    /// [`read_page_at_lsn`]) and left dirty, so the branch's next
-    /// checkpoint re-commits the overlay. The object namespace (and
-    /// object sizes) resolve at base-epoch granularity; page *content*
-    /// resolves at record granularity.
+    /// overlaid with its content as of the target LSN (one read plan
+    /// under [`View::Lsn`], chain replay in the store) and left dirty,
+    /// so the branch's next checkpoint re-commits the overlay. The
+    /// object namespace (and object sizes) resolve at base-epoch
+    /// granularity; page *content* resolves at record granularity.
     ///
     /// [`epoch_for_lsn`]: aurora_objstore::ObjectStore::epoch_for_lsn
-    /// [`read_page_at_lsn`]: aurora_objstore::ObjectStore::read_page_at_lsn
     pub fn restore_at(
         &mut self,
         manifest: Oid,
@@ -109,6 +110,7 @@ impl Sls {
         let clock = self.kernel.charge.clock().clone();
         let t0 = clock.now();
 
+        self.forget_dead_lineages();
         let mut cx = Rebuild::new(self, epoch, mode);
         let man: ManifestRecord = cx.read(manifest)?;
 
@@ -124,27 +126,40 @@ impl Sls {
         // Cross-object links that need the full population (in-flight
         // descriptors inside socket buffers), run to a fixpoint.
         post_restore_all(&mut cx)?;
+        // Every record is installed: read the pages they queued as one
+        // plan, all issued together.
+        cx.read_planned()?;
         let Rebuild { ids, mut pages_read, pid_ns, new_pids, .. } = cx;
 
         // Point-in-time roll-forward: overlay every restored page that
         // changed after the base epoch with its content as of the target
-        // LSN (chain replay in the store), left dirty so the branch's
-        // next checkpoint re-commits it.
+        // LSN — one more plan, chain replay in the store — left dirty so
+        // the branch's next checkpoint re-commits it.
         if let Some(lsn) = overlay {
             let changed = self.store.lock().modified_since(epoch);
-            let mut overlaid = 0u64;
+            let mut wants: Vec<(Oid, u64)> = Vec::new();
+            let mut dests: Vec<aurora_vm::ObjId> = Vec::new();
             for (&(_, oid), &id) in ids.iter().filter(|((kind, _), _)| *kind == Kind::Mem) {
                 let obj = aurora_vm::ObjId(id);
                 let size_pages = self.kernel.vm.object(obj)?.size_pages;
-                for &(_, pi) in changed.iter().filter(|&&(o, _)| o == oid) {
-                    if pi >= size_pages {
-                        continue; // grew after the base epoch; size is epoch-granular
+                // `changed` is sorted by oid: this object's pages are one run.
+                let from = changed.partition_point(|&(o, _)| o < oid);
+                for &(_, pi) in changed[from..].iter().take_while(|&&(o, _)| o == oid) {
+                    // A page past the end grew after the base epoch; size
+                    // is epoch-granular.
+                    if pi < size_pages {
+                        wants.push((oid, pi));
+                        dests.push(obj);
                     }
-                    if let Some(p) = self.store.lock().read_page_at_lsn(oid, pi, lsn)? {
-                        self.kernel.vm.install_page(obj, pi, p, true)?;
-                        pages_read += 1;
-                        overlaid += 1;
-                    }
+                }
+            }
+            let got = self.store.lock().read_pages(View::Lsn(lsn), &wants)?;
+            let mut overlaid = 0u64;
+            for ((obj, (_, pi)), page) in dests.into_iter().zip(wants).zip(got) {
+                if let Some(p) = page {
+                    self.kernel.vm.install_page(obj, pi, p, true)?;
+                    pages_read += 1;
+                    overlaid += 1;
                 }
             }
             let trace = self.kernel.charge.trace();
@@ -154,6 +169,15 @@ impl Sls {
                     "restore.at",
                     &[("lsn", lsn), ("base_epoch", epoch), ("overlaid", overlaid)],
                 );
+            }
+        }
+
+        // Each memory object was created holding one reference for the
+        // restore; its mappings, shadows and shm segments took their own.
+        // Drop the restore's, so the objects die with their last user.
+        for (&(kind, _), &id) in &ids {
+            if kind == Kind::Mem {
+                self.kernel.vm.unref_object(aurora_vm::ObjId(id))?;
             }
         }
 
@@ -189,5 +213,34 @@ impl Sls {
             pages_read,
             elapsed_ns: clock.now() - t0,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::RestoreMode;
+    use crate::world::World;
+    use crate::{AuroraApi, SlsOptions};
+
+    /// A restore binds its memory objects' lineages for the pager; once
+    /// the restored processes exit, their objects and bindings go with
+    /// them, so neither grows with the number of restores.
+    #[test]
+    fn lineage_bindings_plateau_across_restore_exit_cycles() {
+        let mut w = World::quickstart();
+        let pid = w.spawn_counter_app();
+        let gid = w.sls.attach(pid, SlsOptions::default()).unwrap();
+        w.sls.sls_checkpoint(gid).unwrap();
+        w.sls.sls_barrier(gid).unwrap();
+        let mut sizes = Vec::new();
+        for i in 0..200 {
+            let mode = if i % 2 == 0 { RestoreMode::Full } else { RestoreMode::Lazy };
+            let r = w.sls.sls_restore(gid, None, mode).unwrap();
+            for pid in r.pids {
+                w.sls.kernel.exit(pid).unwrap();
+            }
+            sizes.push((w.sls.lineage_oids.lock().len(), w.sls.kernel.vm.object_count()));
+        }
+        assert_eq!(sizes[199], sizes[9], "bindings and VM objects plateau: {sizes:?}");
     }
 }

@@ -7,6 +7,8 @@
 //! uses.
 
 use crate::{GroupId, LineageBinding, SharedStore, Sls, SlsError};
+use aurora_objstore::StoreError;
+use aurora_posix::KError;
 use aurora_vm::{ObjKind, PageData};
 use aurora_sim::sync::Mutex;
 use std::collections::HashMap;
@@ -23,13 +25,27 @@ pub struct StorePager {
 }
 
 impl aurora_posix::Pager for StorePager {
-    fn page_in(&mut self, lineage: u64, pindex: u64) -> Option<PageData> {
-        let binding = *self.lineage_oids.lock().get(&lineage)?;
-        let mut store = self.store.lock();
-        let page = store
-            .read_page_pinned(binding.oid, pindex, binding.floor, binding.resume)
-            .ok()?;
-        Some(page)
+    /// A one-page read plan on the lineage's branch. A page the store
+    /// never had is a hard fault (`Ok(None)`); a device error or
+    /// checksum mismatch surfaces as [`KError::Io`].
+    fn page_in(&mut self, lineage: u64, pindex: u64) -> Result<Option<PageData>, KError> {
+        use StoreError::{Corrupt, Device, NoSuchEpoch, NoSuchObject, NoSuchPage};
+        let Some(binding) = self.lineage_oids.lock().get(&lineage).copied() else {
+            return Ok(None);
+        };
+        let page = self.store.lock().read_page_pinned(
+            binding.oid,
+            pindex,
+            binding.floor,
+            binding.resume,
+        );
+        match page {
+            Ok(page) => Ok(Some(page)),
+            Err(NoSuchObject(_) | NoSuchEpoch(_) | NoSuchPage(..)) => Ok(None),
+            Err(Device { op, .. }) => Err(KError::Io { op }),
+            Err(Corrupt(what)) => Err(KError::Io { op: what }),
+            Err(_) => Err(KError::Io { op: "page-in" }),
+        }
     }
 }
 

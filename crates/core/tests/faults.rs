@@ -5,7 +5,9 @@
 
 use aurora_core::world::World;
 use aurora_core::{AuroraApi, CheckpointConfig, RestoreMode, RetryPolicy, SlsOptions};
+use aurora_posix::KError;
 use aurora_storage::faulty::FaultPlan;
+use aurora_vm::PAGE_SIZE;
 
 const STORE_BYTES: u64 = 1 << 28;
 
@@ -291,4 +293,27 @@ fn failed_memckpt_returns_the_draft_cursor() {
     drop(store);
     w.sls.kernel.mem_write(pid, addr, b"and again").unwrap();
     assert!(w.sls.sls_memckpt(gid, pid, addr).is_ok(), "the group's next region checkpoint commits");
+}
+
+mod medium;
+
+/// A lazily restored page whose redo record is corrupt on the medium
+/// faults in as a structured I/O error naming the failed check — not as
+/// a page the store never had.
+#[test]
+fn a_corrupt_record_under_a_lazy_fault_is_an_io_error() {
+    let (mut w, log) = medium::logged_world();
+    let (_, addr, _, extent) = medium::image_with_a_packed_extent(&mut w, &log, 4);
+    medium::corrupt_first_record(&w, extent);
+    w.sls.crash_and_reboot().unwrap();
+    let epoch = w.sls.store().lock().last_epoch().unwrap();
+    let manifest = w.sls.manifests_at(epoch).unwrap()[0];
+    let r = w.sls.restore_image(manifest, epoch, RestoreMode::Lazy).unwrap();
+    let mut buf = [0u8; 64];
+    // Page 0 logged the extent's first record.
+    let err = w.sls.kernel.mem_read(r.pids[0], addr + 512, &mut buf).unwrap_err();
+    assert_eq!(err, KError::Io { op: "verify-record" });
+    // Page 1's record, in the same extent, is intact.
+    w.sls.kernel.mem_read(r.pids[0], addr + PAGE_SIZE as u64 + 512, &mut buf).unwrap();
+    assert_eq!(buf, [1 ^ 0xA5; 64]);
 }

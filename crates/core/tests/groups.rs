@@ -445,3 +445,40 @@ fn checkpoint_now_is_checkpoint_all_of_one() {
         (w, gid)
     });
 }
+
+/// An aborted flush takes back only the pager bindings its own
+/// Serialize inserted. A freshly attached group F is ready at once, so
+/// the scheduler runs F's Stop, then G's Stop, then F's Flush: when F's
+/// flush exhausts its retries, the binding G's Serialize just created
+/// for a new mapping must survive it, or G cannot page that memory back
+/// in once it is evicted.
+#[test]
+fn an_abort_keeps_the_other_groups_fresh_bindings() {
+    let (mut w, faults) = World::with_faulty_store(2 << 30, FaultPlan::none());
+    let (gg, pg, _) = fleet(&mut w, 1)[0];
+    // A mapping G's last checkpoint has not seen: a new lineage.
+    let addr = w.dirty_region(pg, 8).unwrap();
+    let before: Vec<u8> = (0..8 * PAGE_SIZE).map(|i| (i % 251) as u8).collect();
+    w.sls.kernel.mem_write(pg, addr, &before).unwrap();
+    let pf = w.sls.kernel.spawn("fresh");
+    w.dirty_region(pf, 8).unwrap();
+    let gf = w
+        .sls
+        .attach(pf, SlsOptions { external_synchrony: false, ..SlsOptions::default() })
+        .unwrap();
+
+    // F's flush writes first; each attempt dies on its first write, so
+    // a window of `max_attempts` writes fails exactly F's attempts.
+    let attempts = w.sls.config.retry.max_attempts as u64;
+    faults.set_plan(FaultPlan::eio_storm(faults.writes_seen(), attempts));
+    let stats = w.sls.checkpoint_all(&[gf, gg]).unwrap();
+    faults.clear_faults();
+    let failure = stats[0].failure.as_ref().expect("group F's flush must fail");
+    assert_eq!((failure.group, failure.stage), (gf.0, "flush"));
+    assert!(stats[1].committed(), "group G commits");
+
+    assert!(w.sls.evict_clean_pages(gg, u64::MAX).unwrap() >= 8);
+    let mut after = vec![0u8; 8 * PAGE_SIZE];
+    w.sls.kernel.mem_read(pg, addr, &mut after).unwrap();
+    assert_eq!(after, before, "G's evicted pages come back from the store");
+}

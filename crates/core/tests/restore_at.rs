@@ -13,7 +13,8 @@
 use std::collections::BTreeSet;
 
 use aurora_core::world::World;
-use aurora_core::{AuroraApi, RestoreMode, SlsOptions};
+use aurora_core::{AuroraApi, RestoreMode, SlsError, SlsOptions};
+use aurora_objstore::{ObjectKind, Oid, StoreError};
 use aurora_sim::{DetRng, Rng};
 use aurora_trace::InvariantChecker;
 use aurora_vm::PAGE_SIZE;
@@ -176,4 +177,122 @@ fn restore_at_matches_shadow_at_every_record_boundary() {
     }
 
     assert_eq!(checker.violations(), Vec::<String>::new());
+}
+
+mod medium;
+
+/// The store object holding `pages` pages of memory at `epoch` — the
+/// region the tests below map.
+fn region_oid(w: &World, epoch: u64, pages: u64) -> Oid {
+    let store = w.sls.store().lock();
+    let mem = |o: &Oid| store.kind(*o) == Ok(ObjectKind::Memory);
+    let mut oids = store.objects_at(epoch).unwrap().into_iter().filter(mem);
+    oids.find(|&o| store.pages_at(o, epoch).unwrap().len() as u64 == pages).unwrap()
+}
+
+/// `read_page` of every page, each from a cold cache — the oracle.
+fn oracle_at_epoch(w: &World, oid: Oid, epoch: u64, pages: u64) -> Vec<u8> {
+    let mut store = w.sls.store().lock();
+    let mut out = Vec::new();
+    for pi in 0..pages {
+        store.drop_page_cache();
+        out.extend_from_slice(store.read_page(oid, pi, epoch).unwrap().bytes());
+    }
+    store.drop_page_cache();
+    out
+}
+
+/// `read_page_at_lsn` of every page (the base epoch's content where the
+/// page had no record yet), each from a cold cache.
+fn oracle_at_lsn(w: &World, oid: Oid, lsn: u64, pages: u64) -> Vec<u8> {
+    let base = w.sls.store().lock().epoch_for_lsn(lsn).unwrap();
+    let mut out = oracle_at_epoch(w, oid, base, pages);
+    let mut store = w.sls.store().lock();
+    for pi in 0..pages {
+        store.drop_page_cache();
+        if let Some(p) = store.read_page_at_lsn(oid, pi, lsn).unwrap() {
+            out[pi as usize * PAGE_SIZE..][..PAGE_SIZE].copy_from_slice(p.bytes());
+        }
+    }
+    store.drop_page_cache();
+    out
+}
+
+fn region(w: &mut World, pid: aurora_posix::Pid, addr: u64, pages: u64) -> Vec<u8> {
+    let mut out = vec![0u8; pages as usize * PAGE_SIZE];
+    w.sls.kernel.mem_read(pid, addr, &mut out).unwrap();
+    out
+}
+
+/// Full restores and `restore_at` of an image whose pages sit at the
+/// end of 11-link chains, every epoch's records packed into one shared
+/// extent, read back by one plan each: byte for byte the one-page
+/// reads, with a cold cache, before and after a crash.
+#[test]
+fn image_plans_match_the_one_page_oracle_before_and_after_a_crash() {
+    const PAGES: u64 = 12;
+    let (mut w, log) = medium::logged_world();
+    let (pid, addr, gid, _) = medium::image_with_a_packed_extent(&mut w, &log, PAGES);
+    let mut rng = DetRng::seed_from_u64(0xC4A1);
+    for _ in 0..9 {
+        for pi in 0..PAGES {
+            let data: Vec<u8> = (0..48).map(|_| rng.next_u64() as u8).collect();
+            let off = rng.gen_range(0..(PAGE_SIZE as u64 - 48));
+            w.sls.kernel.mem_write(pid, addr + pi * PAGE_SIZE as u64 + off, &data).unwrap();
+        }
+        w.sls.sls_checkpoint(gid).unwrap();
+        w.sls.sls_barrier(gid).unwrap();
+    }
+    let live = region(&mut w, pid, addr, PAGES);
+    for crashed in [false, true] {
+        if crashed {
+            w.sls.crash_and_reboot().unwrap();
+        }
+        let epoch = w.sls.store().lock().last_epoch().unwrap();
+        let manifest = w.sls.manifests_at(epoch).unwrap()[0];
+        let oid = region_oid(&w, epoch, PAGES);
+        let want = oracle_at_epoch(&w, oid, epoch, PAGES);
+        assert_eq!(want, live, "the oracle reads the last checkpoint (crashed: {crashed})");
+        let r = w.sls.restore_image(manifest, epoch, RestoreMode::Full).unwrap();
+        let got = region(&mut w, r.pids[0], addr, PAGES);
+        assert_eq!(got, want, "full restore (crashed: {crashed})");
+        let lsns = w.sls.store().lock().record_lsns();
+        for &lsn in lsns.iter().rev().step_by(17).take(6) {
+            let want = oracle_at_lsn(&w, oid, lsn, PAGES);
+            let r = w.sls.restore_at(manifest, lsn, RestoreMode::Full).unwrap();
+            let got = region(&mut w, r.pids[0], addr, PAGES);
+            assert_eq!(got, want, "restore_at({lsn}) (crashed: {crashed})");
+        }
+        let p95 = w.sls.store().lock().gauges().redo_chain_len_p95;
+        assert!(p95 >= 8, "chains of 8+ links replayed, p95 {p95}");
+    }
+}
+
+/// One corrupt record in a shared extent fails the whole restore with
+/// the store's checksum error, and no group is registered for it.
+#[test]
+fn a_corrupt_record_fails_the_whole_restore_and_registers_no_group() {
+    let (mut w, log) = medium::logged_world();
+    let (_, _, _, extent) = medium::image_with_a_packed_extent(&mut w, &log, 8);
+    medium::corrupt_first_record(&w, extent);
+    w.sls.crash_and_reboot().unwrap();
+    let epoch = w.sls.store().lock().last_epoch().unwrap();
+    let manifest = w.sls.manifests_at(epoch).unwrap()[0];
+    let lsn = *w.sls.store().lock().record_lsns().last().unwrap();
+    for err in [
+        w.sls.restore_image(manifest, epoch, RestoreMode::Full).unwrap_err(),
+        w.sls.restore_at(manifest, lsn, RestoreMode::Full).unwrap_err(),
+    ] {
+        assert!(
+            matches!(
+                err,
+                SlsError::Store(StoreError::Device {
+                    op: "verify-record" | "verify-materialized",
+                    ..
+                })
+            ),
+            "expected a checksum failure, got {err}"
+        );
+        assert!(w.sls.groups().is_empty(), "a failed restore registers no group");
+    }
 }

@@ -33,5 +33,5 @@ pub use explore::{Explorer, OpKind, ScheduleReport, WorkloadOp};
 pub use journal::JournalStats;
 pub use store::{
     CommitInfo, ObjectKind, ObjectStore, Oid, RedoRecordOut, RedoWrite, StoreError, StoreGauges,
-    PAGE,
+    View, PAGE,
 };

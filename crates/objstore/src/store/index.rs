@@ -90,14 +90,21 @@ impl PageVersion {
 
 /// Which versions of a page a reader may see.
 #[derive(Clone, Copy, Debug)]
-pub(crate) enum View {
+pub enum View {
     /// The committed state as of an epoch.
     Epoch(u64),
     /// A restored branch, as of epoch `upto`: history up to the restore
     /// point (`≤ floor`) plus what the branch itself wrote (`≥ resume`),
     /// never the abandoned future in between. `upto = u64::MAX` admits
     /// staged versions too — the write path chains on them.
-    Branch { floor: u64, resume: u64, upto: u64 },
+    Branch {
+        /// Newest historical epoch visible.
+        floor: u64,
+        /// First epoch the branch itself committed.
+        resume: u64,
+        /// Newest epoch visible at all.
+        upto: u64,
+    },
     /// Committed records at or below a log sequence number.
     Lsn(u64),
 }

@@ -20,6 +20,7 @@ mod recover;
 mod types;
 mod write;
 
+pub use index::View;
 pub use types::{
     CommitInfo, ObjectKind, Oid, RedoRecordOut, RedoWrite, Result, StoreError, StoreGauges, PAGE,
 };

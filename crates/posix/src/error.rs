@@ -34,6 +34,13 @@ pub enum KError {
     Intr,
     /// A memory error from the VM layer.
     Vm(VmError),
+    /// I/O error (EIO): the pager's store operation `op` failed — a
+    /// device error or a checksum mismatch. (No block number: the
+    /// variant must not widen `KError`, which every syscall returns.)
+    Io {
+        /// The store operation that failed.
+        op: &'static str,
+    },
 }
 
 impl fmt::Display for KError {
@@ -53,6 +60,7 @@ impl fmt::Display for KError {
             KError::Notconn => write!(f, "ENOTCONN: not connected"),
             KError::Intr => write!(f, "EINTR: interrupted system call"),
             KError::Vm(e) => write!(f, "VM error: {e}"),
+            KError::Io { op } => write!(f, "EIO: {op} failed"),
         }
     }
 }
@@ -67,3 +75,15 @@ impl From<VmError> for KError {
 
 /// Result alias for kernel operations.
 pub type Result<T> = std::result::Result<T, KError>;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every syscall returns a `Result<_, KError>`: the kernel's error
+    /// must stay no wider than the VM error it wraps.
+    #[test]
+    fn kernel_error_is_no_wider_than_the_vm_error() {
+        assert_eq!(std::mem::size_of::<KError>(), std::mem::size_of::<VmError>());
+    }
+}

@@ -21,9 +21,10 @@ use std::collections::HashMap;
 /// full system).
 pub trait Pager: Send {
     /// Fetches page `pindex` of the *logical* object identified by its
-    /// lineage from the store; `None` means the page was never persisted
-    /// (a hard fault — kernel bug).
-    fn page_in(&mut self, lineage: u64, pindex: u64) -> Option<PageData>;
+    /// lineage from the store. `Ok(None)` means the page was never
+    /// persisted (a hard fault — kernel bug); an `Err` is a store that
+    /// could not give the page back ([`KError::Io`]).
+    fn page_in(&mut self, lineage: u64, pindex: u64) -> Result<Option<PageData>>;
 }
 
 /// The simulated kernel.
@@ -370,7 +371,7 @@ impl Kernel {
         let lineage = self.vm.object(obj)?.lineage.0;
         let pager = self.pager.as_mut().ok_or(KError::Vm(VmError::NeedsPage { obj, pindex }))?;
         let data =
-            pager.page_in(lineage, pindex).ok_or(KError::Vm(VmError::NeedsPage { obj, pindex }))?;
+            pager.page_in(lineage, pindex)?.ok_or(KError::Vm(VmError::NeedsPage { obj, pindex }))?;
         self.vm.install_page(obj, pindex, data, false)?;
         Ok(())
     }

@@ -98,6 +98,12 @@ impl Vm {
         self.objects.len()
     }
 
+    /// The lineage of every live object (a shadow chain repeats its
+    /// lineage once per object).
+    pub fn lineages(&self) -> impl Iterator<Item = u64> + '_ {
+        self.objects.values().map(|o| o.lineage.0)
+    }
+
     /// Number of resident frames (machine-wide RSS in pages).
     pub fn resident_frames(&self) -> usize {
         self.frames.len()
