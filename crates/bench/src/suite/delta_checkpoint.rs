@@ -48,7 +48,7 @@ struct ModeRun {
 
 fn run_mode(mode: CheckpointMode) -> ModeRun {
     let mut w = World::quickstart();
-    w.sls.config.checkpoint_mode = mode;
+    w.sls.checkpoint_mode = mode;
     let pid = w.sls.kernel.spawn("delta");
     let addr = w.dirty_region(pid, REGION_PAGES).unwrap();
     let gid = w

@@ -24,16 +24,6 @@ pub enum SlsError {
     Vm(VmError),
     /// Codec failure.
     Codec(CodecError),
-    /// The group's circuit breaker is open after repeated checkpoint
-    /// failures: the flush stage is tripped open and checkpoints are
-    /// skipped (reported, not silently dropped) until the cooldown
-    /// expires at `until_ns`.
-    BreakerOpen {
-        /// The group whose breaker tripped.
-        group: u64,
-        /// Virtual time at which the breaker closes again.
-        until_ns: u64,
-    },
 }
 
 impl SlsError {
@@ -55,9 +45,6 @@ impl fmt::Display for SlsError {
             SlsError::Store(e) => write!(f, "store: {e}"),
             SlsError::Vm(e) => write!(f, "vm: {e}"),
             SlsError::Codec(e) => write!(f, "codec: {e}"),
-            SlsError::BreakerOpen { group, until_ns } => {
-                write!(f, "group {group} circuit breaker open until t={until_ns}ns")
-            }
         }
     }
 }

@@ -19,7 +19,7 @@ use crate::error::SlsError;
 use crate::oidmap::{KObj, Kind, OidMap, MANIFEST};
 use crate::restore::RestoreMode;
 use crate::wire::{record, Record};
-use crate::{LineageBinding, Sls};
+use crate::{CheckpointMode, LineageBinding, Sls};
 use aurora_objstore::{ObjectStore, Oid, StoreError, View, PAGE};
 use aurora_posix::ids::PidNamespace;
 use aurora_posix::vfs::VnodeKind;
@@ -78,10 +78,9 @@ pub struct FlushCtx<'a> {
     /// across retries so an aborted checkpoint can re-dirty the pages —
     /// their "durable" copies die with the rolled-back epoch.
     pub cleaned: Vec<(aurora_vm::ObjId, u64)>,
-    /// Delta-checkpoint policy: `None` flushes full page images; `Some`
-    /// emits sub-page redo records with the contained payload cap (see
-    /// [`CheckpointConfig::redo_delta_max`](crate::CheckpointConfig)).
-    pub redo_delta_max: Option<usize>,
+    /// How dirty pages are written: full images, or sub-page redo
+    /// records ([`Sls::checkpoint_mode`](crate::Sls::checkpoint_mode)).
+    pub mode: CheckpointMode,
     /// Lineage bindings of the flushed memory objects: a restored
     /// branch's floor/resume pin its redo chains to branch-visible
     /// versions.

@@ -12,11 +12,16 @@ use crate::error::SlsError;
 use crate::oidmap::{KObj, Kind, OidMap};
 use crate::restore::RestoreMode;
 use crate::wire::{record, wire_enum};
-use crate::LineageBinding;
+use crate::{CheckpointMode, LineageBinding};
 use aurora_objstore::{Oid, PAGE};
 use aurora_posix::Kernel;
 use aurora_vm::{ObjId, ObjKind};
 use std::collections::hash_map::Entry;
+
+/// Largest contiguous changed span, in bytes, a Delta-mode flush logs
+/// as a sub-page redo record; a wider diff (or a page with no resident
+/// parent-shadow copy to diff against) is written as a full image.
+const REDO_DELTA_MAX: usize = 2048;
 
 /// What backs a memory object's pages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -95,7 +100,7 @@ impl KindDef for MemRecord {
     /// In delta mode each dirty page is diffed against its parent COW
     /// shadow's copy (the page's content at the last checkpoint): the
     /// changed span becomes a sub-page redo record, and only when the
-    /// span exceeds the configured cap — or no parent copy is resident —
+    /// span exceeds `REDO_DELTA_MAX` — or no parent copy is resident —
     /// does the page fall back to a full image. The store demotes any
     /// delta whose base doesn't match the version it would chain on.
     fn flush(ctx: &mut FlushCtx<'_>) -> Result<(), SlsError> {
@@ -107,7 +112,7 @@ impl KindDef for MemRecord {
             pages_flushed,
             bytes_flushed,
             cleaned,
-            redo_delta_max,
+            mode,
             lineages,
             redo_records,
             ..
@@ -124,8 +129,8 @@ impl KindDef for MemRecord {
             if dirty.is_empty() {
                 continue;
             }
-            match *redo_delta_max {
-                None => {
+            match mode {
+                CheckpointMode::FullPage => {
                     // Full-page mode. Frames travel into the store by
                     // ref: the flush copies zero page bytes on the host.
                     let mut batch: Vec<(u64, aurora_objstore::PageRef)> =
@@ -137,7 +142,7 @@ impl KindDef for MemRecord {
                     *pages_flushed += batch.len() as u64;
                     *bytes_flushed += (batch.len() * PAGE) as u64;
                 }
-                Some(cap) => {
+                CheckpointMode::Delta => {
                     let mut batch: Vec<aurora_objstore::RedoWrite> =
                         Vec::with_capacity(dirty.len());
                     for &pi in &dirty {
@@ -154,7 +159,7 @@ impl KindDef for MemRecord {
                             }
                             Some(base) => match diff_span(base.bytes(), page.bytes()) {
                                 None => Some((0, Vec::new())),
-                                Some((off, len)) if len <= cap => {
+                                Some((off, len)) if len <= REDO_DELTA_MAX => {
                                     Some((off as u32, page.bytes()[off..off + len].to_vec()))
                                 }
                                 // Span too wide: a full image is cheaper.

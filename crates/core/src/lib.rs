@@ -42,7 +42,7 @@ pub mod world;
 pub use api::AuroraApi;
 pub use checkpoint::{CheckpointStats, Reach, StageFailure};
 pub use error::SlsError;
-pub use pipeline::{GroupRun, Phase, RetryPolicy};
+pub use pipeline::{GroupRun, Phase};
 pub use kinds::{KindDef, KindOps, KINDS};
 pub use oidmap::{KObj, Kind};
 pub use restore::RestoreMode;
@@ -110,49 +110,10 @@ impl Default for SlsOptions {
     }
 }
 
-/// World-level checkpoint engine configuration: retry/backoff policy
-/// for the device-facing stages, the per-group circuit breaker, and how
-/// hard degraded-mode stretches the checkpoint cadence. Defaults
-/// reproduce the engine's historical behavior exactly (fixed retry
-/// constants, no breaker, 4× cadence stretch under a degraded device).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CheckpointConfig {
-    /// Retry/backoff policy applied by every checkpoint run.
-    pub retry: RetryPolicy,
-    /// Consecutive failed checkpoints of one group before its circuit
-    /// breaker trips open, skipping that group's checkpoints (each skip
-    /// reported as a `StageFailure` with stage `"breaker"`) for
-    /// [`breaker_cooldown_ns`](CheckpointConfig::breaker_cooldown_ns).
-    /// `0` (the default) disables the breaker.
-    pub breaker_trip_failures: u32,
-    /// How long a tripped breaker stays open, in virtual ns.
-    pub breaker_cooldown_ns: u64,
-    /// Checkpoint write mode: sub-page redo records (the default) or
-    /// full page images per dirty page.
-    pub checkpoint_mode: CheckpointMode,
-    /// Largest contiguous changed span, in bytes, logged as a sub-page
-    /// redo delta; a wider diff (or a page with no resident parent-
-    /// shadow copy to diff against) falls back to a full-image record.
-    pub redo_delta_max: usize,
-    /// Multiplier applied to every group's checkpoint period by
-    /// [`Sls::tick`] while the device stack reports `Degraded` or worse:
-    /// fewer, wider epochs give a limping device room to drain. `1`
-    /// disables the stretch.
-    pub degraded_period_factor: u64,
-}
-
-impl Default for CheckpointConfig {
-    fn default() -> Self {
-        Self {
-            retry: RetryPolicy::default(),
-            breaker_trip_failures: 0,
-            breaker_cooldown_ns: 50 * MS,
-            checkpoint_mode: CheckpointMode::Delta,
-            redo_delta_max: 2048,
-            degraded_period_factor: 4,
-        }
-    }
-}
+/// Multiplier [`Sls::tick`] applies to every group's checkpoint period
+/// while the device stack reports `Degraded` or worse: fewer, wider
+/// epochs give a limping device room to drain.
+const DEGRADED_PERIOD_FACTOR: u64 = 4;
 
 /// How the checkpoint flush stage writes dirty pages (§15).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -164,17 +125,6 @@ pub enum CheckpointMode {
     /// changed span as a redo record — "the log is the database".
     #[default]
     Delta,
-}
-
-/// Per-group circuit-breaker state.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct Breaker {
-    /// Failed checkpoints since the last success.
-    consecutive_failures: u32,
-    /// Virtual time until which the breaker is open (0 = closed).
-    open_until: u64,
-    /// Times this group's breaker has tripped.
-    trips: u64,
 }
 
 /// One sealed batch of outbound messages awaiting its checkpoint.
@@ -219,10 +169,8 @@ pub(crate) struct Group {
     pub vnode_hash: HashMap<VnodeId, u64>,
     /// Named (user-visible) checkpoints: name → store epoch.
     pub named: HashMap<String, u64>,
-    /// The group's circuit breaker (closed until failures trip it).
-    pub breaker: Breaker,
     /// Stats of the group's most recent checkpoint (per-group gauge
-    /// source; a breaker skip counts).
+    /// source).
     pub last_stats: Option<CheckpointStats>,
     /// Width of the group's most recent quiesce window, virtual ns.
     pub last_quiesce_width_ns: Option<u64>,
@@ -247,7 +195,6 @@ impl Group {
             release_gate: None,
             vnode_hash: HashMap::new(),
             named: HashMap::new(),
-            breaker: Breaker::default(),
             last_stats: None,
             last_quiesce_width_ns: None,
             shadow_pages: None,
@@ -276,11 +223,10 @@ pub struct Sls {
     /// External-synchrony batches sealed / released since boot.
     pub(crate) extsync_sealed: u64,
     pub(crate) extsync_released: u64,
-    /// Checkpoint engine configuration (retry policy, breaker, degraded
-    /// cadence). Mutate via [`Sls::set_checkpoint_config`] before
-    /// checkpoints run; runs in flight keep the policy they started
-    /// with.
-    pub config: CheckpointConfig,
+    /// How the Flush stage writes dirty pages: sub-page redo records
+    /// (the default) or one full image per page, the reference the
+    /// delta path is measured against. Takes effect at the next flush.
+    pub checkpoint_mode: CheckpointMode,
     /// Retries spent by all checkpoint runs since boot (gauge source).
     pub(crate) retries_spent_total: u64,
     /// `cluster.*` gauges pushed down by the cluster layer (quorum lag,
@@ -325,7 +271,7 @@ impl Sls {
             checkpoints_taken: 0,
             extsync_sealed: 0,
             extsync_released: 0,
-            config: CheckpointConfig::default(),
+            checkpoint_mode: CheckpointMode::Delta,
             retries_spent_total: 0,
             cluster_gauges: HashMap::new(),
             node_id: 0,
@@ -374,12 +320,6 @@ impl Sls {
         self.cluster_gauges = gauges.into_iter().collect();
     }
 
-    /// Replaces the checkpoint engine configuration. Takes effect for
-    /// the next checkpoint run of every group.
-    pub fn set_checkpoint_config(&mut self, config: CheckpointConfig) {
-        self.config = config;
-    }
-
     /// The device stack's aggregated health report: per-member states
     /// plus failover/rebuild counters for a mirrored array, the default
     /// (no members, healthy) for everything else.
@@ -392,78 +332,6 @@ impl Sls {
     /// throttle on. `Suspect` alone does not throttle.
     pub fn device_degraded(&self) -> bool {
         self.device_health().is_degraded()
-    }
-
-    /// If `gid`'s circuit breaker is open at the current virtual time,
-    /// synthesizes the skip's stats (a `StageFailure` with stage
-    /// `"breaker"` and a [`SlsError::BreakerOpen`] cause) without
-    /// running any pipeline stage. `None` means the breaker is closed
-    /// and the checkpoint should run.
-    fn breaker_short_circuit(&mut self, gid: GroupId) -> Option<CheckpointStats> {
-        let now = self.kernel.charge.clock().now();
-        let until = self.groups.get(&gid)?.breaker.open_until;
-        if now >= until {
-            return None;
-        }
-        let trace = self.kernel.charge.trace();
-        if trace.is_enabled() {
-            trace.instant(
-                "pipeline",
-                "pipeline.breaker_skip",
-                &[("group", gid.0), ("until_ns", until)],
-            );
-        }
-        Some(CheckpointStats {
-            group: gid.0,
-            failure: Some(StageFailure {
-                stage: "breaker",
-                group: gid.0,
-                attempts: 0,
-                cause: SlsError::BreakerOpen { group: gid.0, until_ns: until },
-            }),
-            ..CheckpointStats::default()
-        })
-    }
-
-    /// Feeds a finished checkpoint run into the retry accounting and
-    /// the group's circuit breaker: failures accumulate toward a trip,
-    /// a success (or a cooldown expiry) resets the streak. Synthesized
-    /// breaker skips are never fed back — an open breaker must not
-    /// re-trip itself.
-    fn note_checkpoint_outcome(&mut self, stats: &CheckpointStats) {
-        self.retries_spent_total += stats.retries as u64;
-        match &stats.failure {
-            Some(_) => {
-                if self.config.breaker_trip_failures == 0 {
-                    return;
-                }
-                let now = self.kernel.charge.clock().now();
-                let cooldown = self.config.breaker_cooldown_ns;
-                let trip_at = self.config.breaker_trip_failures;
-                let Some(g) = self.groups.get_mut(&GroupId(stats.group)) else { return };
-                let b = &mut g.breaker;
-                b.consecutive_failures += 1;
-                if b.consecutive_failures >= trip_at {
-                    b.consecutive_failures = 0;
-                    b.open_until = now + cooldown;
-                    b.trips += 1;
-                    let trace = self.kernel.charge.trace();
-                    if trace.is_enabled() {
-                        trace.instant(
-                            "pipeline",
-                            "pipeline.breaker_trip",
-                            &[("group", stats.group), ("until_ns", now + cooldown)],
-                        );
-                    }
-                }
-            }
-            None => {
-                if let Some(g) = self.groups.get_mut(&GroupId(stats.group)) {
-                    g.breaker.consecutive_failures = 0;
-                    g.breaker.open_until = 0;
-                }
-            }
-        }
     }
 
     /// Installs a trace recorder on every instrumented layer under this
@@ -565,13 +433,6 @@ impl Sls {
         }
         for (i, state) in health.member_states.iter().enumerate() {
             v.push((format!("device.health.m{i}"), state.code()));
-        }
-        {
-            let now = self.kernel.charge.clock().now();
-            let open = self.groups.values().filter(|g| g.breaker.open_until > now).count() as u64;
-            let trips: u64 = self.groups.values().map(|g| g.breaker.trips).sum();
-            v.push(("pipeline.breaker.open".into(), open));
-            v.push(("pipeline.breaker.trips".into(), trips));
         }
         if let Some(s) = &self.last_stats {
             v.push(("retry.budget.last_run".into(), s.retries as u64));
@@ -712,11 +573,7 @@ impl Sls {
         // a degraded member, every group's effective period widens so
         // the limping device sees fewer, wider epochs. Recovery restores
         // the configured cadence on the very next tick.
-        let factor = if self.config.degraded_period_factor > 1 && self.device_degraded() {
-            self.config.degraded_period_factor
-        } else {
-            1
-        };
+        let factor = if self.device_degraded() { DEGRADED_PERIOD_FACTOR } else { 1 };
         let mut due: Vec<GroupId> = self
             .groups
             .values()
@@ -739,26 +596,14 @@ impl Sls {
     /// each group's epoch commits against its own draft's durability
     /// barrier. Returns one [`CheckpointStats`] per group, `gids` order.
     pub fn checkpoint_all(&mut self, gids: &[GroupId]) -> Result<Vec<CheckpointStats>, SlsError> {
-        // Open breakers short-circuit before the scheduler sees the
-        // group; the skipped groups still get (failed) stats entries.
-        let skips: Vec<Option<CheckpointStats>> =
-            gids.iter().map(|&gid| self.breaker_short_circuit(gid)).collect();
-        let runnable: Vec<GroupId> =
-            gids.iter().zip(&skips).filter(|(_, skip)| skip.is_none()).map(|(&gid, _)| gid).collect();
-        let mut ran = scheduler::run(self, &runnable)?.into_iter();
-        let mut all = Vec::with_capacity(gids.len());
-        for skip in skips {
-            let stats = skip.unwrap_or_else(|| {
-                let stats = ran.next().expect("the scheduler returns one stats per runnable group");
-                self.note_checkpoint_outcome(&stats);
-                self.checkpoints_taken += 1;
-                stats
-            });
+        let all = scheduler::run(self, gids)?;
+        for stats in &all {
+            self.retries_spent_total += stats.retries as u64;
+            self.checkpoints_taken += stats.committed() as u64;
             if let Some(g) = self.groups.get_mut(&GroupId(stats.group)) {
                 g.last_stats = Some(stats.clone());
             }
             self.last_stats = Some(stats.clone());
-            all.push(stats);
         }
         self.sample_metrics();
         Ok(all)

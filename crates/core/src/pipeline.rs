@@ -25,50 +25,14 @@ use crate::{GroupId, SealedBatch, Sls, SlsError};
 use aurora_objstore::{CommitInfo, Oid};
 use aurora_posix::{Pid, VnodeId};
 use aurora_vm::{CollapseMode, ObjId, SpaceId};
-use aurora_sim::rng::{DetRng, Rng};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
-/// How the device-facing stages (Flush, Commit) respond to transient
-/// device errors. Part of [`CheckpointConfig`](crate::CheckpointConfig);
-/// the defaults reproduce the pipeline's historical fixed constants, so
-/// existing schedules are unchanged unless a test or bench opts in.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RetryPolicy {
-    /// Attempts a stage gets (first try + retries) before the
-    /// checkpoint aborts and rolls back.
-    pub max_attempts: u32,
-    /// Backoff before retry `k` is `backoff_base_ns << (k - 1)`,
-    /// charged to the virtual clock — deterministic, and visible in the
-    /// stage timings.
-    pub backoff_base_ns: u64,
-    /// Relative jitter applied to each backoff: the charged wait is
-    /// scaled by a factor drawn uniformly from
-    /// `[1 - jitter_frac, 1 + jitter_frac]` using the sim's
-    /// deterministic PRNG. `0.0` (the default) disables jitter. Jitter
-    /// decorrelates the retry clocks of groups hitting the same storm,
-    /// so their re-issues don't land on the device in lockstep.
-    pub jitter_frac: f64,
-    /// Seed for the jitter PRNG; each group derives its own stream from
-    /// this and its group id, so schedules stay deterministic per seed.
-    pub jitter_seed: u64,
-    /// Total retries one checkpoint run may spend across all of its
-    /// stages — the *budget*. Exhausting it aborts even if the current
-    /// stage has `max_attempts` left. `u32::MAX` (the default) means
-    /// the per-stage cap is the only limit.
-    pub retry_budget: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_attempts: 4,
-            backoff_base_ns: 50_000,
-            jitter_frac: 0.0,
-            jitter_seed: 0,
-            retry_budget: u32::MAX,
-        }
-    }
-}
+/// Attempts a device-facing stage (Flush, Commit) gets — first try plus
+/// retries — before the checkpoint aborts and rolls back.
+const MAX_ATTEMPTS: u32 = 4;
+/// Backoff before retry `k` is `BACKOFF_BASE_NS << (k - 1)`, charged to
+/// the virtual clock: deterministic, and visible in the stage timings.
+const BACKOFF_BASE_NS: u64 = 50_000;
 
 /// The recorded stage boundaries of one pipeline run: (name, start ns,
 /// duration ns), pipeline order. Always recorded (it is nine tuples);
@@ -163,14 +127,6 @@ pub struct GroupRun {
     /// Backpressure horizon: the Stop phase must not start before the
     /// group's previous checkpoint is durable (§7).
     ready_at: u64,
-    /// Retry policy, copied from the world's [`CheckpointConfig`]
-    /// (crate::CheckpointConfig) when the run is created.
-    retry: RetryPolicy,
-    /// Retries this run may still spend (starts at
-    /// [`RetryPolicy::retry_budget`]).
-    budget_left: u32,
-    /// Jitter stream, derived from the policy seed and the group id.
-    rng: DetRng,
 }
 
 impl GroupRun {
@@ -194,7 +150,6 @@ impl GroupRun {
             (g.opts.collapse_mode, g.pending_durable)
         };
         let full = sls.groups[&gid].epochs.is_empty();
-        let retry = sls.config.retry;
         Ok(Self {
             gid,
             collapse_mode,
@@ -213,11 +168,6 @@ impl GroupRun {
             sealed: None,
             phase: Phase::Stop,
             ready_at,
-            retry,
-            budget_left: retry.retry_budget,
-            rng: DetRng::seed_from_u64(
-                retry.jitter_seed ^ gid.0.wrapping_mul(0x9e3779b97f4a7c15),
-            ),
         })
     }
 
@@ -261,10 +211,9 @@ impl GroupRun {
     /// step the marks are cumulative off one stopwatch, so they sum
     /// exactly.
     ///
-    /// The device-facing phases (Flush, Commit) get
-    /// [`RetryPolicy::max_attempts`] tries with exponential backoff for
-    /// transient device errors; a
-    /// phase that still fails aborts the checkpoint — the group's
+    /// The device-facing phases (Flush, Commit) get four tries with
+    /// exponential backoff for transient device errors; a phase that
+    /// still fails aborts the checkpoint — the group's
     /// uncommitted draft epoch is discarded and the live world rolled
     /// back — and the failure is reported in
     /// [`CheckpointStats::failure`] rather than as an `Err`: the
@@ -418,14 +367,10 @@ impl GroupRun {
         })
     }
 
-    /// Runs `op` up to [`RetryPolicy::max_attempts`] times, retrying
-    /// only transient device errors, with deterministic (optionally
-    /// jittered) exponential backoff charged to the virtual clock. A
-    /// retry also consumes one unit of the run's shared
-    /// [`RetryPolicy::retry_budget`]; once the budget is spent every
-    /// further transient error is final. Returns the final error with
-    /// the attempt count once retries are exhausted (or immediately for
-    /// permanent errors).
+    /// Runs `op` up to `MAX_ATTEMPTS` times, retrying only transient
+    /// device errors, with deterministic exponential backoff charged to
+    /// the virtual clock. Returns the final error with the attempt count
+    /// once retries are exhausted (or immediately for permanent errors).
     fn with_retry<T>(
         &mut self,
         sls: &mut Sls,
@@ -436,18 +381,9 @@ impl GroupRun {
             attempts += 1;
             match op(self, sls) {
                 Ok(v) => return Ok(v),
-                Err(e)
-                    if e.is_transient()
-                        && attempts < self.retry.max_attempts
-                        && self.budget_left > 0 =>
-                {
+                Err(e) if e.is_transient() && attempts < MAX_ATTEMPTS => {
                     self.stats.retries += 1;
-                    self.budget_left -= 1;
-                    let mut backoff = self.retry.backoff_base_ns << (attempts - 1);
-                    if self.retry.jitter_frac > 0.0 {
-                        let scale = 1.0 + self.retry.jitter_frac * (2.0 * self.rng.gen_f64() - 1.0);
-                        backoff = (backoff as f64 * scale) as u64;
-                    }
+                    let backoff = BACKOFF_BASE_NS << (attempts - 1);
                     let trace = sls.kernel.charge.trace();
                     if trace.is_enabled() {
                         trace.instant(
@@ -666,10 +602,7 @@ impl GroupRun {
             pages_flushed: 0,
             bytes_flushed: 0,
             cleaned: Vec::new(),
-            redo_delta_max: match sls.config.checkpoint_mode {
-                crate::CheckpointMode::FullPage => None,
-                crate::CheckpointMode::Delta => Some(sls.config.redo_delta_max),
-            },
+            mode: sls.checkpoint_mode,
             lineages,
             redo_records: 0,
         };

@@ -6,7 +6,7 @@
 //! preserved by the references themselves: two fd slots pointing to one
 //! description encode the same file OID.
 //!
-//! [`Wire`] is implemented once per field type; [`record!`] declares a
+//! [`Wire`] is implemented once per field type; `record!` declares a
 //! record struct with its fields in wire order and derives both
 //! directions from that one list, so an encoder and a decoder cannot
 //! disagree. [`Record`] adds the frame (`tag, version, len`). Decoding

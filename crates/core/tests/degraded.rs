@@ -1,10 +1,10 @@
 //! Degraded-mode storage end to end: mirror failover mid-checkpoint
 //! under live traffic with the online invariant checker armed, rebuild
 //! back to byte identity, degraded cadence stretch and flush throttling,
-//! durable floors across failover, and the per-group circuit breaker.
+//! and durable floors across failover.
 
 use aurora_core::world::World;
-use aurora_core::{AuroraApi, CheckpointConfig, GroupId, RestoreMode, SlsError, SlsOptions};
+use aurora_core::{AuroraApi, GroupId, RestoreMode, SlsOptions};
 use aurora_posix::Pid;
 use aurora_sim::units::MS;
 use aurora_storage::faulty::FaultPlan;
@@ -205,8 +205,8 @@ fn mirror_death_mid_checkpoint_under_live_traffic_recovers() {
 }
 
 /// While the device stack reports a degraded member, `tick()` stretches
-/// every group's effective period by `degraded_period_factor`; recovery
-/// restores the configured cadence immediately.
+/// every group's effective period fourfold; recovery restores the
+/// configured cadence immediately.
 #[test]
 fn degraded_device_stretches_checkpoint_cadence() {
     let (mut w, mirror) = World::with_mirrored_store(LEAF_BYTES);
@@ -281,60 +281,7 @@ fn durable_floors_survive_mirror_failover() {
     assert_eq!(w.read_counter(r.pids[0]).unwrap(), 3, "floor intact after resilver");
 }
 
-/// With `breaker_trip_failures` configured, consecutive checkpoint
-/// failures trip the group's circuit breaker: further attempts
-/// short-circuit without touching the device until the cooldown expires,
-/// then the next real attempt closes the breaker on success.
-#[test]
-fn circuit_breaker_trips_and_cools_down() {
-    let (mut w, handle) = World::with_faulty_store(1 << 28, FaultPlan::none());
-    w.sls.set_checkpoint_config(CheckpointConfig {
-        breaker_trip_failures: 2,
-        breaker_cooldown_ns: 20 * MS,
-        ..Default::default()
-    });
-    let pid = w.spawn_counter_app();
-    let gid = w.sls.attach(pid, SlsOptions::default()).unwrap();
-    w.bump_counter(pid).unwrap();
-    assert!(w.sls.sls_checkpoint(gid).unwrap().committed());
-
-    // Two consecutive wedged-device failures trip the breaker.
-    for _ in 0..2 {
-        w.bump_counter(pid).unwrap();
-        handle.set_plan(FaultPlan::eio_storm(handle.writes_seen(), u64::MAX));
-        let cp = w.sls.sls_checkpoint(gid).unwrap();
-        assert!(!cp.committed());
-        assert_eq!(cp.failure.as_ref().unwrap().stage, "flush");
-    }
-    handle.clear_faults();
-
-    // Open: the next attempt is refused without any device traffic.
-    let writes_before = handle.writes_seen();
-    let skipped = w.sls.sls_checkpoint(gid).unwrap();
-    let f = skipped.failure.expect("breaker-open reports a structured failure");
-    assert_eq!(f.stage, "breaker");
-    assert_eq!(f.attempts, 0);
-    assert!(matches!(f.cause, SlsError::BreakerOpen { group, .. } if group == gid.0), "{}", f.cause);
-    assert_eq!(handle.writes_seen(), writes_before, "no device traffic while open");
-
-    let gauges = w.sls.stat_gauges();
-    assert_eq!(gauge(&gauges, "pipeline.breaker.open"), 1);
-    assert_eq!(gauge(&gauges, "pipeline.breaker.trips"), 1);
-
-    // Cooldown expires: the device is healthy again, so the next real
-    // attempt succeeds and closes the breaker.
-    w.clock.advance_to(w.clock.now() + 20 * MS);
-    w.bump_counter(pid).unwrap();
-    let cp = w.sls.sls_checkpoint(gid).unwrap();
-    assert!(cp.committed(), "post-cooldown checkpoint succeeds: {:?}", cp.failure);
-    let gauges = w.sls.stat_gauges();
-    assert_eq!(gauge(&gauges, "pipeline.breaker.open"), 0, "success closes the breaker");
-    let r = w.sls.sls_restore(gid, None, RestoreMode::Full).unwrap();
-    assert_eq!(w.read_counter(r.pids[0]).unwrap(), 4);
-}
-
-/// The degraded-mode gauge surface: health, rebuild, and retry-budget
-/// gauges move with the array's state so `sls stat`/`watch` can show a
+/// The degraded-mode gauge surface: health and rebuild gauges move with the array's state so `sls stat`/`watch` can show a
 /// storm as it happens.
 #[test]
 fn degraded_and_rebuild_gauges_track_the_array() {

@@ -4,12 +4,17 @@
 //! retries are exhausted.
 
 use aurora_core::world::World;
-use aurora_core::{AuroraApi, CheckpointConfig, RestoreMode, RetryPolicy, SlsOptions};
+use aurora_core::{AuroraApi, RestoreMode, SlsOptions};
 use aurora_posix::KError;
 use aurora_storage::faulty::FaultPlan;
 use aurora_vm::PAGE_SIZE;
 
 const STORE_BYTES: u64 = 1 << 28;
+
+/// The `pipeline.checkpoints` gauge: checkpoints committed since boot.
+fn checkpoints_committed(w: &World) -> u64 {
+    w.sls.stat_gauges().into_iter().find(|(n, _)| n == "pipeline.checkpoints").unwrap().1
+}
 
 /// One transient device error during the Flush stage is absorbed by the
 /// retry policy: the checkpoint commits, and the retry shows up in the
@@ -41,11 +46,11 @@ fn transient_flush_error_is_retried_and_commits() {
     assert_eq!(w.read_counter(r.pids[0]).unwrap(), 3);
 }
 
-/// A wedged device (every write fails) exhausts the retry budget in the
-/// Flush stage. The checkpoint aborts cleanly: `Ok` with the failure
+/// A wedged device (every write fails) exhausts the Flush stage's
+/// attempts. The checkpoint aborts cleanly: `Ok` with the failure
 /// recorded — stage, attempts, and cause — instead of an `Err`, no
-/// epoch is consumed, and once the device recovers the next checkpoint
-/// commits the same state.
+/// epoch is consumed (nor counted as a committed checkpoint), and once
+/// the device recovers the next checkpoint commits the same state.
 #[test]
 fn exhausted_flush_retries_abort_and_next_checkpoint_succeeds() {
     let (mut w, handle) = World::with_faulty_store(STORE_BYTES, FaultPlan::none());
@@ -54,6 +59,7 @@ fn exhausted_flush_retries_abort_and_next_checkpoint_succeeds() {
     let gid = w.sls.attach(pid, SlsOptions::default()).unwrap();
 
     handle.set_plan(FaultPlan::eio_storm(handle.writes_seen(), u64::MAX));
+    let committed = checkpoints_committed(&w);
     let failed = w.sls.sls_checkpoint(gid).unwrap();
     let f = failed.failure.as_ref().expect("checkpoint must report its failure");
     assert!(!failed.committed());
@@ -61,6 +67,7 @@ fn exhausted_flush_retries_abort_and_next_checkpoint_succeeds() {
     assert_eq!(f.attempts, 4, "first try plus three retries");
     assert_eq!(failed.retries, 3);
     assert!(f.cause.is_transient(), "the recorded cause is the device error");
+    assert_eq!(checkpoints_committed(&w), committed, "an aborted checkpoint is not a committed one");
 
     // The live world is untouched and still running.
     assert_eq!(w.read_counter(pid).unwrap(), 1);
@@ -71,6 +78,7 @@ fn exhausted_flush_retries_abort_and_next_checkpoint_succeeds() {
     let cp = w.sls.sls_checkpoint(gid).unwrap();
     assert!(cp.committed());
     assert!(cp.full, "the aborted checkpoint left no epoch behind");
+    assert_eq!(checkpoints_committed(&w), committed + 1);
     assert!(cp.pages_flushed > 0, "rolled-back pages are dirty again and flush now");
 
     let r = w.sls.sls_restore(gid, None, RestoreMode::Full).unwrap();
@@ -122,65 +130,21 @@ fn exhausted_commit_retries_abort_without_consuming_an_epoch() {
     assert_eq!(buf, marker, "re-dirtied page content must reach the next epoch");
 }
 
-/// A transient-EIO storm wider than the retry budget produces a clean
-/// `StageFailure` abort with rollback — asserted through the trace: the
-/// budget's worth of `pipeline.retry` instants followed by one
-/// `pipeline.abort`, and the live world untouched.
+/// A storm narrower than the four attempts a stage gets is absorbed:
+/// the checkpoint commits, spending one retry per storm write it hit —
+/// visible as `pipeline.retry` instants with no abort.
 #[test]
-fn storm_wider_than_retry_budget_aborts_cleanly() {
+fn storm_narrower_than_max_attempts_is_absorbed() {
     let (mut w, handle) = World::with_faulty_store(STORE_BYTES, FaultPlan::none());
     let trace = w.enable_tracing();
-    w.sls.set_checkpoint_config(CheckpointConfig {
-        retry: RetryPolicy { max_attempts: 8, retry_budget: 2, ..RetryPolicy::default() },
-        ..CheckpointConfig::default()
-    });
     let pid = w.spawn_counter_app();
     w.bump_counter(pid).unwrap();
     let gid = w.sls.attach(pid, SlsOptions::default()).unwrap();
 
-    // A storm wider than the budget: 2 retries allowed, every attempt
-    // in a 16-write window fails.
-    handle.set_plan(FaultPlan::eio_storm(handle.writes_seen(), 16));
-    let failed = w.sls.sls_checkpoint(gid).unwrap();
-    let f = failed.failure.as_ref().expect("budget exhaustion must abort");
-    assert_eq!(f.stage, "flush");
-    assert_eq!(f.attempts, 3, "first try + the 2 budgeted retries");
-    assert_eq!(failed.retries, 2, "exactly the budget was spent");
-
-    let evs = trace.events();
-    let retries = evs.iter().filter(|e| e.name == "pipeline.retry").count();
-    let aborts = evs.iter().filter(|e| e.name == "pipeline.abort").count();
-    assert_eq!(retries, 2, "one retry span per budgeted retry");
-    assert_eq!(aborts, 1, "one clean abort");
-
-    // Rollback left the live world running; recovery commits the state.
-    assert_eq!(w.read_counter(pid).unwrap(), 1);
-    handle.clear_faults();
-    let cp = w.sls.sls_checkpoint(gid).unwrap();
-    assert!(cp.committed());
-    let r = w.sls.sls_restore(gid, None, RestoreMode::Full).unwrap();
-    assert_eq!(w.read_counter(r.pids[0]).unwrap(), 1);
-}
-
-/// The same storm narrower than the budget is absorbed: the checkpoint
-/// commits, spending one retry per storm write it hit — visible as
-/// `pipeline.retry` instants with no abort.
-#[test]
-fn storm_narrower_than_retry_budget_is_absorbed() {
-    let (mut w, handle) = World::with_faulty_store(STORE_BYTES, FaultPlan::none());
-    let trace = w.enable_tracing();
-    w.sls.set_checkpoint_config(CheckpointConfig {
-        retry: RetryPolicy { max_attempts: 8, retry_budget: 6, ..RetryPolicy::default() },
-        ..CheckpointConfig::default()
-    });
-    let pid = w.spawn_counter_app();
-    w.bump_counter(pid).unwrap();
-    let gid = w.sls.attach(pid, SlsOptions::default()).unwrap();
-
-    // Three consecutive failed writes, well inside the budget of 6.
+    // Three consecutive failed writes: the fourth attempt gets through.
     handle.set_plan(FaultPlan::eio_storm(handle.writes_seen(), 3));
     let cp = w.sls.sls_checkpoint(gid).unwrap();
-    assert!(cp.committed(), "a storm narrower than the budget must not abort");
+    assert!(cp.committed(), "a storm narrower than the attempts must not abort");
     assert_eq!(cp.failure, None);
     assert_eq!(cp.retries, 3, "one retry per storm write");
 
@@ -192,55 +156,28 @@ fn storm_narrower_than_retry_budget_is_absorbed() {
     assert_eq!(w.read_counter(r.pids[0]).unwrap(), 1);
 }
 
-/// Jittered backoff stays deterministic per seed and within the
-/// configured envelope: two identical runs charge identical backoffs,
-/// and every jittered backoff lands inside `[1-frac, 1+frac]` of its
-/// exponential base.
+/// The backoff schedule is exact: retry `k` waits `50 µs << (k - 1)`,
+/// charged to the virtual clock and reported on its `pipeline.retry`
+/// instant.
 #[test]
-fn jittered_backoff_is_deterministic_and_bounded() {
-    let run = |seed: u64| {
-        let (mut w, handle) = World::with_faulty_store(STORE_BYTES, FaultPlan::none());
-        let trace = w.enable_tracing();
-        w.sls.set_checkpoint_config(CheckpointConfig {
-            retry: RetryPolicy {
-                jitter_frac: 0.25,
-                jitter_seed: seed,
-                ..RetryPolicy::default()
-            },
-            ..CheckpointConfig::default()
-        });
-        let pid = w.spawn_counter_app();
-        w.bump_counter(pid).unwrap();
-        let gid = w.sls.attach(pid, SlsOptions::default()).unwrap();
-        handle.set_plan(FaultPlan::eio_storm(handle.writes_seen(), 2));
-        let cp = w.sls.sls_checkpoint(gid).unwrap();
-        assert!(cp.committed());
-        trace
-            .events()
-            .iter()
-            .filter(|e| e.name == "pipeline.retry")
-            .map(|e| {
-                let attempt = e.args.iter().find(|(k, _)| *k == "attempt").unwrap().1;
-                let backoff = e.args.iter().find(|(k, _)| *k == "backoff_ns").unwrap().1;
-                (attempt, backoff)
-            })
-            .collect::<Vec<_>>()
-    };
-    let a = run(7);
-    let b = run(7);
-    assert_eq!(a, b, "same jitter seed, same backoffs");
-    assert!(!a.is_empty());
-    for &(attempt, backoff) in &a {
-        let base = 50_000u64 << (attempt - 1);
-        let lo = (base as f64 * 0.75) as u64;
-        let hi = (base as f64 * 1.25) as u64;
-        assert!(
-            (lo..=hi).contains(&backoff),
-            "backoff {backoff} outside [{lo}, {hi}] for attempt {attempt}"
-        );
-    }
-    let c = run(8);
-    assert_ne!(a, c, "different seed, different jitter");
+fn retry_backoff_doubles_from_50us() {
+    let (mut w, handle) = World::with_faulty_store(STORE_BYTES, FaultPlan::none());
+    let trace = w.enable_tracing();
+    let pid = w.spawn_counter_app();
+    w.bump_counter(pid).unwrap();
+    let gid = w.sls.attach(pid, SlsOptions::default()).unwrap();
+    handle.set_plan(FaultPlan::eio_storm(handle.writes_seen(), 3));
+    assert!(w.sls.sls_checkpoint(gid).unwrap().committed());
+    let schedule: Vec<(u64, u64)> = trace
+        .events()
+        .iter()
+        .filter(|e| e.name == "pipeline.retry")
+        .map(|e| {
+            let arg = |k: &str| e.args.iter().find(|(n, _)| *n == k).unwrap().1;
+            (arg("attempt"), arg("backoff_ns"))
+        })
+        .collect();
+    assert_eq!(schedule, vec![(1, 50_000), (2, 100_000), (3, 200_000)]);
 }
 
 /// Back-to-back failed checkpoints don't compound: each aborts cleanly,

@@ -139,7 +139,7 @@ fn abort_is_isolated_to_the_failing_group() {
     touch(&mut w, pb, ab);
 
     // Group A steps into its flush with the device wedged: every write
-    // fails until the plan is cleared, exhausting the retry budget.
+    // fails until the plan is cleared, exhausting its retries.
     let mut ra = GroupRun::new(&mut w.sls, ga).unwrap();
     w.clock.advance_to(ra.ready_at());
     ra.step(&mut w.sls).unwrap(); // Stop
@@ -301,46 +301,16 @@ fn attach_after_restore_gets_a_fresh_group() {
     assert_eq!(w.sls.groups(), vec![g1, restored, attached]);
     assert_eq!(w.sls.group_pids(restored).unwrap().len(), 1, "the restored group is intact");
 
-    // A reboot forgets every group, so ids start over with them.
+    // A reboot forgets every group, so ids start over with them: the
+    // restored image reuses the first id, and an attach takes the next.
     w.sls.sls_barrier(g1).unwrap();
-    w.sls.crash_and_reboot().unwrap();
-    let p = w.spawn_counter_app();
-    assert_eq!(w.sls.attach(p, SlsOptions::default()).unwrap(), GroupId(1));
-}
-
-/// A circuit breaker is state of the group it tripped for: a reboot
-/// forgets it with the group, and the image restored into the reused id
-/// checkpoints at once.
-#[test]
-fn a_reboot_forgets_breakers_with_their_groups() {
-    let (mut w, faults) = World::with_faulty_store(1 << 28, FaultPlan::none());
-    w.sls.set_checkpoint_config(aurora_core::CheckpointConfig {
-        breaker_trip_failures: 2,
-        breaker_cooldown_ns: 500_000_000,
-        ..Default::default()
-    });
-    let pid = w.spawn_counter_app();
-    let gid = w.sls.attach(pid, SlsOptions::default()).unwrap();
-    w.bump_counter(pid).unwrap();
-    assert!(w.sls.sls_checkpoint(gid).unwrap().committed());
-    w.sls.sls_barrier(gid).unwrap();
-    for _ in 0..2 {
-        w.bump_counter(pid).unwrap();
-        faults.set_plan(FaultPlan::eio_storm(faults.writes_seen(), u64::MAX));
-        assert!(!w.sls.sls_checkpoint(gid).unwrap().committed());
-    }
-    faults.clear_faults();
-    assert_eq!(gauge(&w.sls.stat_gauges(), "pipeline.breaker.open"), Some(1));
-
     w.sls.crash_and_reboot().unwrap();
     let epoch = w.sls.store().lock().last_epoch().unwrap();
     let manifest = w.sls.manifests_at(epoch).unwrap()[0];
     let r = w.sls.restore_image(manifest, epoch, aurora_core::RestoreMode::Full).unwrap();
-    assert_eq!(r.group, gid, "the restored image reuses the id");
-    w.bump_counter(r.pids[0]).unwrap();
-    let cp = w.sls.sls_checkpoint(r.group).unwrap();
-    assert!(cp.committed(), "restored group inherited a breaker: {:?}", cp.failure);
-    assert_eq!(gauge(&w.sls.stat_gauges(), "pipeline.breaker.open"), Some(0));
+    assert_eq!(r.group, g1, "the restored image reuses the id");
+    let p = w.spawn_counter_app();
+    assert_eq!(w.sls.attach(p, SlsOptions::default()).unwrap(), GroupId(2));
 }
 
 /// The cluster's release gate is per group: raising group A's quorum
@@ -394,8 +364,8 @@ fn release_gate_withholds_per_group() {
 
 /// `checkpoint_now(g)` is `checkpoint_all(&[g])`: on identically built
 /// worlds the two return equal stats and leave equal clocks and gauges —
-/// with the previous epoch still in flight, under an open breaker, and
-/// under a degraded mirror.
+/// with the previous epoch still in flight, on a wedged device that
+/// aborts the run, and under a degraded mirror.
 #[test]
 fn checkpoint_now_is_checkpoint_all_of_one() {
     fn both(build: impl Fn() -> (World, GroupId)) {
@@ -417,18 +387,12 @@ fn checkpoint_now_is_checkpoint_all_of_one() {
         w.bump_counter(pid).unwrap();
         (w, gid)
     });
-    // Open breaker: a synthesized skip, no device traffic.
+    // Wedged device: the run exhausts its flush attempts and aborts.
     both(|| {
         let (mut w, faults) = World::with_faulty_store(1 << 28, FaultPlan::none());
-        w.sls.set_checkpoint_config(aurora_core::CheckpointConfig {
-            breaker_trip_failures: 1,
-            ..Default::default()
-        });
         let pid = w.spawn_counter_app();
         let gid = w.sls.attach(pid, SlsOptions::default()).unwrap();
         faults.set_plan(FaultPlan::eio_storm(faults.writes_seen(), u64::MAX));
-        assert!(!w.sls.checkpoint_now(gid).unwrap().committed());
-        faults.clear_faults();
         (w, gid)
     });
     // Degraded mirror: the flush cap is one draft.
@@ -468,9 +432,8 @@ fn an_abort_keeps_the_other_groups_fresh_bindings() {
         .unwrap();
 
     // F's flush writes first; each attempt dies on its first write, so
-    // a window of `max_attempts` writes fails exactly F's attempts.
-    let attempts = w.sls.config.retry.max_attempts as u64;
-    faults.set_plan(FaultPlan::eio_storm(faults.writes_seen(), attempts));
+    // a window of the pipeline's four attempts fails exactly F's.
+    faults.set_plan(FaultPlan::eio_storm(faults.writes_seen(), 4));
     let stats = w.sls.checkpoint_all(&[gf, gg]).unwrap();
     faults.clear_faults();
     let failure = stats[0].failure.as_ref().expect("group F's flush must fail");

@@ -157,7 +157,7 @@ pub struct CommitInfo {
     pub meta_bytes: u64,
 }
 
-/// One page write handed to [`ObjectStore::append_redo`]. `page` is the
+/// One page write handed to [`ObjectStore::append_redo`](crate::ObjectStore::append_redo). `page` is the
 /// fully materialized new content (cached and checksummed); `delta`
 /// carries the sub-page payload actually logged, or `None` for a
 /// full-image record.

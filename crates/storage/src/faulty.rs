@@ -41,8 +41,8 @@ pub struct FaultPlan {
     /// EIO: the data never reaches the device, and a retry is a fresh
     /// sequence number. An unbounded window
     /// ([`eio_storm`](FaultPlan::eio_storm)`(n, u64::MAX)`) wedges the
-    /// device until the plan is replaced — how tests exhaust a retry
-    /// budget.
+    /// device until the plan is replaced — how tests exhaust a
+    /// checkpoint's retries.
     pub eio_writes: Range<u64>,
     /// Per-write probability of flipping one random bit of the payload
     /// before it reaches the medium (silent corruption).

@@ -1,7 +1,7 @@
 //! The online invariant checker: cross-layer assertions expressed as
 //! probes over the live event stream.
 //!
-//! Arming a checker on a recording [`Trace`](crate::Trace) registers one
+//! Arming a checker on a recording [`crate::Trace`] registers one
 //! probe per invariant; every test, benchmark, and crash schedule that
 //! runs with the checker armed becomes a cross-layer assertion run at no
 //! virtual-time cost. The invariants:

@@ -15,8 +15,8 @@
 //!   a page during shadowing walks its pv entries — the source of the
 //!   ~22 ns/dirty-page slope in Table 5.
 //! * [`Vm::system_shadow`] shadows every writable anonymous object across
-//!   a consistency group at once, and [`Vm::collapse`] retires a flushed
-//!   shadow — in either the classic (forward) direction or Aurora's
+//!   a consistency group at once, and [`Vm::collapse_under`] retires a
+//!   flushed shadow — in either the classic (forward) direction or Aurora's
 //!   reversed direction (§6, "Aurora optimizes the collapse operation by
 //!   reversing its direction").
 //!
@@ -47,7 +47,7 @@ use std::collections::HashMap;
 ///
 /// One `Vm` models one machine's memory. The interesting entry points are
 /// [`Vm::map`], [`Vm::write`], [`Vm::fork_space`], [`Vm::system_shadow`],
-/// and [`Vm::collapse`].
+/// and [`Vm::collapse_under`].
 #[derive(Debug, Default)]
 pub struct Vm {
     pub(crate) objects: HashMap<ObjId, VmObject>,

@@ -7,10 +7,10 @@
 //!
 //! The typical entry points are:
 //!
-//! * [`posix::Kernel`](aurora_posix::Kernel) — build a simulated machine
-//!   and run POSIX-style applications on it.
-//! * [`core::Sls`](aurora_core::Sls) — attach applications to the single
-//!   level store, checkpoint, restore, and use the Aurora API.
+//! * [`posix::Kernel`] — build a simulated machine and run POSIX-style
+//!   applications on it.
+//! * [`core::Sls`] — attach applications to the single level store,
+//!   checkpoint, restore, and use the Aurora API.
 //!
 //! ```
 //! use aurora::prelude::*;
