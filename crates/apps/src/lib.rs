@@ -40,7 +40,7 @@ pub struct Arena {
 
 impl Arena {
     /// Maps a fresh arena of `pages` pages into `pid`.
-    pub fn map(k: &mut Kernel, pid: Pid, pages: u64) -> Result<Self, KError> {
+    pub(crate) fn map(k: &mut Kernel, pid: Pid, pages: u64) -> Result<Self, KError> {
         let addr = k.mmap_anon(pid, pages, Prot::RW)?;
         Ok(Self { pid, addr, size: pages * PAGE_SIZE as u64, bump: 0 })
     }
@@ -49,7 +49,7 @@ impl Arena {
     /// realistic allocator footprint: real servers have on the order of
     /// a hundred VM map entries (malloc arenas, libraries, stacks), and
     /// checkpointers pay per entry.
-    pub fn map_chunked(
+    pub(crate) fn map_chunked(
         k: &mut Kernel,
         pid: Pid,
         pages: u64,
@@ -72,7 +72,7 @@ impl Arena {
 
     /// Appends `data`, returning its address. Wraps (clobbering old
     /// content) when full — callers invalidate their indexes on wrap.
-    pub fn append(&mut self, k: &mut Kernel, data: &[u8]) -> Result<(u64, bool), KError> {
+    pub(crate) fn append(&mut self, k: &mut Kernel, data: &[u8]) -> Result<(u64, bool), KError> {
         let mut wrapped = false;
         if self.bump + data.len() as u64 > self.size {
             self.bump = 0;
@@ -85,22 +85,17 @@ impl Arena {
     }
 
     /// Reads `len` bytes at `addr`.
-    pub fn read(&self, k: &mut Kernel, addr: u64, len: usize) -> Result<Vec<u8>, KError> {
+    pub(crate) fn read(&self, k: &mut Kernel, addr: u64, len: usize) -> Result<Vec<u8>, KError> {
         let mut buf = vec![0u8; len];
         k.mem_read(self.pid, addr, &mut buf)?;
         Ok(buf)
-    }
-
-    /// Bytes currently used.
-    pub fn used(&self) -> u64 {
-        self.bump
     }
 
     /// Rebinds this arena's host-side handle to a restored process —
     /// possibly on another kernel. A restored image keeps its virtual
     /// addresses, so the base/size/bump carry over unchanged; only the
     /// owning pid differs (live migration failover).
-    pub fn rebind(&self, pid: Pid) -> Self {
+    pub(crate) fn rebind(&self, pid: Pid) -> Self {
         Self { pid, addr: self.addr, size: self.size, bump: self.bump }
     }
 }

@@ -84,11 +84,6 @@ impl Redis {
         }
     }
 
-    /// Dataset size in bytes.
-    pub fn dataset_bytes(&self) -> u64 {
-        self.bytes
-    }
-
     /// Populates the server to roughly `target_bytes` of data (setup for
     /// the Table 1/7 runs).
     pub fn populate(&mut self, k: &mut Kernel, target_bytes: u64) -> Result<(), KError> {

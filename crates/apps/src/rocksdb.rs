@@ -213,7 +213,7 @@ impl RocksDb {
 
     /// Flushes the memtable to an SST and truncates the WAL (own-WAL
     /// mode's compaction entry point).
-    pub fn flush_sst(&mut self, sls: &mut Sls) -> Result<(), SlsError> {
+    pub(crate) fn flush_sst(&mut self, sls: &mut Sls) -> Result<(), SlsError> {
         if self.memtable.is_empty() {
             self.wal_bytes = 0;
             return Ok(());
@@ -281,7 +281,7 @@ pub mod aurora_glue {
     /// fills, take a full checkpoint and clear it (§9.6: "When the WAL
     /// is full, RocksDB triggers an Aurora checkpoint and clears the
     /// WAL").
-    pub fn log_put(
+    pub(crate) fn log_put(
         db: &mut RocksDb,
         sls: &mut Sls,
         key: &[u8],

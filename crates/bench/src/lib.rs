@@ -62,7 +62,7 @@ pub struct BenchReport {
 
 impl BenchReport {
     /// Creates an empty report.
-    pub fn new(name: &str) -> Self {
+    pub(crate) fn new(name: &str) -> Self {
         Self::default().named(name)
     }
 
@@ -72,19 +72,19 @@ impl BenchReport {
     }
 
     /// Records one measurement.
-    pub fn push(&mut self, group: impl Into<String>, name: impl Into<String>, value: f64) {
+    pub(crate) fn push(&mut self, group: impl Into<String>, name: impl Into<String>, value: f64) {
         self.metrics.push(Metric { group: group.into(), name: name.into(), value });
     }
 
     /// Attaches the frame-arena gauge snapshot.
-    pub fn set_frames(&mut self, frames: FrameBlock) {
+    pub(crate) fn set_frames(&mut self, frames: FrameBlock) {
         self.frames = Some(frames);
     }
 
     /// Attaches a virtual-time metrics series (the sampler's
     /// deterministic JSON). Panics on malformed JSON — the string is
     /// spliced into the report verbatim.
-    pub fn set_timeseries(&mut self, series_json: String) {
+    pub(crate) fn set_timeseries(&mut self, series_json: String) {
         aurora_trace::json::validate(&series_json)
             .unwrap_or_else(|e| panic!("timeseries block is not valid JSON: {e}"));
         self.timeseries = Some(series_json);
@@ -92,7 +92,7 @@ impl BenchReport {
 
     /// Merges `h` into the named histogram (creating it on first use) —
     /// per-run histograms accumulate via [`aurora_trace::Histogram::merge`].
-    pub fn merge_histogram(&mut self, name: &str, h: &aurora_trace::Histogram) {
+    pub(crate) fn merge_histogram(&mut self, name: &str, h: &aurora_trace::Histogram) {
         if h.count() == 0 {
             return;
         }
@@ -163,7 +163,7 @@ impl BenchReport {
 }
 
 /// Prints a table header.
-pub fn header(title: &str, columns: &[&str]) {
+pub(crate) fn header(title: &str, columns: &[&str]) {
     println!("\n=== {title} ===");
     let row = columns.iter().map(|c| format!("{c:>16}")).collect::<Vec<_>>().join(" ");
     println!("{row}");
@@ -171,7 +171,7 @@ pub fn header(title: &str, columns: &[&str]) {
 }
 
 /// Prints one row of right-aligned cells.
-pub fn row(cells: &[String]) {
+pub(crate) fn row(cells: &[String]) {
     println!("{}", cells.iter().map(|c| format!("{c:>16}")).collect::<Vec<_>>().join(" "));
 }
 
@@ -186,7 +186,7 @@ pub fn mean_pm(runs: &[f64], fmt: impl Fn(f64) -> String) -> String {
 }
 
 /// Ratio string (`2.1×`).
-pub fn ratio(a: f64, b: f64) -> String {
+pub(crate) fn ratio(a: f64, b: f64) -> String {
     if b == 0.0 {
         "∞".to_string()
     } else {

@@ -50,7 +50,7 @@ pub struct McSimResult {
 }
 
 /// Runs one configuration.
-pub fn run(cfg: McSimConfig) -> McSimResult {
+pub(crate) fn run(cfg: McSimConfig) -> McSimResult {
     let mut w = World::with_store_bytes(2 << 30);
     let mut mc = Memcached::launch(&mut w.sls.kernel, 64 * 1024, 12).unwrap();
     let mut gen = Mutilate::new(MutilateConfig { seed: cfg.seed, ..MutilateConfig::default() });
@@ -159,7 +159,7 @@ pub fn run(cfg: McSimConfig) -> McSimResult {
 pub const PERIODS_MS: [u64; 6] = [10, 20, 40, 60, 80, 100];
 
 /// Convenience: periods as ns options plus the baseline.
-pub fn sweep() -> Vec<(String, Option<u64>)> {
+pub(crate) fn sweep() -> Vec<(String, Option<u64>)> {
     let mut v = vec![("baseline".to_string(), None)];
     for p in PERIODS_MS {
         v.push((format!("{p} ms"), Some(p * MS)));

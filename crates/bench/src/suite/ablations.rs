@@ -188,7 +188,7 @@ fn disk_era_ablation(report: &mut BenchReport) {
     println!("(EROS-era disks bound checkpoints to tens of seconds; NVMe makes 100 Hz possible)");
 }
 
-pub fn run() -> BenchReport {
+pub(crate) fn run() -> BenchReport {
     let mut report = BenchReport::new("ablations");
     collapse_ablation(&mut report);
     vnode_ref_ablation(&mut report);

@@ -245,7 +245,7 @@ fn run_storm_soak(duration_ns: u64, preload: usize, seed: u64) -> SoakOutcome {
     }
 }
 
-pub fn run() -> BenchReport {
+pub(crate) fn run() -> BenchReport {
     let mut report = BenchReport::new("degraded_mode");
     let (duration, preload) = if quick() { (200 * MS, 2_000) } else { (SEC, 10_000) };
 

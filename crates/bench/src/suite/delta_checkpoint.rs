@@ -82,7 +82,7 @@ fn run_mode(mode: CheckpointMode) -> ModeRun {
     ModeRun { bytes_per_epoch, write_amp: bytes_per_epoch / app_bytes, flush_hist, gauges }
 }
 
-pub fn run() -> BenchReport {
+pub(crate) fn run() -> BenchReport {
     let mut report = BenchReport::new("delta_checkpoint");
     header(
         "Delta checkpointing: device bytes per epoch, small-dirty-delta workload",

@@ -28,7 +28,7 @@ fn rebuild(label: &str) -> Box<dyn SimFs> {
     }
 }
 
-pub fn run() -> BenchReport {
+pub(crate) fn run() -> BenchReport {
     let mut report = BenchReport::new("fig3_filebench");
     let quick = crate::quick();
     let shrink = if quick { 8 } else { 1 };

@@ -11,7 +11,7 @@ use crate::memcached_sim::{run as mc_run, sweep, McSimConfig};
 use crate::{header, row, BenchReport};
 use aurora_sim::units::{fmt_ns, fmt_ops, MS};
 
-pub fn run() -> BenchReport {
+pub(crate) fn run() -> BenchReport {
     let mut report = BenchReport::new("fig5_memcached_pegged");
     let duration = if crate::quick() { 100 * MS } else { 400 * MS };
     header(

@@ -122,7 +122,7 @@ fn run_config(label: &'static str, mode: Persistence, sync_class: bool) -> Outco
     }
 }
 
-pub fn run() -> BenchReport {
+pub(crate) fn run() -> BenchReport {
     let mut report = BenchReport::new("fig6_rocksdb");
     let outcomes = vec![
         run_config("RocksDB (ephemeral)", Persistence::Ephemeral, false),

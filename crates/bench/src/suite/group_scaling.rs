@@ -89,7 +89,7 @@ fn aggregate_throughput(n: u64) -> f64 {
     (n * rounds()) as f64 * 1e9 / elapsed_ns
 }
 
-pub fn run() -> BenchReport {
+pub(crate) fn run() -> BenchReport {
     let mut report = BenchReport::new("group_scaling");
     header(
         "Group scaling: aggregate checkpoint throughput (TLC-NAND testbed)",

@@ -99,7 +99,7 @@ fn run_one(ops_per_round: usize, seed_keys: u32, warm_ops: usize, seed: u64) -> 
     }
 }
 
-pub fn run() -> BenchReport {
+pub(crate) fn run() -> BenchReport {
     let mut report = BenchReport::new("live_migration");
     let (seed_keys, warm_ops) = if quick() { (200u32, 800usize) } else { (400, 2_000) };
 

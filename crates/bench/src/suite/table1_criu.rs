@@ -10,7 +10,7 @@ use aurora_criu::{criu_dump, CriuCosts};
 use aurora_posix::Kernel;
 use aurora_sim::units::{fmt_ns, MIB};
 
-pub fn run() -> BenchReport {
+pub(crate) fn run() -> BenchReport {
     let dataset: u64 = if crate::quick() { 50 * MIB } else { 500 * MIB };
     let mut report = BenchReport::new("table1_criu");
     println!("Populating a {} MiB Redis instance…", dataset / MIB);

@@ -43,7 +43,7 @@ fn run_once(install: impl Fn(&mut World, aurora_posix::Pid)) -> (u64, u64) {
     (cp.os_state_ns, r.elapsed_ns)
 }
 
-pub fn run() -> BenchReport {
+pub(crate) fn run() -> BenchReport {
     let mut report = BenchReport::new("table4_posix_objects");
     let kq_events: u64 = if crate::quick() { 128 } else { 1024 };
     let sysv_segments: u64 = if crate::quick() { 10 } else { 100 };

@@ -64,7 +64,7 @@ fn journaled_time(size: u64) -> u64 {
     w.clock.now() - t0
 }
 
-pub fn run() -> BenchReport {
+pub(crate) fn run() -> BenchReport {
     let mut report = BenchReport::new("table5_memory_objects");
     let all_sizes = [
         4 * KIB,

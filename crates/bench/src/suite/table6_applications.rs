@@ -93,7 +93,7 @@ fn run_profile(profile: &AppProfile) -> AppNumbers {
     }
 }
 
-pub fn run() -> BenchReport {
+pub(crate) fn run() -> BenchReport {
     let mut report = BenchReport::new("table6_applications");
     // Paper's Table 6 (ns): per app, (size MiB, mem, full, incr ckpt;
     // mem, full, lazy restore).

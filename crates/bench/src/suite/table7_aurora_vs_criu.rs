@@ -91,7 +91,7 @@ fn rdb_numbers() -> Numbers {
     }
 }
 
-pub fn run() -> BenchReport {
+pub(crate) fn run() -> BenchReport {
     let mut report = BenchReport::new("table7_aurora_vs_criu");
     println!("Populating three {} MiB Redis instances (takes a moment)…", dataset() / MIB);
     let aurora = aurora_numbers();

@@ -84,7 +84,7 @@ fn run_mode(provenance: bool) -> Run {
     }
 }
 
-pub fn run() -> BenchReport {
+pub(crate) fn run() -> BenchReport {
     let mut report = BenchReport::new("trace_overhead");
     header(
         "Provenance overhead: quorum replication with tracing on vs off",

@@ -519,7 +519,7 @@ impl Cluster {
     /// Pushes the current replication state into every node's
     /// `cluster.*` gauges (surfaced by `Sls::stat_gauges` and the
     /// metrics sampler).
-    pub fn update_gauges(&mut self, group: u64) {
+    pub(crate) fn update_gauges(&mut self, group: u64) {
         let watermark = self.quorum_watermark(group);
         let leader_epoch = self
             .nodes[LEADER]

@@ -205,11 +205,7 @@ impl AuroraApi for Sls {
 
     fn sls_fdctl(&mut self, pid: Pid, fd: Fd, disable_extsync: bool) -> Result<(), SlsError> {
         let fid = self.kernel.resolve(pid, fd)?;
-        self.kernel
-            .files
-            .get_mut(&fid)
-            .ok_or(SlsError::Kernel(aurora_posix::KError::Badf))?
-            .extsync_disabled = disable_extsync;
+        self.kernel.files.get_mut(fid)?.extsync_disabled = disable_extsync;
         Ok(())
     }
 }

@@ -178,7 +178,7 @@ impl Reach {
         // sockets carrying further descriptors.
         while let Some(fid) = file_queue.pop_front() {
             r.files.push(fid);
-            let f = k.file(aurora_posix::FileId(fid))?;
+            let f = k.files.get(aurora_posix::FileId(fid))?;
             match f.kind {
                 FileKind::Vnode(v) => {
                     r.vnodes.insert(v.0);
@@ -188,10 +188,7 @@ impl Reach {
                 }
                 FileKind::Socket(s) => {
                     if r.sockets.insert(s) {
-                        let sock = k
-                            .sockets
-                            .get(&s)
-                            .ok_or(SlsError::BadImage("socket missing"))?;
+                        let sock = k.sockets.get(s)?;
                         for m in sock.recv_buf.iter().chain(sock.send_buf.iter()) {
                             for inflight in &m.fds {
                                 if seen_files.insert(inflight.0) {

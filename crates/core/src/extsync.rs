@@ -18,7 +18,7 @@ impl Sls {
         for pid in self.group_pids(gid)? {
             let p = self.kernel.proc(pid)?;
             for (_, fid) in p.fdtable.iter() {
-                if let Ok(f) = self.kernel.file(fid) {
+                if let Ok(f) = self.kernel.files.get(fid) {
                     if let FileKind::Socket(s) = f.kind {
                         out.insert(s);
                     }
@@ -33,7 +33,7 @@ impl Sls {
     fn extsync_disabled_sockets(&self) -> HashSet<u64> {
         let mut enabled = HashSet::new();
         let mut disabled = HashSet::new();
-        for f in self.kernel.files.values() {
+        for (_, f) in self.kernel.files.iter() {
             if let FileKind::Socket(s) = f.kind {
                 if f.extsync_disabled {
                     disabled.insert(s);
@@ -56,7 +56,7 @@ impl Sls {
         let members = self.group_sockets(gid)?;
         let mut counts = HashMap::new();
         for &sid in &members {
-            if let Some(s) = self.kernel.sockets.get(&sid) {
+            if let Ok(s) = self.kernel.sockets.get(sid) {
                 counts.insert(sid, s.sent_count as usize);
             }
         }
@@ -96,7 +96,7 @@ impl Sls {
             .iter()
             .copied()
             .filter(|sid| {
-                let peer = self.kernel.sockets.get(sid).and_then(|s| s.peer);
+                let peer = self.kernel.sockets.get(*sid).ok().and_then(|s| s.peer);
                 match peer {
                     Some(p) => ownership.get(sid) == ownership.get(&p) && ownership.contains_key(&p),
                     None => false,
@@ -160,7 +160,7 @@ impl Sls {
                 let already = self
                     .kernel
                     .sockets
-                    .get(&sid)
+                    .get(sid)
                     .map(|s| s.sent_count as usize - s.send_buf.len())
                     .unwrap_or(0);
                 if upto > already {
@@ -170,10 +170,10 @@ impl Sls {
         }
 
         // Everything not withheld flows freely.
-        let all: Vec<u64> = self.kernel.sockets.keys().copied().collect();
+        let all: Vec<u64> = self.kernel.sockets.ids().collect();
         for sid in all {
             if !withheld.contains(&sid) {
-                self.kernel.deliver_socket(sid);
+                self.kernel.deliver_n(sid, usize::MAX);
             }
         }
     }

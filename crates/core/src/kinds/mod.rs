@@ -180,12 +180,12 @@ impl<'a> Rebuild<'a> {
 
     /// Rebuilds the object stored at `oid` (and, recursively, whatever
     /// it references) unless it already was, and returns its kernel id.
-    pub fn restore(&mut self, kind: Kind, oid: Oid) -> Result<u64, SlsError> {
+    pub(crate) fn restore(&mut self, kind: Kind, oid: Oid) -> Result<u64, SlsError> {
         (kind.ops().restore)(self, oid)
     }
 
     /// [`restore`](Rebuild::restore) for each of `oids`, in order.
-    pub fn restore_all(
+    pub(crate) fn restore_all(
         &mut self,
         kind: Kind,
         oids: impl Iterator<Item = Oid>,
@@ -194,7 +194,7 @@ impl<'a> Rebuild<'a> {
     }
 
     /// Decodes the record stored at `oid` as of the restored epoch.
-    pub fn read<R: Record>(&self, oid: Oid) -> Result<R, SlsError> {
+    pub(crate) fn read<R: Record>(&self, oid: Oid) -> Result<R, SlsError> {
         R::from_bytes(self.sls.store.lock().meta_at(oid, self.epoch)?)
     }
 }
@@ -237,7 +237,7 @@ pub trait KindDef: Record {
     }
 
     /// Rebuilds the kernel object from its record, restoring what it
-    /// references through [`Rebuild::restore`], and returns the new
+    /// references through `Rebuild::restore`, and returns the new
     /// kernel id.
     fn install(&self, cx: &mut Rebuild<'_>, oid: Oid) -> Result<u64, SlsError>;
 
@@ -308,7 +308,7 @@ pub static KINDS: [KindOps; 11] = [
 
 impl Kind {
     /// This kind's row of [`KINDS`].
-    pub fn ops(self) -> &'static KindOps {
+    pub(crate) fn ops(self) -> &'static KindOps {
         &KINDS[self as usize - 1]
     }
 }

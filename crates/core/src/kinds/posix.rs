@@ -15,12 +15,13 @@ use crate::wire::{record, Wire};
 use aurora_objstore::{Oid, PAGE};
 use aurora_posix::aio::AioKind;
 use aurora_posix::fd::{Fd, FdTable};
-use aurora_posix::file::{FileId, FileKind, OpenFlags, PipeEnd, PtySide};
-use aurora_posix::kqueue::{Filter, Kevent};
-use aurora_posix::process::{sig, Process, Regs, Thread, ThreadState};
-use aurora_posix::pty::Termios;
+use aurora_posix::file::{FileId, FileKind, OpenFile, OpenFlags, PipeEnd, PtySide};
+use aurora_posix::kqueue::{Filter, Kevent, Kqueue};
+use aurora_posix::pipe::Pipe;
+use aurora_posix::process::{sig, Process, Regs, Thread};
+use aurora_posix::pty::{Pty, Termios};
 use aurora_posix::shm::{PosixShm, SysvShm};
-use aurora_posix::socket::{Domain, InetAddr, Message, SockType, TcpState};
+use aurora_posix::socket::{Domain, InetAddr, Message, SockOpts, SockType, Socket, TcpState};
 use aurora_posix::vfs::{Vnode, VnodeKind};
 use aurora_posix::{Kernel, Pid, Tid, VnodeId};
 use aurora_sim::codec::{Decoder, Encoder};
@@ -32,7 +33,7 @@ const DANGLING: SlsError = SlsError::BadImage("dangling object reference");
 
 /// Counts one more fd slot or in-flight message holding `fid`.
 fn add_file_ref(k: &mut Kernel, fid: FileId) -> Result<(), SlsError> {
-    k.files.get_mut(&fid).ok_or(DANGLING)?.refs += 1;
+    k.files.get_mut(fid).map_err(|_| DANGLING)?.refs += 1;
     Ok(())
 }
 
@@ -108,7 +109,7 @@ impl KindDef for ProcRecord {
             had_ephemeral_children: p
                 .children
                 .iter()
-                .any(|&c| k.proc(c).map(|cp| cp.ephemeral && !cp.dead).unwrap_or(false)),
+                .any(|&c| k.proc(c).is_ok_and(|cp| cp.ephemeral)),
             local_pid: p.local_pid.0,
             parent_local: p.ppid.and_then(|pp| k.proc(pp).ok()).map(|pp| pp.local_pid.0),
             pgid: p.pgid.0,
@@ -143,7 +144,8 @@ impl KindDef for ProcRecord {
                 .collect::<Result<_, SlsError>>()?,
             aio_reads: k
                 .aio
-                .in_flight()
+                .ops
+                .iter()
                 .filter(|op| op.pid == pid.0 && op.kind == AioKind::Read)
                 .map(|op| Ok((file_oid(op.file)?, op.offset, op.len)))
                 .collect::<Result<_, SlsError>>()?,
@@ -187,25 +189,20 @@ impl KindDef for ProcRecord {
         // Parents restore before children (manifest order), so the
         // parent's local pid already resolves.
         let parent_global = self.parent_local.map(|l| Pid(cx.pid_ns.global_of(l)));
+        let process = Process::new(global, self.name.clone(), space, fdtable);
         k.procs.insert(
             global,
             Process {
-                pid: global,
                 local_pid: Pid(self.local_pid),
                 ppid: parent_global,
                 pgid: Pid(self.pgid),
                 sid: Pid(self.sid),
-                name: self.name.clone(),
-                space,
-                fdtable,
                 threads: threads.into_iter().map(|t| Tid(t as u32)).collect(),
-                children: Vec::new(),
                 ns: cx.kernel_ns,
                 // The ephemeral child "exited" from the parent's point
                 // of view (§3).
                 sigpending: if self.had_ephemeral_children { sig::bit(sig::SIGCHLD) } else { 0 },
-                ephemeral: false,
-                dead: false,
+                ..process
             },
         );
         if let Some(pp) = parent_global {
@@ -272,15 +269,12 @@ impl KindDef for ThreadRecord {
         k.threads.insert(
             tid,
             Thread {
-                tid,
                 local_tid: Tid(self.local_tid),
-                pid,
-                state: ThreadState::User,
                 sigmask: self.sigmask,
                 sigpending: self.sigpending,
                 priority: self.priority,
                 regs: self.regs.clone(),
-                restarts: 0,
+                ..Thread::new(tid, pid)
             },
         );
         k.charge.allocs(2);
@@ -369,7 +363,7 @@ impl KindDef for FileRecord {
     }
 
     fn capture(k: &Kernel, id: u64, oids: &OidMap) -> Result<Self, SlsError> {
-        let f = k.file(FileId(id))?;
+        let f = k.files.get(FileId(id))?;
         k.charge.locks(1);
         k.charge.misses(5);
         let oid = |kind, id| oids.require(KObj(kind, id));
@@ -409,19 +403,21 @@ impl KindDef for FileRecord {
             },
             FileTarget::Socket(s) => FileKind::Socket(cx.restore(Kind::Socket, s)?),
             FileTarget::Kqueue(q) => FileKind::Kqueue(cx.restore(Kind::Kqueue, q)?),
-            FileTarget::Pty(p, master) => FileKind::Pty {
-                pty: cx.restore(Kind::Pty, p)?,
-                side: if master { PtySide::Master } else { PtySide::Slave },
-            },
+            FileTarget::Pty(p, master) => {
+                let pty = cx.restore(Kind::Pty, p)?;
+                cx.sls.kernel.ptys.get_mut(pty)?.open_refs += 1;
+                FileKind::Pty { pty, side: if master { PtySide::Master } else { PtySide::Slave } }
+            }
             FileTarget::ShmPosix(s) => FileKind::ShmPosix(cx.restore(Kind::ShmPosix, s)?),
             FileTarget::Device(d) => FileKind::Device(d),
         };
         let k = &mut cx.sls.kernel;
-        let f = k.new_file(kind, flags_from(self.flags));
-        f.offset = self.offset;
-        f.refs = 0; // counted as fd slots / in-flight references install
-        f.extsync_disabled = self.extsync_disabled;
-        let fid = f.id;
+        let fid = k.files.insert(OpenFile {
+            offset: self.offset,
+            refs: 0, // counted as fd slots / in-flight references install
+            extsync_disabled: self.extsync_disabled,
+            ..OpenFile::new(kind, flags_from(self.flags))
+        });
         k.charge.allocs(1);
         Ok(fid.0)
     }
@@ -557,7 +553,7 @@ impl KindDef for PipeRecord {
     }
 
     fn capture(k: &Kernel, id: u64, _oids: &OidMap) -> Result<Self, SlsError> {
-        let p = k.pipes.get(&id).ok_or(SlsError::BadImage("no such pipe"))?;
+        let p = k.pipes.get(id)?;
         k.charge.locks(2);
         k.charge.misses(14);
         Ok(PipeRecord {
@@ -573,12 +569,12 @@ impl KindDef for PipeRecord {
         k.charge.allocs(2);
         k.charge.locks(1);
         k.charge.misses(10);
-        let pipe = k.new_pipe();
-        pipe.capacity = self.capacity as usize;
-        pipe.reader_open = self.reader_open;
-        pipe.writer_open = self.writer_open;
-        pipe.buffer.extend(&self.buffer);
-        Ok(pipe.id)
+        Ok(k.pipes.insert(Pipe {
+            buffer: self.buffer.iter().copied().collect(),
+            capacity: self.capacity as usize,
+            reader_open: self.reader_open,
+            writer_open: self.writer_open,
+        }))
     }
 }
 
@@ -628,7 +624,7 @@ impl KindDef for SocketRecord {
 
     /// Parses the buffers for in-flight control messages (§5.3).
     fn capture(k: &Kernel, id: u64, oids: &OidMap) -> Result<Self, SlsError> {
-        let s = k.sockets.get(&id).ok_or(SlsError::BadImage("no such socket"))?;
+        let s = k.sockets.get(id)?;
         k.charge.locks(2);
         k.charge.misses(15 + (s.recv_buf.len() + s.send_buf.len()) as u64);
         let msgs = |buf: &VecDeque<Message>| -> Result<Msgs, SlsError> {
@@ -663,25 +659,26 @@ impl KindDef for SocketRecord {
         k.charge.allocs(2);
         k.charge.locks(2);
         k.charge.misses(14);
-        let s = k.new_socket(self.domain, self.stype);
-        s.opts.nodelay = self.opts.0;
-        s.opts.reuseaddr = self.opts.1;
-        s.opts.keepalive = self.opts.2;
-        s.unix_path = self.unix_path.clone();
-        s.inet = (
-            InetAddr { ip: self.local.0, port: self.local.1 },
-            InetAddr { ip: self.remote.0, port: self.remote.1 },
-        );
-        s.tcp_state = self.tcp_state;
-        s.snd_seq = self.snd_seq;
-        s.rcv_seq = self.rcv_seq;
         // Buffers; in-flight fds are re-linked by the post-restore pass.
-        let bare =
-            |(data, _): &(Vec<u8>, Vec<Oid>)| Message { data: data.clone(), fds: Vec::new() };
-        s.recv_buf.extend(self.recv_buf.iter().map(bare));
-        s.send_buf.extend(self.send_buf.iter().map(bare));
-        s.sent_count += self.send_buf.len() as u64;
-        Ok(s.id)
+        let bare = |msgs: &Msgs| {
+            msgs.iter().map(|(data, _)| Message { data: data.clone(), fds: Vec::new() }).collect()
+        };
+        let (nodelay, reuseaddr, keepalive) = self.opts;
+        Ok(k.sockets.insert(Socket {
+            opts: SockOpts { nodelay, reuseaddr, keepalive },
+            unix_path: self.unix_path.clone(),
+            inet: (
+                InetAddr { ip: self.local.0, port: self.local.1 },
+                InetAddr { ip: self.remote.0, port: self.remote.1 },
+            ),
+            tcp_state: self.tcp_state,
+            snd_seq: self.snd_seq,
+            rcv_seq: self.rcv_seq,
+            recv_buf: bare(&self.recv_buf),
+            send_buf: bare(&self.send_buf),
+            sent_count: self.send_buf.len() as u64,
+            ..Socket::new(self.domain, self.stype)
+        }))
     }
 
     /// Links the peer if it is part of the image (a peer outside the
@@ -694,8 +691,8 @@ impl KindDef for SocketRecord {
         }
         let peer_id = cx.restore(Kind::Socket, peer_oid)?;
         let sockets = &mut cx.sls.kernel.sockets;
-        sockets.get_mut(&id).ok_or(DANGLING)?.peer = Some(peer_id);
-        sockets.get_mut(&peer_id).ok_or(DANGLING)?.peer = Some(id);
+        sockets.get_mut(id).map_err(|_| DANGLING)?.peer = Some(peer_id);
+        sockets.get_mut(peer_id).map_err(|_| DANGLING)?.peer = Some(id);
         Ok(())
     }
 
@@ -714,7 +711,7 @@ impl KindDef for SocketRecord {
         for &fid in inflight.iter().flatten() {
             add_file_ref(k, fid)?;
         }
-        let sock = k.sockets.get_mut(&id).ok_or(DANGLING)?;
+        let sock = k.sockets.get_mut(id).map_err(|_| DANGLING)?;
         for (msg, fids) in sock.recv_buf.iter_mut().chain(&mut sock.send_buf).zip(inflight) {
             msg.fds = fids;
         }
@@ -740,7 +737,7 @@ impl KindDef for KqueueRecord {
     /// Every knote is scanned and locked (the slow checkpoint row of
     /// Table 4).
     fn capture(k: &Kernel, id: u64, _oids: &OidMap) -> Result<Self, SlsError> {
-        let q = k.kqueues.get(&id).ok_or(SlsError::BadImage("no such kqueue"))?;
+        let q = k.kqueues.get(id)?;
         k.charge.locks(1);
         k.charge.misses(8);
         k.charge.raw(q.events.len() as u64 * k.charge.model().kevent_ns);
@@ -756,13 +753,12 @@ impl KindDef for KqueueRecord {
         k.charge.allocs(1);
         k.charge.locks(1);
         k.charge.misses(8);
-        let kq = k.new_kqueue();
-        kq.events = self
+        let events = self
             .events
             .iter()
             .map(|&(ident, filter, enabled, udata)| Kevent { ident, filter, enabled, udata })
             .collect();
-        Ok(kq.id)
+        Ok(k.kqueues.insert(Kqueue { events }))
     }
 }
 
@@ -792,11 +788,11 @@ impl KindDef for PtyRecord {
     }
 
     fn capture(k: &Kernel, id: u64, _oids: &OidMap) -> Result<Self, SlsError> {
-        let p = k.ptys.get(&id).ok_or(SlsError::BadImage("no such pty"))?;
+        let p = k.ptys.get(id)?;
         k.charge.locks(2);
         k.charge.misses(28); // termios + queues + tty structure chases
         Ok(PtyRecord {
-            pts: p.id,
+            pts: id,
             term: (p.termios.canonical, p.termios.echo),
             baud: p.termios.baud,
             input: p.input.iter().copied().collect(),
@@ -811,12 +807,13 @@ impl KindDef for PtyRecord {
         let k = &mut cx.sls.kernel;
         k.charge.raw(k.charge.model().devfs_create_ns);
         k.charge.allocs(2);
-        let pty = k.new_pty();
-        pty.termios = Termios { canonical: self.term.0, echo: self.term.1, baud: self.baud };
-        pty.input.extend(&self.input);
-        pty.output.extend(&self.output);
-        pty.fg_pgid = self.fg_pgid;
-        Ok(pty.id)
+        Ok(k.ptys.insert(Pty {
+            termios: Termios { canonical: self.term.0, echo: self.term.1, baud: self.baud },
+            input: self.input.iter().copied().collect(),
+            output: self.output.iter().copied().collect(),
+            fg_pgid: self.fg_pgid,
+            open_refs: 0, // counted as the descriptions install
+        }))
     }
 }
 

@@ -78,7 +78,7 @@ pub struct LineageBinding {
 
 impl LineageBinding {
     /// A live (unrestored) binding: every committed version visible.
-    pub fn live(oid: Oid) -> Self {
+    pub(crate) fn live(oid: Oid) -> Self {
         Self { oid, floor: u64::MAX, resume: 0 }
     }
 }
@@ -350,7 +350,7 @@ impl Sls {
     /// Polls happen at checkpoint/tick boundaries; none of them reads or
     /// advances the clock beyond what the run already does, so sampling
     /// cannot perturb the virtual timeline.
-    pub fn install_sampler(&mut self, period_ns: u64) -> aurora_trace::Sampler {
+    pub(crate) fn install_sampler(&mut self, period_ns: u64) -> aurora_trace::Sampler {
         let s = aurora_trace::Sampler::new(period_ns);
         self.sampler = Some(s.clone());
         s
@@ -522,9 +522,6 @@ impl Sls {
         let mut queue: VecDeque<Pid> = g.roots.iter().copied().collect();
         while let Some(pid) = queue.pop_front() {
             let Ok(p) = self.kernel.proc(pid) else { continue };
-            if p.dead {
-                continue;
-            }
             out.push(pid);
             queue.extend(p.children.iter().copied());
         }
@@ -549,17 +546,6 @@ impl Sls {
         let epoch = *g.epochs.last().ok_or(SlsError::NoCheckpoint(gid))?;
         g.named.insert(name.to_string(), epoch);
         Ok(epoch)
-    }
-
-    /// Looks up a named checkpoint.
-    pub fn named_checkpoint(&self, gid: GroupId, name: &str) -> Result<u64, SlsError> {
-        self.groups
-            .get(&gid)
-            .ok_or(SlsError::NoSuchGroup(gid))?
-            .named
-            .get(name)
-            .copied()
-            .ok_or(SlsError::NoCheckpoint(gid))
     }
 
     /// Periodic driver: checkpoints every group whose period has elapsed

@@ -51,7 +51,7 @@ impl Kind {
     /// The store kind of this kind's on-disk representation. Vnodes and
     /// memory objects carry pages and are stored as what they are (§7);
     /// everything else is a POSIX record under its tag.
-    pub fn store_kind(self) -> ObjectKind {
+    pub(crate) fn store_kind(self) -> ObjectKind {
         match self {
             Kind::Vnode => ObjectKind::File,
             Kind::Mem => ObjectKind::Memory,
@@ -76,7 +76,7 @@ pub struct OidMap {
 impl OidMap {
     /// Returns the OID for `kobj`, allocating and creating the store
     /// object on first sight.
-    pub fn get_or_create(
+    pub(crate) fn get_or_create(
         &mut self,
         store: &mut ObjectStore,
         kobj: KObj,
@@ -98,7 +98,7 @@ impl OidMap {
     /// Like [`get`](OidMap::get) for an object the serialization scan
     /// must already have assigned: a miss means the reachability walk
     /// and a record disagree about what exists.
-    pub fn require(&self, kobj: KObj) -> Result<Oid, SlsError> {
+    pub(crate) fn require(&self, kobj: KObj) -> Result<Oid, SlsError> {
         self.get(kobj).ok_or(SlsError::BadImage("object skipped assignment"))
     }
 

@@ -171,11 +171,6 @@ impl GroupRun {
         })
     }
 
-    /// The group this run checkpoints.
-    pub fn gid(&self) -> GroupId {
-        self.gid
-    }
-
     /// The run's current phase.
     pub fn phase(&self) -> Phase {
         self.phase
@@ -496,14 +491,15 @@ impl GroupRun {
         let pending_writes: Vec<u64> = sls
             .kernel
             .aio
-            .in_flight()
+            .ops
+            .iter()
             .filter(|op| member.contains(&op.pid) && op.kind == aurora_posix::aio::AioKind::Write)
             .map(|op| op.id)
             .collect();
         for id in pending_writes {
             // Device-side completion wait, then fold into the image.
             sls.kernel.charge.raw(12_000);
-            sls.kernel.aio.complete(id, false);
+            sls.kernel.aio.complete(id);
         }
         Ok(())
     }

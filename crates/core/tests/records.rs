@@ -53,7 +53,7 @@ fn proc_record_lists_fds_and_entries() {
 #[test]
 fn kqueue_record_holds_the_event() {
     let (w, gid, _pid) = checkpointed_world();
-    let kq_id = *w.sls.kernel.kqueues.keys().next().unwrap();
+    let kq_id = w.sls.kernel.kqueues.ids().next().unwrap();
     let rec: KqueueRecord = stored(&w, gid, Kind::Kqueue, kq_id);
     assert_eq!(rec.events, vec![(9, Filter::Write, true, 77)]);
 }
@@ -61,7 +61,7 @@ fn kqueue_record_holds_the_event() {
 #[test]
 fn pipe_record_holds_buffered_bytes() {
     let (w, gid, _pid) = checkpointed_world();
-    let pipe_id = *w.sls.kernel.pipes.keys().next().unwrap();
+    let pipe_id = w.sls.kernel.pipes.ids().next().unwrap();
     let rec: PipeRecord = stored(&w, gid, Kind::Pipe, pipe_id);
     assert_eq!(rec.buffer, b"piped bytes");
     assert!(rec.reader_open && rec.writer_open);
@@ -75,8 +75,8 @@ fn socket_record_holds_unsent_message_and_peer() {
     // delivery) holds it, and the pair's records reference each other.
     let mut carried = Vec::new();
     let mut peers = 0;
-    for sid in w.sls.kernel.sockets.keys() {
-        let rec: SocketRecord = stored(&w, gid, Kind::Socket, *sid);
+    for sid in w.sls.kernel.sockets.ids() {
+        let rec: SocketRecord = stored(&w, gid, Kind::Socket, sid);
         for (data, _) in rec.send_buf.iter().chain(rec.recv_buf.iter()) {
             carried.push(data.clone());
         }
@@ -148,7 +148,7 @@ fn tcp_socket_record_holds_five_tuple_and_seqs() {
         .iter()
         .find(|(_, s)| s.tcp_state == TcpState::Established && s.inet.0.port == 6379)
         .expect("accepted socket");
-    let rec: SocketRecord = stored(&w, gid, Kind::Socket, *sid);
+    let rec: SocketRecord = stored(&w, gid, Kind::Socket, sid);
     assert_eq!(rec.tcp_state, TcpState::Established);
     assert_eq!(rec.local.1, 6379);
     assert_ne!(rec.remote.1, 0, "remote port captured");

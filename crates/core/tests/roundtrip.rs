@@ -524,21 +524,16 @@ fn aio_reads_reissued_writes_folded_in() {
     let gid = w.sls.attach(pid, SlsOptions::default()).unwrap();
     w.sls.sls_checkpoint(gid).unwrap();
     use aurora_posix::aio::AioKind;
-    let writes_pending = w
-        .sls
-        .kernel
-        .aio
-        .in_flight()
-        .filter(|o| o.kind == AioKind::Write)
-        .count();
-    assert_eq!(writes_pending, 0, "checkpoint folds in-flight writes");
+    let writes_left = w.sls.kernel.aio.ops.iter().filter(|o| o.kind == AioKind::Write).count();
+    assert_eq!(writes_left, 0, "the checkpoint completed the write, and it left the queue");
 
     let r = w.sls.sls_restore(gid, None, RestoreMode::Full).unwrap();
     let reissued: Vec<_> = w
         .sls
         .kernel
         .aio
-        .in_flight()
+        .ops
+        .iter()
         .filter(|o| o.pid == r.pids[0].0)
         .collect();
     assert_eq!(reissued.len(), 1, "the read is reissued for the restored process");
@@ -663,6 +658,7 @@ fn vdso_is_reinjected_not_persisted() {
     let mut w = World::quickstart();
     let pid = w.spawn_counter_app();
     let vdso_addr = w.sls.kernel.map_vdso(pid).unwrap();
+    let hpet_addr = w.sls.kernel.map_hpet(pid).unwrap();
     let gid = w.sls.attach(pid, SlsOptions::default()).unwrap();
     let cp = w.sls.sls_checkpoint(gid).unwrap();
     w.sls.sls_barrier(gid).unwrap();
@@ -672,13 +668,15 @@ fn vdso_is_reinjected_not_persisted() {
     w.sls.kernel.vdso_version += 1;
     let r = w.sls.sls_restore(gid, None, RestoreMode::Full).unwrap();
     let space = w.sls.kernel.proc(r.pids[0]).unwrap().space;
-    let entry_obj = w.sls.kernel.vm.space(space).unwrap().entry_at(vdso_addr).unwrap().object;
-    let obj = w.sls.kernel.vm.object(entry_obj).unwrap();
-    assert!(
-        matches!(obj.kind, aurora_vm::ObjKind::Device { .. }),
-        "the vDSO mapping is a fresh device injection, not restored pages"
-    );
-    assert_eq!(obj.resident_pages(), 0, "no stale vDSO content came from the store");
+    for (page, addr) in [("vDSO", vdso_addr), ("HPET", hpet_addr)] {
+        let entry = w.sls.kernel.vm.space(space).unwrap().entry_at(addr).unwrap();
+        let obj = w.sls.kernel.vm.object(entry.object).unwrap();
+        assert!(
+            matches!(obj.kind, aurora_vm::ObjKind::Device { .. }),
+            "the {page} mapping is a fresh device injection, not restored pages"
+        );
+        assert_eq!(obj.resident_pages(), 0, "no stale {page} content came from the store");
+    }
 }
 
 #[test]
@@ -723,7 +721,7 @@ fn restored_objects_survive_the_restored_process_making_new_ones() {
     use aurora_posix::{Kernel, Pid};
 
     fn target(k: &Kernel, pid: Pid, fd: Fd) -> u64 {
-        match k.file(k.resolve(pid, fd).unwrap()).unwrap().kind {
+        match k.files.get(k.resolve(pid, fd).unwrap()).unwrap().kind {
             FileKind::Pipe { pipe, .. } => pipe,
             FileKind::Socket(s) => s,
             FileKind::Kqueue(q) => q,
@@ -745,7 +743,7 @@ fn restored_objects_survive_the_restored_process_making_new_ones() {
         k.kevent_register(pid, kq, event(9)).unwrap();
         let (pty, _slave) = k.openpty(pid).unwrap();
         let pty_id = target(k, pid, pty);
-        k.ptys.get_mut(&pty_id).unwrap().input.extend(b"typed");
+        k.ptys.get_mut(pty_id).unwrap().input.extend(b"typed");
 
         let gid = w.sls.attach(pid, SlsOptions::default()).unwrap();
         let cp = w.sls.sls_checkpoint(gid).unwrap();
@@ -770,7 +768,7 @@ fn restored_objects_survive_the_restored_process_making_new_ones() {
         k.kevent_register(rp, new_kq, event(1)).unwrap();
         let (new_pty, _) = k.openpty(rp).unwrap();
         let new_pty_id = target(k, rp, new_pty);
-        k.ptys.get_mut(&new_pty_id).unwrap().input.extend(b"ZZ");
+        k.ptys.get_mut(new_pty_id).unwrap().input.extend(b"ZZ");
         assert_eq!(
             (k.pipes.len(), k.sockets.len(), k.kqueues.len(), k.ptys.len()),
             (live.0 + 1, live.1 + 2, live.2 + 1, live.3 + 1),
@@ -779,12 +777,12 @@ fn restored_objects_survive_the_restored_process_making_new_ones() {
 
         // Every restored object still holds what was checkpointed.
         assert_eq!(k.read(rp, pipe_r, 64).unwrap(), b"in the pipe", "reboot={reboot}");
-        let s = &k.sockets[&target(k, rp, sock)];
+        let s = k.sockets.get(target(k, rp, sock)).unwrap();
         let queued: Vec<&[u8]> =
             s.send_buf.iter().chain(&s.recv_buf).map(|m| m.data.as_slice()).collect();
         assert_eq!(queued, [b"queued"], "reboot={reboot}");
-        assert_eq!(k.kqueues[&target(k, rp, kq)].events, [event(9)], "reboot={reboot}");
-        assert_eq!(k.ptys[&target(k, rp, pty)].input, b"typed", "reboot={reboot}");
+        assert_eq!(k.kqueues.get(target(k, rp, kq)).unwrap().events, [event(9)], "reboot={reboot}");
+        assert_eq!(k.ptys.get(target(k, rp, pty)).unwrap().input, b"typed", "reboot={reboot}");
     }
 }
 
@@ -807,7 +805,8 @@ fn rewritten_files_restore_byte_for_byte_after_history_reclamation() {
         let k = &mut w.sls.kernel;
         let p = k.spawn("writer");
         let big = k.open(p, "/four-pages", OpenFlags::RDWR, true).unwrap();
-        let small = k.open(p, "/one-page", OpenFlags::RDWR, true).unwrap();
+        k.vfs.mkdir("/dir").unwrap();
+        let small = k.open(p, "/dir/one-page", OpenFlags::RDWR, true).unwrap();
         let gid = w.sls.attach(p, SlsOptions::default()).unwrap();
         for round in 0..6u8 {
             let k = &mut w.sls.kernel;
@@ -839,5 +838,57 @@ fn rewritten_files_restore_byte_for_byte_after_history_reclamation() {
                 "{pages}-page file ({mode:?}, reboot: {reboot}) read back pages {first_bytes:?}"
             );
         }
+        // The directory entry came back too: the file resolves by path.
+        let by_path = k.open(r.pids[0], "/dir/one-page", OpenFlags::RDONLY, false).unwrap();
+        assert_eq!(
+            k.read(r.pids[0], by_path, PAGE_SIZE).unwrap(),
+            content(5, 1),
+            "({mode:?}, reboot: {reboot})"
+        );
     }
+}
+
+#[test]
+fn exited_processes_leave_the_kernel() {
+    // Restore → exit cycles of a 4-process tree: the kernel ends up
+    // holding exactly the live processes and their threads.
+    let mut w = World::quickstart();
+    let root = w.sls.kernel.spawn("tree");
+    for _ in 0..3 {
+        w.sls.kernel.fork(root).unwrap();
+    }
+    let gid = w.sls.attach(root, SlsOptions::default()).unwrap();
+    w.sls.sls_checkpoint(gid).unwrap();
+    w.sls.sls_barrier(gid).unwrap();
+    let live = w.sls.kernel.procs.len();
+    for _ in 0..5 {
+        let r = w.sls.sls_restore(gid, None, RestoreMode::Full).unwrap();
+        assert_eq!(w.sls.kernel.procs.len(), live + r.pids.len());
+        for &pid in r.pids.iter().rev() {
+            w.sls.kernel.exit(pid).unwrap();
+        }
+        assert_eq!(w.sls.kernel.procs.len(), live, "every exited process was reaped");
+        assert_eq!(w.sls.kernel.threads.len(), live);
+    }
+}
+
+#[test]
+fn closing_both_sides_frees_the_pty() {
+    // At a fresh open and after a restore, a pty goes when the last
+    // description of either side closes.
+    let mut w = World::quickstart();
+    let pid = w.sls.kernel.spawn("term");
+    let (m, s) = w.sls.kernel.openpty(pid).unwrap();
+    let gid = w.sls.attach(pid, SlsOptions::default()).unwrap();
+    w.sls.sls_checkpoint(gid).unwrap();
+    w.sls.sls_barrier(gid).unwrap();
+    let r = w.sls.sls_restore(gid, None, RestoreMode::Full).unwrap();
+    let k = &mut w.sls.kernel;
+    assert_eq!(k.ptys.len(), 2, "the original pty and the restored one");
+    k.close(r.pids[0], m).unwrap();
+    k.close(r.pids[0], s).unwrap();
+    assert_eq!(k.ptys.len(), 1, "the restored pty is freed");
+    k.close(pid, m).unwrap();
+    k.close(pid, s).unwrap();
+    assert!(k.ptys.is_empty(), "the fresh pty is freed");
 }

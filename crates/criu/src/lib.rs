@@ -176,9 +176,6 @@ pub fn criu_dump(
     let mut queue = VecDeque::from([root]);
     while let Some(pid) = queue.pop_front() {
         let p = k.proc(pid)?;
-        if p.dead {
-            continue;
-        }
         pids.push(pid);
         image.procs.push((pid.0, p.ppid.map(|x| x.0), p.name.clone()));
         queue.extend(p.children.iter().copied());
@@ -211,7 +208,7 @@ pub fn criu_dump(
                 image.shared_files.push(fid);
                 // Vnode-level inference: does another process have the
                 // same file open independently?
-                if let Ok(f) = k.file(aurora_posix::FileId(fid)) {
+                if let Ok(f) = k.files.get(aurora_posix::FileId(fid)) {
                     if let FileKind::Vnode(v) = f.kind {
                         k.charge.raw(costs.infer_per_object_ns);
                         seen_vnodes.insert(v.0);

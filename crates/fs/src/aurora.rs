@@ -42,7 +42,7 @@ impl AuroraFs {
     }
 
     /// Builds an Aurora FS over an existing store.
-    pub fn over(store: ObjectStore) -> Self {
+    pub(crate) fn over(store: ObjectStore) -> Self {
         Self {
             store,
             files: HashMap::new(),

@@ -40,7 +40,7 @@ impl FfsModel {
     }
 
     /// Builds the model over an existing device.
-    pub fn over(dev: SharedDevice, charge: Charge) -> Self {
+    pub(crate) fn over(dev: SharedDevice, charge: Charge) -> Self {
         let capacity = dev.lock().capacity_blocks();
         Self { dev, charge, files: HashMap::new(), alloc_cursor: 1, capacity, pending_journal: 0 }
     }

@@ -48,7 +48,7 @@ impl ZfsModel {
     }
 
     /// Builds the model over an existing device.
-    pub fn over(dev: SharedDevice, charge: Charge, csum: bool) -> Self {
+    pub(crate) fn over(dev: SharedDevice, charge: Charge, csum: bool) -> Self {
         let capacity = dev.lock().capacity_blocks();
         Self {
             dev,

@@ -353,7 +353,7 @@ impl Explorer {
     }
 
     /// Runs the workload fault-free and reports its write-boundary range.
-    pub fn golden(&self) -> Golden {
+    pub(crate) fn golden(&self) -> Golden {
         let setup = replay(&[], self.groups, FaultPlan::none());
         let first_write = setup.handle.writes_seen();
         let full = replay(&self.workload, self.groups, FaultPlan::none());

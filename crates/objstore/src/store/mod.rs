@@ -278,14 +278,6 @@ impl ObjectStore {
         self.dev.lock().set_trace(trace);
     }
 
-    /// Adopts a frame arena (the orchestrator passes the VM's so both
-    /// layers attribute frames to one gauge block). Existing cache
-    /// entries keep their old attribution; callers wire the arena before
-    /// any page traffic.
-    pub fn set_arena(&mut self, arena: FrameArena) {
-        self.arena = arena;
-    }
-
     /// The store's frame arena.
     pub fn arena(&self) -> &FrameArena {
         &self.arena

@@ -47,11 +47,6 @@ impl ObjectStore {
         ObjectKind::from_raw(self.index.obj(oid)?.kind_raw)
     }
 
-    /// An object's size in bytes (latest committed view).
-    pub fn size(&self, oid: Oid) -> Result<u64> {
-        Ok(self.index.obj(oid)?.size)
-    }
-
     /// The object's metadata as of `epoch`.
     pub fn meta_at(&self, oid: Oid, epoch: u64) -> Result<&[u8]> {
         self.check_epoch(epoch)?;

@@ -31,16 +31,13 @@ pub struct AioOp {
     pub len: u64,
     /// Direction.
     pub kind: AioKind,
-    /// Completed?
-    pub done: bool,
-    /// Failed with an error that must be reflected in the checkpoint.
-    pub failed: bool,
 }
 
 /// The kernel AIO queue.
 #[derive(Clone, Debug, Default)]
 pub struct AioQueue {
-    /// All tracked operations.
+    /// Operations in flight; an op leaves when it completes or its
+    /// process exits.
     pub ops: Vec<AioOp>,
     next: u64,
 }
@@ -49,30 +46,13 @@ impl AioQueue {
     /// Issues an AIO, returning its id.
     pub fn issue(&mut self, pid: u32, file: FileId, offset: u64, len: u64, kind: AioKind) -> u64 {
         self.next += 1;
-        self.ops.push(AioOp { id: self.next, pid, file, offset, len, kind, done: false, failed: false });
+        self.ops.push(AioOp { id: self.next, pid, file, offset, len, kind });
         self.next
     }
 
-    /// Marks an operation complete.
-    pub fn complete(&mut self, id: u64, failed: bool) -> bool {
-        match self.ops.iter_mut().find(|o| o.id == id) {
-            Some(op) => {
-                op.done = true;
-                op.failed = failed;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// In-flight (incomplete) operations.
-    pub fn in_flight(&self) -> impl Iterator<Item = &AioOp> {
-        self.ops.iter().filter(|o| !o.done)
-    }
-
-    /// Drops completed operations (reaped by the application).
-    pub fn reap(&mut self) {
-        self.ops.retain(|o| !o.done);
+    /// Completes an operation: it leaves the queue.
+    pub fn complete(&mut self, id: u64) {
+        self.ops.retain(|o| o.id != id);
     }
 }
 
@@ -84,12 +64,10 @@ mod tests {
     fn issue_complete_reap() {
         let mut q = AioQueue::default();
         let a = q.issue(1, FileId(1), 0, 4096, AioKind::Write);
-        let _b = q.issue(1, FileId(1), 4096, 4096, AioKind::Read);
-        assert_eq!(q.in_flight().count(), 2);
-        assert!(q.complete(a, false));
-        assert_eq!(q.in_flight().count(), 1);
-        q.reap();
-        assert_eq!(q.ops.len(), 1);
-        assert!(!q.complete(a, false), "reaped op is gone");
+        let b = q.issue(1, FileId(1), 4096, 4096, AioKind::Read);
+        assert_eq!(q.ops.len(), 2);
+        q.complete(a);
+        let left: Vec<u64> = q.ops.iter().map(|o| o.id).collect();
+        assert_eq!(left, [b], "a completed op is reaped at once");
     }
 }

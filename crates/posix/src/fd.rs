@@ -43,7 +43,7 @@ impl FdTable {
     }
 
     /// Resolves a descriptor.
-    pub fn get(&self, fd: Fd) -> Result<FileId> {
+    pub(crate) fn get(&self, fd: Fd) -> Result<FileId> {
         self.slots.get(fd.0 as usize).copied().flatten().ok_or(KError::Badf)
     }
 

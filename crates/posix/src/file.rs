@@ -11,6 +11,12 @@ use crate::vfs::VnodeId;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FileId(pub u64);
 
+impl From<u64> for FileId {
+    fn from(id: u64) -> Self {
+        FileId(id)
+    }
+}
+
 /// Which end of a pipe a description refers to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PipeEnd {
@@ -83,8 +89,6 @@ impl OpenFlags {
 /// An open-file description (FreeBSD `struct file`).
 #[derive(Clone, Debug)]
 pub struct OpenFile {
-    /// Identity in the kernel file table.
-    pub id: FileId,
     /// What the description refers to.
     pub kind: FileKind,
     /// Shared seek offset.
@@ -96,6 +100,13 @@ pub struct OpenFile {
     /// External synchrony disabled for this description via `sls_fdctl`
     /// (§3): outgoing data on it is released immediately.
     pub extsync_disabled: bool,
+}
+
+impl OpenFile {
+    /// A description at offset 0 held by one reference.
+    pub fn new(kind: FileKind, flags: OpenFlags) -> Self {
+        Self { kind, offset: 0, flags, refs: 1, extsync_disabled: false }
+    }
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@ pub struct IdAllocator {
 
 impl IdAllocator {
     /// Creates an allocator starting at `first`.
-    pub fn starting_at(first: u32) -> Self {
+    pub(crate) fn starting_at(first: u32) -> Self {
         Self { next: first, used: HashSet::new() }
     }
 
@@ -55,7 +55,7 @@ impl IdAllocator {
     }
 
     /// Releases an id.
-    pub fn release(&mut self, id: u32) {
+    pub(crate) fn release(&mut self, id: u32) {
         self.used.remove(&id);
     }
 }
@@ -68,39 +68,17 @@ impl IdAllocator {
 #[derive(Clone, Debug, Default)]
 pub struct PidNamespace {
     to_global: HashMap<u32, u32>,
-    to_local: HashMap<u32, u32>,
 }
 
 impl PidNamespace {
-    /// Creates an empty namespace.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records `local → global`.
     pub fn insert(&mut self, local: u32, global: u32) {
         self.to_global.insert(local, global);
-        self.to_local.insert(global, local);
     }
 
     /// Resolves a local id to the global one (identity if unmapped).
     pub fn global_of(&self, local: u32) -> u32 {
         self.to_global.get(&local).copied().unwrap_or(local)
-    }
-
-    /// Resolves a global id to the local one (identity if unmapped).
-    pub fn local_of(&self, global: u32) -> u32 {
-        self.to_local.get(&global).copied().unwrap_or(global)
-    }
-
-    /// Number of mappings.
-    pub fn len(&self) -> usize {
-        self.to_global.len()
-    }
-
-    /// True if the namespace has no mappings.
-    pub fn is_empty(&self) -> bool {
-        self.to_global.is_empty()
     }
 }
 
@@ -134,12 +112,10 @@ mod tests {
 
     #[test]
     fn namespace_round_trips() {
-        let mut ns = PidNamespace::new();
+        let mut ns = PidNamespace::default();
         ns.insert(100, 9001);
         assert_eq!(ns.global_of(100), 9001);
-        assert_eq!(ns.local_of(9001), 100);
         // Identity for unmapped ids.
         assert_eq!(ns.global_of(5), 5);
-        assert_eq!(ns.local_of(5), 5);
     }
 }

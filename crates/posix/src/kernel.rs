@@ -7,10 +7,11 @@ use crate::file::{FileId, FileKind, OpenFile, OpenFlags, PipeEnd, PtySide};
 use crate::ids::{IdAllocator, Pid, Tid};
 use crate::kqueue::{Kevent, Kqueue};
 use crate::pipe::Pipe;
-use crate::process::{sig, Process, Regs, Thread, ThreadState};
+use crate::process::{sig, Process, Thread};
 use crate::pty::Pty;
 use crate::shm::{PosixShm, ShmRegistry, SysvShm};
 use crate::socket::{Domain, InetAddr, Message, SockType, Socket, TcpState};
+use crate::table::Table;
 use crate::vfs::Vfs;
 use aurora_sim::cost::Charge;
 use aurora_sim::{Clock, CostModel};
@@ -33,24 +34,24 @@ pub struct Kernel {
     pub vm: Vm,
     /// Cost accountant (shared virtual clock).
     pub charge: Charge,
-    /// Processes by global pid.
+    /// Live processes by global pid.
     pub procs: HashMap<Pid, Process>,
     /// Threads by global tid.
     pub threads: HashMap<Tid, Thread>,
     /// Open-file descriptions.
-    pub files: HashMap<FileId, OpenFile>,
+    pub files: Table<OpenFile, FileId>,
     /// The file system.
     pub vfs: Vfs,
     /// Pipes.
-    pub pipes: HashMap<u64, Pipe>,
+    pub pipes: Table<Pipe>,
     /// Sockets.
-    pub sockets: HashMap<u64, Socket>,
+    pub sockets: Table<Socket>,
     /// Shared memory registries.
     pub shm: ShmRegistry,
     /// Kqueues.
-    pub kqueues: HashMap<u64, Kqueue>,
-    /// Pseudoterminals.
-    pub ptys: HashMap<u64, Pty>,
+    pub kqueues: Table<Kqueue>,
+    /// Pseudoterminals, by pts number.
+    pub ptys: Table<Pty>,
     /// The AIO queue.
     pub aio: AioQueue,
     /// PID allocator (global ids).
@@ -65,11 +66,6 @@ pub struct Kernel {
     /// upgrades"; restored processes always see the current one (§5.3).
     pub vdso_version: u32,
     next_ns: u32,
-    next_file: u64,
-    next_pipe: u64,
-    next_socket: u64,
-    next_kqueue: u64,
-    next_pty: u64,
     /// Stop-the-world windows opened since boot (observability).
     pub quiesce_windows: u64,
     /// Width of the most recent quiesce window, virtual ns.
@@ -86,13 +82,13 @@ impl Kernel {
             charge: Charge::new(clock, model),
             procs: HashMap::new(),
             threads: HashMap::new(),
-            files: HashMap::new(),
+            files: Table::starting_at(1),
             vfs: Vfs::new(),
-            pipes: HashMap::new(),
-            sockets: HashMap::new(),
+            pipes: Table::starting_at(1),
+            sockets: Table::starting_at(1),
             shm: ShmRegistry::default(),
-            kqueues: HashMap::new(),
-            ptys: HashMap::new(),
+            kqueues: Table::starting_at(1),
+            ptys: Table::starting_at(0),
             aio: AioQueue::default(),
             pid_alloc: IdAllocator::starting_at(100),
             tid_alloc: IdAllocator::starting_at(100_000),
@@ -100,11 +96,6 @@ impl Kernel {
             pager: None,
             vdso_version: 1,
             next_ns: 0,
-            next_file: 1,
-            next_pipe: 1,
-            next_socket: 1,
-            next_kqueue: 1,
-            next_pty: 0,
             quiesce_windows: 0,
             last_quiesce_width_ns: 0,
         }
@@ -134,11 +125,6 @@ impl Kernel {
         self.procs.get_mut(&pid).ok_or(KError::Srch)
     }
 
-    /// Looks up an open-file description.
-    pub fn file(&self, id: FileId) -> Result<&OpenFile> {
-        self.files.get(&id).ok_or(KError::Badf)
-    }
-
     /// Resolves a process's fd to its description id.
     pub fn resolve(&self, pid: Pid, fd: Fd) -> Result<FileId> {
         self.proc(pid)?.fdtable.get(fd)
@@ -153,40 +139,8 @@ impl Kernel {
     pub fn spawn(&mut self, name: &str) -> Pid {
         let pid = Pid(self.pid_alloc.alloc());
         let space = self.vm.create_space();
-        let tid = Tid(self.tid_alloc.alloc());
-        self.threads.insert(
-            tid,
-            Thread {
-                tid,
-                local_tid: tid,
-                pid,
-                state: ThreadState::User,
-                sigmask: 0,
-                sigpending: 0,
-                priority: 0,
-                regs: Regs::default(),
-                restarts: 0,
-            },
-        );
-        self.procs.insert(
-            pid,
-            Process {
-                pid,
-                local_pid: pid,
-                ppid: None,
-                pgid: pid,
-                sid: pid,
-                name: name.to_string(),
-                space,
-                fdtable: FdTable::new(),
-                threads: vec![tid],
-                children: Vec::new(),
-                sigpending: 0,
-                ns: 0,
-                ephemeral: false,
-                dead: false,
-            },
-        );
+        self.procs.insert(pid, Process::new(pid, name.to_string(), space, FdTable::default()));
+        self.start_thread(pid);
         pid
     }
 
@@ -194,10 +148,9 @@ impl Kernel {
     /// child's fds alias the same descriptions — including offsets).
     pub fn fork(&mut self, pid: Pid) -> Result<Pid> {
         self.syscall_cost();
-        let (space, fdtable, pgid, sid, name, ns) = {
-            let p = self.proc(pid)?;
-            (p.space, p.fdtable.clone(), p.pgid, p.sid, p.name.clone(), p.ns)
-        };
+        let p = self.proc(pid)?;
+        let (space, fdtable, pgid, sid, name, ns) =
+            (p.space, p.fdtable.clone(), p.pgid, p.sid, p.name.clone(), p.ns);
         let stats_before = self.vm.stats;
         let child_space = self.vm.fork_space(space)?;
         // fork's COW setup pays per-PTE write protection plus per-entry
@@ -209,102 +162,65 @@ impl Kernel {
         self.charge.raw(model.shootdown_ns(1));
         // Every inherited description gains a reference.
         for (_, fid) in fdtable.iter() {
-            self.files.get_mut(&fid).ok_or(KError::Badf)?.refs += 1;
+            self.files.get_mut(fid)?.refs += 1;
         }
         let child = Pid(self.pid_alloc.alloc());
-        let tid = Tid(self.tid_alloc.alloc());
-        self.threads.insert(
-            tid,
-            Thread {
-                tid,
-                local_tid: tid,
-                pid: child,
-                state: ThreadState::User,
-                sigmask: 0,
-                sigpending: 0,
-                priority: 0,
-                regs: Regs::default(),
-                restarts: 0,
-            },
-        );
-        self.procs.insert(
-            child,
-            Process {
-                pid: child,
-                local_pid: child,
-                ppid: Some(pid),
-                pgid,
-                sid,
-                name,
-                space: child_space,
-                fdtable,
-                threads: vec![tid],
-                children: Vec::new(),
-                sigpending: 0,
-                ns,
-                ephemeral: false,
-                dead: false,
-            },
-        );
+        let process = Process::new(child, name, child_space, fdtable);
+        self.procs.insert(child, Process { ppid: Some(pid), pgid, sid, ns, ..process });
+        self.start_thread(child);
         self.proc_mut(pid)?.children.push(child);
         Ok(child)
     }
 
     /// Adds a thread to a process.
     pub fn add_thread(&mut self, pid: Pid) -> Result<Tid> {
-        let tid = Tid(self.tid_alloc.alloc());
-        self.threads.insert(
-            tid,
-            Thread {
-                tid,
-                local_tid: tid,
-                pid,
-                state: ThreadState::User,
-                sigmask: 0,
-                sigpending: 0,
-                priority: 0,
-                regs: Regs::default(),
-                restarts: 0,
-            },
-        );
-        self.proc_mut(pid)?.threads.push(tid);
-        Ok(tid)
+        self.proc(pid)?;
+        Ok(self.start_thread(pid))
     }
 
-    /// Terminates a process: closes fds, destroys the address space,
-    /// reparents children to the root, posts SIGCHLD to the parent.
+    /// Starts a thread in `pid`, which exists.
+    fn start_thread(&mut self, pid: Pid) -> Tid {
+        let tid = Tid(self.tid_alloc.alloc());
+        self.threads.insert(tid, Thread::new(tid, pid));
+        if let Some(p) = self.procs.get_mut(&pid) {
+            p.threads.push(tid);
+        }
+        tid
+    }
+
+    /// Terminates and reaps a process: closes its fds, drops its AIOs,
+    /// destroys its address space, orphans its children and posts
+    /// SIGCHLD to its parent.
     pub fn exit(&mut self, pid: Pid) -> Result<()> {
         self.syscall_cost();
         let fds: Vec<Fd> = self.proc(pid)?.fdtable.iter().map(|(fd, _)| fd).collect();
         for fd in fds {
             self.close(pid, fd)?;
         }
-        let (space, threads, children, ppid) = {
-            let p = self.proc_mut(pid)?;
-            p.dead = true;
-            (p.space, std::mem::take(&mut p.threads), std::mem::take(&mut p.children), p.ppid)
-        };
-        for tid in threads {
-            if let Some(t) = self.threads.get_mut(&tid) {
-                t.state = ThreadState::Dead;
-            }
-            self.threads.remove(&tid);
+        // The pid stays reserved in `pid_alloc`: groups name processes by
+        // pid, and a later restore that reserved this one would join its
+        // process to a group whose root exited.
+        let p = self.procs.remove(&pid).ok_or(KError::Srch)?;
+        for tid in &p.threads {
+            self.threads.remove(tid);
             self.tid_alloc.release(tid.0);
         }
-        for c in children {
-            if let Some(cp) = self.procs.get_mut(&c) {
+        for c in &p.children {
+            if let Some(cp) = self.procs.get_mut(c) {
                 cp.ppid = None;
             }
         }
-        self.vm.destroy_space(space)?;
-        if let Some(pp) = ppid {
+        self.aio.ops.retain(|op| op.pid != pid.0);
+        self.vm.destroy_space(p.space)?;
+        if let Some(pp) = p.ppid {
+            self.proc_mut(pp)?.children.retain(|&c| c != pid);
             self.post_signal(pp, sig::SIGCHLD)?;
         }
         Ok(())
     }
 
     /// Posts a signal to a process (by global pid).
-    pub fn post_signal(&mut self, pid: Pid, signo: u32) -> Result<()> {
+    pub(crate) fn post_signal(&mut self, pid: Pid, signo: u32) -> Result<()> {
         let p = self.proc_mut(pid)?;
         p.sigpending |= sig::bit(signo);
         Ok(())
@@ -327,13 +243,13 @@ impl Kernel {
         let target = self
             .procs
             .values()
-            .find(|p| p.ns == ns && p.local_pid.0 == target_local && !p.dead)
+            .find(|p| p.ns == ns && p.local_pid.0 == target_local)
             .map(|p| p.pid)
             .ok_or(KError::Srch)?;
         self.post_signal(target, signo)
     }
 
-    /// `kill(2)` to a process group: every live member of the sender's
+    /// `kill(2)` to a process group: every member of the sender's
     /// namespace with the given (local) pgid.
     pub fn kill_pgrp(&mut self, sender: Pid, pgid_local: u32, signo: u32) -> Result<()> {
         self.syscall_cost();
@@ -341,7 +257,7 @@ impl Kernel {
         let targets: Vec<Pid> = self
             .procs
             .values()
-            .filter(|p| p.ns == ns && p.pgid.0 == pgid_local && !p.dead)
+            .filter(|p| p.ns == ns && p.pgid.0 == pgid_local)
             .map(|p| p.pid)
             .collect();
         if targets.is_empty() {
@@ -381,13 +297,6 @@ impl Kernel {
         self.syscall_cost();
         let space = self.proc(pid)?.space;
         Ok(self.vm.mmap_anon(space, pages, prot)?)
-    }
-
-    /// Unmaps the entry starting at `addr`.
-    pub fn munmap(&mut self, pid: Pid, addr: u64) -> Result<()> {
-        self.syscall_cost();
-        let space = self.proc(pid)?.space;
-        Ok(self.vm.unmap(space, addr)?)
     }
 
     /// Maps the HPET page read-only (whitelisted device, §5.3).
@@ -463,56 +372,55 @@ impl Kernel {
     // Open-file plumbing
     // ------------------------------------------------------------------
 
-    /// Allocates a description under the next id, holding one reference.
-    /// (This and the other `new_*` allocators are also how a restore
-    /// rebuilds objects, so a restored id can never collide with a later
-    /// one.)
-    pub fn new_file(&mut self, kind: FileKind, flags: OpenFlags) -> &mut OpenFile {
-        let id = FileId(self.next_file);
-        self.next_file += 1;
-        let file = OpenFile { id, kind, offset: 0, flags, refs: 1, extsync_disabled: false };
-        self.files.entry(id).or_insert(file)
+    /// Opens a description of `kind` and installs it in `pid`'s lowest
+    /// free descriptor.
+    fn install_file(&mut self, pid: Pid, kind: FileKind, flags: OpenFlags) -> Result<Fd> {
+        let fid = self.files.insert(OpenFile::new(kind, flags));
+        Ok(self.proc_mut(pid)?.fdtable.install(fid))
     }
 
     /// Drops one reference to a description, tearing down the underlying
     /// object at zero.
-    pub fn unref_file(&mut self, id: FileId) -> Result<()> {
-        let file = self.files.get_mut(&id).ok_or(KError::Badf)?;
+    pub(crate) fn unref_file(&mut self, id: FileId) -> Result<()> {
+        let file = self.files.get_mut(id)?;
         file.refs -= 1;
         if file.refs > 0 {
             return Ok(());
         }
         let kind = file.kind;
-        self.files.remove(&id);
+        self.files.remove(id);
         match kind {
             FileKind::Vnode(v) => self.vfs.open_unref(v)?,
             FileKind::Pipe { pipe, end } => {
-                if let Some(p) = self.pipes.get_mut(&pipe) {
+                if let Ok(p) = self.pipes.get_mut(pipe) {
                     match end {
                         PipeEnd::Read => p.reader_open = false,
                         PipeEnd::Write => p.writer_open = false,
                     }
                     if !p.reader_open && !p.writer_open {
-                        self.pipes.remove(&pipe);
+                        self.pipes.remove(pipe);
                     }
                 }
             }
             FileKind::Socket(s) => {
                 // Detach from a connected peer.
-                if let Some(peer) = self.sockets.get(&s).and_then(|x| x.peer) {
-                    if let Some(p) = self.sockets.get_mut(&peer) {
+                if let Some(peer) = self.sockets.remove(s).and_then(|x| x.peer) {
+                    if let Ok(p) = self.sockets.get_mut(peer) {
                         p.peer = None;
                     }
                 }
-                self.sockets.remove(&s);
             }
             FileKind::Kqueue(k) => {
-                self.kqueues.remove(&k);
+                self.kqueues.remove(k);
             }
-            FileKind::Pty { .. } => {
-                // Pty pairs persist until both sides close; modelled as
-                // reclaim when neither side has a description.
-                // (Conservatively retained; restores recreate them.)
+            FileKind::Pty { pty, .. } => {
+                // The pair lives until neither side has a description.
+                if let Ok(p) = self.ptys.get_mut(pty) {
+                    p.open_refs -= 1;
+                    if p.open_refs == 0 {
+                        self.ptys.remove(pty);
+                    }
+                }
             }
             FileKind::ShmPosix(_) | FileKind::Device(_) => {}
         }
@@ -530,7 +438,7 @@ impl Kernel {
     pub fn dup(&mut self, pid: Pid, fd: Fd) -> Result<Fd> {
         self.syscall_cost();
         let fid = self.resolve(pid, fd)?;
-        self.files.get_mut(&fid).ok_or(KError::Badf)?.refs += 1;
+        self.files.get_mut(fid)?.refs += 1;
         Ok(self.proc_mut(pid)?.fdtable.install(fid))
     }
 
@@ -547,30 +455,27 @@ impl Kernel {
             Err(e) => return Err(e),
         };
         self.vfs.open_ref(v)?;
-        let fid = self.new_file(FileKind::Vnode(v), flags).id;
-        Ok(self.proc_mut(pid)?.fdtable.install(fid))
+        self.install_file(pid, FileKind::Vnode(v), flags)
     }
 
     /// Reads from a descriptor at its offset.
     pub fn read(&mut self, pid: Pid, fd: Fd, len: usize) -> Result<Vec<u8>> {
         self.syscall_cost();
         let fid = self.resolve(pid, fd)?;
-        let (kind, offset, can_read) = {
-            let f = self.file(fid)?;
-            (f.kind, f.offset, f.flags.read)
-        };
-        if !can_read {
+        let f = self.files.get(fid)?;
+        let (kind, offset) = (f.kind, f.offset);
+        if !f.flags.read {
             return Err(KError::Badf);
         }
         match kind {
             FileKind::Vnode(v) => {
                 let data = self.vfs.read_at(v, offset, len)?;
                 self.charge.memcpy(data.len() as u64);
-                self.files.get_mut(&fid).expect("exists").offset += data.len() as u64;
+                self.files.get_mut(fid)?.offset += data.len() as u64;
                 Ok(data)
             }
             FileKind::Pipe { pipe, end: PipeEnd::Read } => {
-                let p = self.pipes.get_mut(&pipe).ok_or(KError::Badf)?;
+                let p = self.pipes.get_mut(pipe)?;
                 let data = p.pop(len);
                 if data.is_empty() && p.writer_open {
                     return Err(KError::Again);
@@ -586,10 +491,8 @@ impl Kernel {
     pub fn write(&mut self, pid: Pid, fd: Fd, data: &[u8]) -> Result<usize> {
         self.syscall_cost();
         let fid = self.resolve(pid, fd)?;
-        let (kind, offset, flags) = {
-            let f = self.file(fid)?;
-            (f.kind, f.offset, f.flags)
-        };
+        let f = self.files.get(fid)?;
+        let (kind, offset, flags) = (f.kind, f.offset, f.flags);
         if !flags.write {
             return Err(KError::Badf);
         }
@@ -598,11 +501,11 @@ impl Kernel {
                 let at = if flags.append { self.vfs.size(v)? } else { offset };
                 let n = self.vfs.write_at(v, at, data)?;
                 self.charge.memcpy(n as u64);
-                self.files.get_mut(&fid).expect("exists").offset = at + n as u64;
+                self.files.get_mut(fid)?.offset = at + n as u64;
                 Ok(n)
             }
             FileKind::Pipe { pipe, end: PipeEnd::Write } => {
-                let p = self.pipes.get_mut(&pipe).ok_or(KError::Badf)?;
+                let p = self.pipes.get_mut(pipe)?;
                 if !p.reader_open {
                     return Err(KError::Pipe);
                 }
@@ -618,15 +521,8 @@ impl Kernel {
     pub fn lseek(&mut self, pid: Pid, fd: Fd, offset: u64) -> Result<()> {
         self.syscall_cost();
         let fid = self.resolve(pid, fd)?;
-        self.files.get_mut(&fid).ok_or(KError::Badf)?.offset = offset;
+        self.files.get_mut(fid)?.offset = offset;
         Ok(())
-    }
-
-    /// `fsync`: a no-op under checkpoint consistency (§5.2); real cost is
-    /// paid by file systems in the `aurora-fs` models.
-    pub fn fsync(&mut self, pid: Pid, fd: Fd) -> Result<()> {
-        self.syscall_cost();
-        self.resolve(pid, fd).map(|_| ())
     }
 
     /// Removes a path (`unlink`). The vnode survives while open (§5.2).
@@ -635,58 +531,43 @@ impl Kernel {
         self.vfs.unlink(path)
     }
 
-    /// Allocates an empty pipe under the next id.
-    pub fn new_pipe(&mut self) -> &mut Pipe {
-        let id = self.next_pipe;
-        self.next_pipe += 1;
-        self.pipes.entry(id).or_insert(Pipe::new(id))
-    }
-
     /// Creates a pipe; returns (read fd, write fd).
     pub fn pipe(&mut self, pid: Pid) -> Result<(Fd, Fd)> {
         self.syscall_cost();
-        let id = self.new_pipe().id;
-        let rf = self.new_file(FileKind::Pipe { pipe: id, end: PipeEnd::Read }, OpenFlags::RDONLY).id;
-        let wf = self.new_file(FileKind::Pipe { pipe: id, end: PipeEnd::Write }, OpenFlags::WRONLY).id;
-        let p = self.proc_mut(pid)?;
-        Ok((p.fdtable.install(rf), p.fdtable.install(wf)))
+        let pipe = self.pipes.insert(Pipe::new());
+        let read = FileKind::Pipe { pipe, end: PipeEnd::Read };
+        let write = FileKind::Pipe { pipe, end: PipeEnd::Write };
+        let rf = self.install_file(pid, read, OpenFlags::RDONLY)?;
+        let wf = self.install_file(pid, write, OpenFlags::WRONLY)?;
+        Ok((rf, wf))
     }
 
     // ------------------------------------------------------------------
     // Sockets
     // ------------------------------------------------------------------
 
-    /// Allocates an unbound socket under the next id.
-    pub fn new_socket(&mut self, domain: Domain, stype: SockType) -> &mut Socket {
-        let id = self.next_socket;
-        self.next_socket += 1;
-        self.sockets.entry(id).or_insert(Socket::new(id, domain, stype))
-    }
-
     /// Creates a socket descriptor.
     pub fn socket(&mut self, pid: Pid, domain: Domain, stype: SockType) -> Result<Fd> {
         self.syscall_cost();
-        let sid = self.new_socket(domain, stype).id;
-        let fid = self.new_file(FileKind::Socket(sid), OpenFlags::RDWR).id;
-        Ok(self.proc_mut(pid)?.fdtable.install(fid))
+        let sid = self.sockets.insert(Socket::new(domain, stype));
+        self.install_file(pid, FileKind::Socket(sid), OpenFlags::RDWR)
     }
 
     /// Creates a connected UNIX socket pair.
     pub fn socketpair(&mut self, pid: Pid) -> Result<(Fd, Fd)> {
         self.syscall_cost();
-        let a = self.new_socket(Domain::Unix, SockType::Stream).id;
-        let b = self.new_socket(Domain::Unix, SockType::Stream).id;
-        self.sockets.get_mut(&a).expect("new").peer = Some(b);
-        self.sockets.get_mut(&b).expect("new").peer = Some(a);
-        let fa = self.new_file(FileKind::Socket(a), OpenFlags::RDWR).id;
-        let fb = self.new_file(FileKind::Socket(b), OpenFlags::RDWR).id;
-        let p = self.proc_mut(pid)?;
-        Ok((p.fdtable.install(fa), p.fdtable.install(fb)))
+        let unix = || Socket::new(Domain::Unix, SockType::Stream);
+        let a = self.sockets.insert(unix());
+        let b = self.sockets.insert(Socket { peer: Some(a), ..unix() });
+        self.sockets.get_mut(a)?.peer = Some(b);
+        let fa = self.install_file(pid, FileKind::Socket(a), OpenFlags::RDWR)?;
+        let fb = self.install_file(pid, FileKind::Socket(b), OpenFlags::RDWR)?;
+        Ok((fa, fb))
     }
 
     fn socket_of(&self, pid: Pid, fd: Fd) -> Result<u64> {
         let fid = self.resolve(pid, fd)?;
-        match self.file(fid)?.kind {
+        match self.files.get(fid)?.kind {
             FileKind::Socket(s) => Ok(s),
             _ => Err(KError::Opnotsupp),
         }
@@ -696,10 +577,10 @@ impl Kernel {
     pub fn bind_inet(&mut self, pid: Pid, fd: Fd, addr: InetAddr) -> Result<()> {
         self.syscall_cost();
         let sid = self.socket_of(pid, fd)?;
-        if self.sockets.values().any(|s| s.inet.0 == addr && s.id != sid) {
+        if self.sockets.iter().any(|(id, s)| s.inet.0 == addr && id != sid) {
             return Err(KError::Addrinuse);
         }
-        self.sockets.get_mut(&sid).expect("exists").inet.0 = addr;
+        self.sockets.get_mut(sid)?.inet.0 = addr;
         Ok(())
     }
 
@@ -707,7 +588,7 @@ impl Kernel {
     pub fn listen(&mut self, pid: Pid, fd: Fd) -> Result<()> {
         self.syscall_cost();
         let sid = self.socket_of(pid, fd)?;
-        self.sockets.get_mut(&sid).expect("exists").tcp_state = TcpState::Listen;
+        self.sockets.get_mut(sid)?.tcp_state = TcpState::Listen;
         Ok(())
     }
 
@@ -719,72 +600,34 @@ impl Kernel {
         self.syscall_cost();
         let csid = self.socket_of(cpid, cfd)?;
         let lsid = self.socket_of(spid, sfd)?;
-        let (laddr, lstate) = {
-            let l = self.sockets.get(&lsid).ok_or(KError::Badf)?;
-            (l.inet.0, l.tcp_state)
-        };
+        let l = self.sockets.get(lsid)?;
+        let (laddr, lstate) = (l.inet.0, l.tcp_state);
         if lstate != TcpState::Listen {
             return Err(KError::Notconn);
         }
-        // Allocate an ephemeral client port and the accepted socket.
-        let cport = 32_768 + (csid % 28_000) as u16;
-        let asid = self.new_socket(Domain::Inet, SockType::Stream).id;
-        {
-            let c = self.sockets.get_mut(&csid).expect("exists");
-            c.inet = (InetAddr { ip: 0x7f00_0001, port: cport }, laddr);
-            c.tcp_state = TcpState::Established;
-            c.snd_seq = 1000;
-            c.rcv_seq = 2000;
-            c.peer = Some(asid);
-        }
-        {
-            let a = self.sockets.get_mut(&asid).expect("new");
-            a.inet = (laddr, InetAddr { ip: 0x7f00_0001, port: cport });
-            a.tcp_state = TcpState::Established;
-            a.snd_seq = 2000;
-            a.rcv_seq = 1000;
-            a.peer = Some(csid);
-        }
-        let afid = self.new_file(FileKind::Socket(asid), OpenFlags::RDWR).id;
-        Ok(self.proc_mut(spid)?.fdtable.install(afid))
+        // An ephemeral client port derived from the client socket's id,
+        // and the accepted socket.
+        let caddr = InetAddr { ip: 0x7f00_0001, port: 32_768 + (csid % 28_000) as u16 };
+        let asid = self.sockets.insert(Socket {
+            inet: (laddr, caddr),
+            tcp_state: TcpState::Established,
+            snd_seq: 2000,
+            rcv_seq: 1000,
+            peer: Some(csid),
+            ..Socket::new(Domain::Inet, SockType::Stream)
+        });
+        let c = self.sockets.get_mut(csid)?;
+        c.inet = (caddr, laddr);
+        c.tcp_state = TcpState::Established;
+        c.snd_seq = 1000;
+        c.rcv_seq = 2000;
+        c.peer = Some(asid);
+        self.install_file(spid, FileKind::Socket(asid), OpenFlags::RDWR)
     }
 
     /// Sends data on a socket (into its send buffer).
     pub fn send(&mut self, pid: Pid, fd: Fd, data: &[u8]) -> Result<usize> {
         self.sendmsg_fds(pid, fd, data, &[])
-    }
-
-    /// UDP `sendto`: datagram to an explicit endpoint. Delivery happens
-    /// at the next pump to whichever socket is bound there.
-    pub fn sendto(&mut self, pid: Pid, fd: Fd, data: &[u8], to: InetAddr) -> Result<usize> {
-        self.syscall_cost();
-        let sid = self.socket_of(pid, fd)?;
-        {
-            let s = self.sockets.get(&sid).ok_or(KError::Badf)?;
-            if s.stype != SockType::Dgram {
-                return Err(KError::Opnotsupp);
-            }
-        }
-        // Resolve the destination now (UDP is connectionless; no peer).
-        let dest = self
-            .sockets
-            .values()
-            .find(|s| s.stype == SockType::Dgram && s.inet.0 == to)
-            .map(|s| s.id);
-        self.charge.memcpy(data.len() as u64);
-        let s = self.sockets.get_mut(&sid).ok_or(KError::Badf)?;
-        s.sent_count += 1;
-        s.send_buf.push_back(Message { data: data.to_vec(), fds: Vec::new() });
-        // Stash the resolved destination as a transient peer for the
-        // delivery pump (datagrams re-resolve per send).
-        s.peer = dest;
-        Ok(data.len())
-    }
-
-    /// UDP `recvfrom`: pops one datagram.
-    pub fn recvfrom(&mut self, pid: Pid, fd: Fd) -> Result<Vec<u8>> {
-        let (data, _) = self.recvmsg(pid, fd)?;
-        Ok(data)
     }
 
     /// Sends data plus descriptors (SCM_RIGHTS). Descriptors gain a
@@ -795,11 +638,11 @@ impl Kernel {
         let mut fids = Vec::with_capacity(fds.len());
         for &f in fds {
             let fid = self.resolve(pid, f)?;
-            self.files.get_mut(&fid).ok_or(KError::Badf)?.refs += 1;
+            self.files.get_mut(fid)?.refs += 1;
             fids.push(fid);
         }
         self.charge.memcpy(data.len() as u64);
-        let s = self.sockets.get_mut(&sid).ok_or(KError::Badf)?;
+        let s = self.sockets.get_mut(sid)?;
         s.snd_seq = s.snd_seq.wrapping_add(data.len() as u32);
         s.sent_count += 1;
         s.send_buf.push_back(Message { data: data.to_vec(), fds: fids });
@@ -809,39 +652,20 @@ impl Kernel {
     /// Moves every buffered message to its peer (the "network"). External
     /// synchrony interposes on this in the SLS layer.
     pub fn deliver_all(&mut self) {
-        let sids: Vec<u64> = self.sockets.keys().copied().collect();
+        let sids: Vec<u64> = self.sockets.ids().collect();
         for sid in sids {
-            self.deliver_socket(sid);
+            self.deliver_n(sid, usize::MAX);
         }
     }
 
     /// Delivers at most the first `n` pending messages of a socket to its
     /// peer (external synchrony releases sealed prefixes).
     pub fn deliver_n(&mut self, sid: u64, n: usize) {
-        let Some(peer) = self.sockets.get(&sid).and_then(|s| s.peer) else { return };
-        let msgs: Vec<Message> = match self.sockets.get_mut(&sid) {
-            Some(s) => {
-                let take = n.min(s.send_buf.len());
-                s.send_buf.drain(..take).collect()
-            }
-            None => return,
-        };
-        if let Some(p) = self.sockets.get_mut(&peer) {
-            for m in msgs {
-                p.rcv_seq = p.rcv_seq.wrapping_add(m.data.len() as u32);
-                p.recv_buf.push_back(m);
-            }
-        }
-    }
-
-    /// Delivers one socket's pending send buffer to its peer.
-    pub fn deliver_socket(&mut self, sid: u64) {
-        let Some(peer) = self.sockets.get(&sid).and_then(|s| s.peer) else { return };
-        let msgs: Vec<Message> = match self.sockets.get_mut(&sid) {
-            Some(s) => s.send_buf.drain(..).collect(),
-            None => return,
-        };
-        if let Some(p) = self.sockets.get_mut(&peer) {
+        let Ok(s) = self.sockets.get_mut(sid) else { return };
+        let Some(peer) = s.peer else { return };
+        let take = n.min(s.send_buf.len());
+        let msgs: Vec<Message> = s.send_buf.drain(..take).collect();
+        if let Ok(p) = self.sockets.get_mut(peer) {
             for m in msgs {
                 p.rcv_seq = p.rcv_seq.wrapping_add(m.data.len() as u32);
                 p.recv_buf.push_back(m);
@@ -854,13 +678,7 @@ impl Kernel {
     pub fn recvmsg(&mut self, pid: Pid, fd: Fd) -> Result<(Vec<u8>, Vec<Fd>)> {
         self.syscall_cost();
         let sid = self.socket_of(pid, fd)?;
-        let msg = self
-            .sockets
-            .get_mut(&sid)
-            .ok_or(KError::Badf)?
-            .recv_buf
-            .pop_front()
-            .ok_or(KError::Again)?;
+        let msg = self.sockets.get_mut(sid)?.recv_buf.pop_front().ok_or(KError::Again)?;
         self.charge.memcpy(msg.data.len() as u64);
         let mut fds = Vec::with_capacity(msg.fds.len());
         for fid in msg.fds {
@@ -890,15 +708,14 @@ impl Kernel {
                 id
             }
         };
-        let fid = self.new_file(FileKind::ShmPosix(shm_id), OpenFlags::RDWR).id;
-        Ok(self.proc_mut(pid)?.fdtable.install(fid))
+        self.install_file(pid, FileKind::ShmPosix(shm_id), OpenFlags::RDWR)
     }
 
     /// Maps a POSIX shm descriptor into the caller (`mmap(MAP_SHARED)`).
     pub fn mmap_shm(&mut self, pid: Pid, fd: Fd) -> Result<u64> {
         self.syscall_cost();
         let fid = self.resolve(pid, fd)?;
-        let FileKind::ShmPosix(shm_id) = self.file(fid)?.kind else {
+        let FileKind::ShmPosix(shm_id) = self.files.get(fid)?.kind else {
             return Err(KError::Opnotsupp);
         };
         let (object, pages) = {
@@ -947,55 +764,40 @@ impl Kernel {
     // Kqueues, ptys, AIO
     // ------------------------------------------------------------------
 
-    /// Allocates an empty kqueue under the next id.
-    pub fn new_kqueue(&mut self) -> &mut Kqueue {
-        let id = self.next_kqueue;
-        self.next_kqueue += 1;
-        self.kqueues.entry(id).or_insert(Kqueue::new(id))
-    }
-
     /// Creates a kqueue descriptor.
     pub fn kqueue(&mut self, pid: Pid) -> Result<Fd> {
         self.syscall_cost();
-        let id = self.new_kqueue().id;
-        let fid = self.new_file(FileKind::Kqueue(id), OpenFlags::RDWR).id;
-        Ok(self.proc_mut(pid)?.fdtable.install(fid))
+        let id = self.kqueues.insert(Kqueue::default());
+        self.install_file(pid, FileKind::Kqueue(id), OpenFlags::RDWR)
     }
 
     /// Registers an event on a kqueue descriptor.
     pub fn kevent_register(&mut self, pid: Pid, fd: Fd, ev: Kevent) -> Result<()> {
         self.syscall_cost();
         let fid = self.resolve(pid, fd)?;
-        let FileKind::Kqueue(id) = self.file(fid)?.kind else { return Err(KError::Opnotsupp) };
-        self.kqueues.get_mut(&id).ok_or(KError::Badf)?.register(ev);
+        let FileKind::Kqueue(id) = self.files.get(fid)?.kind else { return Err(KError::Opnotsupp) };
+        self.kqueues.get_mut(id)?.register(ev);
         Ok(())
     }
 
-    /// Allocates a pty pair with default settings under the next pts
-    /// number.
-    pub fn new_pty(&mut self) -> &mut Pty {
-        let id = self.next_pty;
-        self.next_pty += 1;
-        self.ptys.entry(id).or_insert(Pty::new(id))
-    }
-
-    /// Opens a pseudoterminal pair; returns (master fd, slave fd).
+    /// Opens a pseudoterminal pair under the next pts number; returns
+    /// (master fd, slave fd).
     pub fn openpty(&mut self, pid: Pid) -> Result<(Fd, Fd)> {
         self.syscall_cost();
         // Creating the device node takes the devfs locks (Table 4).
         self.charge.raw(self.charge.model().devfs_create_ns);
-        let id = self.new_pty().id;
-        let mf = self.new_file(FileKind::Pty { pty: id, side: PtySide::Master }, OpenFlags::RDWR).id;
-        let sf = self.new_file(FileKind::Pty { pty: id, side: PtySide::Slave }, OpenFlags::RDWR).id;
-        let p = self.proc_mut(pid)?;
-        Ok((p.fdtable.install(mf), p.fdtable.install(sf)))
+        let pty = self.ptys.insert(Pty { open_refs: 2, ..Pty::default() });
+        let flags = OpenFlags::RDWR;
+        let mf = self.install_file(pid, FileKind::Pty { pty, side: PtySide::Master }, flags)?;
+        let sf = self.install_file(pid, FileKind::Pty { pty, side: PtySide::Slave }, flags)?;
+        Ok((mf, sf))
     }
 
     /// Issues an asynchronous IO on a vnode descriptor.
     pub fn aio_issue(&mut self, pid: Pid, fd: Fd, offset: u64, len: u64, write: bool) -> Result<u64> {
         self.syscall_cost();
         let fid = self.resolve(pid, fd)?;
-        if !matches!(self.file(fid)?.kind, FileKind::Vnode(_)) {
+        if !matches!(self.files.get(fid)?.kind, FileKind::Vnode(_)) {
             return Err(KError::Opnotsupp);
         }
         let kind = if write { AioKind::Write } else { AioKind::Read };
@@ -1099,7 +901,7 @@ mod tests {
         let (data, _) = k.recvmsg(srv, afd).unwrap();
         assert_eq!(data, b"GET /");
         let asid = k.socket_of(srv, afd).unwrap();
-        let a = &k.sockets[&asid];
+        let a = k.sockets.get(asid).unwrap();
         assert_eq!(a.tcp_state, TcpState::Established);
         assert_eq!(a.inet.0.port, 8080);
     }
@@ -1139,27 +941,36 @@ mod tests {
         let frames_before = k.vm.resident_frames();
         let addr = k.mmap_anon(c, 4, Prot::RW).unwrap();
         k.mem_write(c, addr, b"child data").unwrap();
+        let fd = k.open(c, "/f", OpenFlags::RDWR, true).unwrap();
+        k.aio_issue(c, fd, 0, 4096, false).unwrap();
         k.exit(c).unwrap();
         assert!(k.proc(p).unwrap().has_pending(sig::SIGCHLD));
         assert_eq!(k.vm.resident_frames(), frames_before, "child memory freed");
+        // The child is reaped: gone from the tables, its parent's
+        // children and the AIO queue.
+        assert_eq!(k.proc(c).err(), Some(KError::Srch));
+        assert!(k.proc(p).unwrap().children.is_empty());
+        assert_eq!((k.procs.len(), k.threads.len()), (1, 1));
+        assert!(k.aio.ops.is_empty());
+        assert_eq!(k.kill(p, c.0, sig::SIGTERM), Err(KError::Srch));
     }
 
     #[test]
-    fn udp_sendto_routes_by_binding() {
+    fn a_pty_lives_while_either_side_is_open() {
         let mut k = Kernel::boot();
-        let a = k.spawn("a");
-        let b = k.spawn("b");
-        let fa = k.socket(a, Domain::Inet, SockType::Dgram).unwrap();
-        let fb = k.socket(b, Domain::Inet, SockType::Dgram).unwrap();
-        let dst = InetAddr { ip: 0x7f00_0001, port: 5353 };
-        k.bind_inet(b, fb, dst).unwrap();
-        k.sendto(a, fa, b"datagram", dst).unwrap();
-        k.deliver_all();
-        assert_eq!(k.recvfrom(b, fb).unwrap(), b"datagram");
-        // A datagram to an unbound endpoint is dropped, not an error.
-        k.sendto(a, fa, b"void", InetAddr { ip: 1, port: 9 }).unwrap();
-        k.deliver_all();
-        assert!(k.recvfrom(b, fb).is_err());
+        let p = k.spawn("term");
+        let (m, s) = k.openpty(p).unwrap();
+        let dup = k.dup(p, m).unwrap();
+        k.close(p, m).unwrap();
+        k.close(p, s).unwrap();
+        assert_eq!(k.ptys.len(), 1, "the master is still open through its dup");
+        k.close(p, dup).unwrap();
+        assert!(k.ptys.is_empty());
+        let (m, _) = k.openpty(p).unwrap();
+        let FileKind::Pty { pty, .. } = k.files.get(k.resolve(p, m).unwrap()).unwrap().kind else {
+            panic!("not a pty")
+        };
+        assert_eq!(pty, 1, "pts numbers are not reused");
     }
 
     #[test]

@@ -32,20 +32,13 @@ pub struct Kevent {
 /// A kqueue.
 #[derive(Clone, Debug, Default)]
 pub struct Kqueue {
-    /// Kqueue identity.
-    pub id: u64,
     /// Registered events.
     pub events: Vec<Kevent>,
 }
 
 impl Kqueue {
-    /// Creates an empty kqueue.
-    pub fn new(id: u64) -> Self {
-        Self { id, events: Vec::new() }
-    }
-
     /// Registers (or replaces) an event keyed by (ident, filter).
-    pub fn register(&mut self, ev: Kevent) {
+    pub(crate) fn register(&mut self, ev: Kevent) {
         if let Some(existing) =
             self.events.iter_mut().find(|e| e.ident == ev.ident && e.filter == ev.filter)
         {
@@ -53,13 +46,6 @@ impl Kqueue {
         } else {
             self.events.push(ev);
         }
-    }
-
-    /// Deregisters an event.
-    pub fn deregister(&mut self, ident: u64, filter: Filter) -> bool {
-        let before = self.events.len();
-        self.events.retain(|e| !(e.ident == ident && e.filter == filter));
-        self.events.len() != before
     }
 }
 
@@ -69,20 +55,12 @@ mod tests {
 
     #[test]
     fn register_replaces_same_key() {
-        let mut kq = Kqueue::new(1);
+        let mut kq = Kqueue::default();
         kq.register(Kevent { ident: 3, filter: Filter::Read, enabled: true, udata: 1 });
         kq.register(Kevent { ident: 3, filter: Filter::Read, enabled: false, udata: 2 });
         assert_eq!(kq.events.len(), 1);
         assert_eq!(kq.events[0].udata, 2);
         kq.register(Kevent { ident: 3, filter: Filter::Write, enabled: true, udata: 3 });
         assert_eq!(kq.events.len(), 2);
-    }
-
-    #[test]
-    fn deregister_removes() {
-        let mut kq = Kqueue::new(1);
-        kq.register(Kevent { ident: 1, filter: Filter::Timer, enabled: true, udata: 0 });
-        assert!(kq.deregister(1, Filter::Timer));
-        assert!(!kq.deregister(1, Filter::Timer));
     }
 }

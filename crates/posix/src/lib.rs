@@ -8,9 +8,10 @@
 //!
 //! * [`Kernel`] owns a [`aurora_vm::Vm`], the process/thread tables, the
 //!   open-file table, a tmpfs-style VFS with a name cache, pipes, UNIX and
-//!   TCP/UDP sockets (including fd passing in control messages), POSIX and
+//!   TCP sockets (including fd passing in control messages), POSIX and
 //!   System V shared memory (with the shadow *backmap* of §6), kqueues,
-//!   pseudoterminals, and an AIO queue.
+//!   pseudoterminals, and an AIO queue. Descriptions, pipes, sockets,
+//!   kqueues and ptys each live in a [`table::Table`].
 //! * Syscall-shaped methods (`open`, `fork`, `dup`, `sendmsg_fds`, …)
 //!   reproduce the sharing semantics the paper's serializers must capture:
 //!   `fork` shares the file *description* (offset and all), a fresh `open`
@@ -37,6 +38,7 @@ pub mod pty;
 pub mod quiesce;
 pub mod shm;
 pub mod socket;
+pub mod table;
 pub mod vfs;
 
 pub use error::KError;

@@ -8,8 +8,6 @@ pub const PIPE_CAPACITY: usize = 64 * 1024;
 /// A pipe: a bounded byte queue between two open-file descriptions.
 #[derive(Clone, Debug)]
 pub struct Pipe {
-    /// Pipe identity.
-    pub id: u64,
     /// Buffered bytes.
     pub buffer: VecDeque<u8>,
     /// Capacity in bytes.
@@ -22,9 +20,8 @@ pub struct Pipe {
 
 impl Pipe {
     /// Creates an empty pipe.
-    pub fn new(id: u64) -> Self {
+    pub(crate) fn new() -> Self {
         Self {
-            id,
             buffer: VecDeque::new(),
             capacity: PIPE_CAPACITY,
             reader_open: true,
@@ -33,19 +30,19 @@ impl Pipe {
     }
 
     /// Bytes that can be written without blocking.
-    pub fn room(&self) -> usize {
+    pub(crate) fn room(&self) -> usize {
         self.capacity - self.buffer.len()
     }
 
     /// Appends up to `room()` bytes, returning how many were taken.
-    pub fn push(&mut self, data: &[u8]) -> usize {
+    pub(crate) fn push(&mut self, data: &[u8]) -> usize {
         let n = data.len().min(self.room());
         self.buffer.extend(&data[..n]);
         n
     }
 
     /// Removes up to `len` bytes.
-    pub fn pop(&mut self, len: usize) -> Vec<u8> {
+    pub(crate) fn pop(&mut self, len: usize) -> Vec<u8> {
         let n = len.min(self.buffer.len());
         self.buffer.drain(..n).collect()
     }
@@ -57,7 +54,7 @@ mod tests {
 
     #[test]
     fn fifo_order() {
-        let mut p = Pipe::new(1);
+        let mut p = Pipe::new();
         p.push(b"abc");
         p.push(b"def");
         assert_eq!(p.pop(4), b"abcd");
@@ -66,7 +63,7 @@ mod tests {
 
     #[test]
     fn capacity_limits_push() {
-        let mut p = Pipe::new(1);
+        let mut p = Pipe::new();
         p.capacity = 4;
         assert_eq!(p.push(b"abcdef"), 4);
         assert_eq!(p.room(), 0);

@@ -38,8 +38,6 @@ pub enum ThreadState {
     },
     /// Stopped at the kernel boundary (quiesced).
     Stopped,
-    /// Exited.
-    Dead,
 }
 
 /// One thread.
@@ -98,8 +96,6 @@ pub struct Process {
     /// Marked ephemeral via `sls detach` semantics: part of the group but
     /// not persisted; the parent gets SIGCHLD after a restore (§3).
     pub ephemeral: bool,
-    /// Exited?
-    pub dead: bool,
 }
 
 /// Signal numbers used by the reproduction.
@@ -117,7 +113,45 @@ pub mod sig {
     }
 }
 
+impl Thread {
+    /// A running thread of `pid` with zeroed state, whose application-
+    /// visible tid is its global one.
+    pub fn new(tid: Tid, pid: Pid) -> Self {
+        Self {
+            tid,
+            local_tid: tid,
+            pid,
+            state: ThreadState::User,
+            sigmask: 0,
+            sigpending: 0,
+            priority: 0,
+            regs: Regs::default(),
+            restarts: 0,
+        }
+    }
+}
+
 impl Process {
+    /// A parentless process with no threads, in its own group and
+    /// session, whose application-visible pid is its global one.
+    pub fn new(pid: Pid, name: String, space: SpaceId, fdtable: FdTable) -> Self {
+        Self {
+            pid,
+            local_pid: pid,
+            ppid: None,
+            pgid: pid,
+            sid: pid,
+            name,
+            space,
+            fdtable,
+            threads: Vec::new(),
+            children: Vec::new(),
+            sigpending: 0,
+            ns: 0,
+            ephemeral: false,
+        }
+    }
+
     /// True if any thread has the signal pending (or the process does).
     pub fn has_pending(&self, signo: u32) -> bool {
         self.sigpending & sig::bit(signo) != 0

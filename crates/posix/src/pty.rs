@@ -22,11 +22,9 @@ impl Default for Termios {
     }
 }
 
-/// A pseudoterminal pair.
-#[derive(Clone, Debug)]
+/// A pseudoterminal pair; its table id is the `/dev/pts/N` number.
+#[derive(Clone, Debug, Default)]
 pub struct Pty {
-    /// Pair identity (the `/dev/pts/N` number).
-    pub id: u64,
     /// Terminal settings.
     pub termios: Termios,
     /// Bytes waiting master→slave (input to the application).
@@ -35,19 +33,10 @@ pub struct Pty {
     pub output: VecDeque<u8>,
     /// Foreground process group (local pid space).
     pub fg_pgid: Option<u32>,
-}
-
-impl Pty {
-    /// Creates a pty pair with default settings.
-    pub fn new(id: u64) -> Self {
-        Self {
-            id,
-            termios: Termios::default(),
-            input: VecDeque::new(),
-            output: VecDeque::new(),
-            fg_pgid: None,
-        }
-    }
+    /// Open-file descriptions of either side; the pair is freed when the
+    /// last one closes. Not persisted: a restore recounts it as the
+    /// descriptions install, like a vnode's `open_refs`.
+    pub open_refs: u32,
 }
 
 #[cfg(test)]
@@ -56,7 +45,7 @@ mod tests {
 
     #[test]
     fn default_termios_is_canonical() {
-        let p = Pty::new(0);
+        let p = Pty::default();
         assert!(p.termios.canonical && p.termios.echo);
         assert_eq!(p.termios.baud, 38_400);
     }

@@ -68,7 +68,7 @@ impl Kernel {
                     t.restarts += 1;
                     report.restarted_syscalls += 1;
                 }
-                ThreadState::Stopped | ThreadState::Dead => continue,
+                ThreadState::Stopped => continue,
             }
             t.state = ThreadState::Stopped;
             report.threads += 1;

@@ -58,7 +58,7 @@ impl ShmRegistry {
     }
 
     /// Finds a POSIX object by name.
-    pub fn posix_by_name(&self, name: &str) -> Option<&PosixShm> {
+    pub(crate) fn posix_by_name(&self, name: &str) -> Option<&PosixShm> {
         self.posix.values().find(|s| s.name == name)
     }
 
@@ -71,7 +71,7 @@ impl ShmRegistry {
     /// The backmap update (§6): retargets every descriptor whose VM
     /// object was just replaced by a system shadow. Returns how many
     /// descriptors were updated.
-    pub fn backmap_update(&mut self, old: ObjId, new: ObjId) -> usize {
+    pub(crate) fn backmap_update(&mut self, old: ObjId, new: ObjId) -> usize {
         let mut n = 0;
         for s in self.posix.values_mut() {
             if s.object == old {

@@ -1,10 +1,13 @@
-//! Sockets: UNIX domain (with fd passing), TCP, and UDP (§5.3).
+//! Sockets: UNIX domain (with fd passing), TCP, and UDP (§5.3). A UDP
+//! socket can be bound and checkpointed; datagram delivery is not
+//! modelled.
 //!
 //! The checkpoint-relevant state is modelled faithfully: UNIX socket
 //! buffers carry control messages with in-flight file descriptors; TCP
-//! sockets carry the 5-tuple, sequence numbers, and buffers; listening
-//! sockets have an accept queue that checkpoints deliberately *omit*
-//! (clients retransmit their SYN, §5.3).
+//! sockets carry the 5-tuple, sequence numbers, and buffers. A listening
+//! socket's accept queue is not modelled (`Kernel::tcp_connect` accepts
+//! at once); checkpoints would omit it anyway, since clients retransmit
+//! their SYN (§5.3).
 
 use crate::file::FileId;
 use std::collections::VecDeque;
@@ -51,7 +54,7 @@ pub struct Message {
 pub enum TcpState {
     /// Not yet connected/bound.
     Closed,
-    /// Listening; has an accept queue.
+    /// Listening.
     Listen,
     /// Established connection.
     Established,
@@ -71,8 +74,6 @@ pub struct SockOpts {
 /// A socket.
 #[derive(Clone, Debug)]
 pub struct Socket {
-    /// Socket identity.
-    pub id: u64,
     /// Domain.
     pub domain: Domain,
     /// Type.
@@ -96,9 +97,6 @@ pub struct Socket {
     /// Peer socket for connected pairs (same-kernel loopback and UNIX
     /// sockets).
     pub peer: Option<u64>,
-    /// Accept queue of a listening socket (connection-pending sockets).
-    /// Omitted from checkpoints.
-    pub accept_queue: VecDeque<u64>,
     /// Monotone count of messages ever queued for send (used by external
     /// synchrony to seal batches by absolute index).
     pub sent_count: u64,
@@ -106,9 +104,8 @@ pub struct Socket {
 
 impl Socket {
     /// Creates an unbound socket.
-    pub fn new(id: u64, domain: Domain, stype: SockType) -> Self {
+    pub fn new(domain: Domain, stype: SockType) -> Self {
         Self {
-            id,
             domain,
             stype,
             opts: SockOpts::default(),
@@ -120,32 +117,7 @@ impl Socket {
             recv_buf: VecDeque::new(),
             send_buf: VecDeque::new(),
             peer: None,
-            accept_queue: VecDeque::new(),
             sent_count: 0,
         }
-    }
-
-    /// Total bytes buffered for receive.
-    pub fn recv_bytes(&self) -> usize {
-        self.recv_buf.iter().map(|m| m.data.len()).sum()
-    }
-
-    /// All in-flight fds in the receive buffer (serializer input).
-    pub fn inflight_fds(&self) -> Vec<FileId> {
-        self.recv_buf.iter().flat_map(|m| m.fds.iter().copied()).collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn inflight_fds_collects_across_messages() {
-        let mut s = Socket::new(1, Domain::Unix, SockType::Stream);
-        s.recv_buf.push_back(Message { data: b"a".to_vec(), fds: vec![FileId(3)] });
-        s.recv_buf.push_back(Message { data: b"b".to_vec(), fds: vec![FileId(5), FileId(9)] });
-        assert_eq!(s.inflight_fds(), vec![FileId(3), FileId(5), FileId(9)]);
-        assert_eq!(s.recv_bytes(), 2);
     }
 }

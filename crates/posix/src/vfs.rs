@@ -6,6 +6,7 @@
 //! a hidden link count (§5.2); the serializer reads `open_refs` from here.
 
 use crate::error::{KError, Result};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
 /// A vnode identifier (also the inode number).
@@ -76,7 +77,7 @@ impl Default for Vfs {
 
 impl Vfs {
     /// Creates a VFS with just the root directory.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -103,15 +104,8 @@ impl Vfs {
         v
     }
 
-    fn alloc(&mut self, kind: VnodeKind, nlink: u32) -> VnodeId {
-        let id = VnodeId(self.next);
-        self.next += 1;
-        self.vnodes.insert(id, Vnode { id, kind, nlink, open_refs: 0 });
-        id
-    }
-
     /// Resolves one path component through the name cache.
-    pub fn lookup_component(&mut self, dir: VnodeId, name: &str) -> Result<VnodeId> {
+    pub(crate) fn lookup_component(&mut self, dir: VnodeId, name: &str) -> Result<VnodeId> {
         if let Some(&v) = self.namecache.get(&(dir, name.to_string())) {
             self.cache_hits += 1;
             return Ok(v);
@@ -145,46 +139,36 @@ impl Vfs {
     }
 
     /// Creates a regular file at an absolute path.
-    pub fn create_file(&mut self, path: &str) -> Result<VnodeId> {
-        let (dirpath, name) = Self::split_path(path)?;
-        let dir = self.lookup_path(dirpath)?;
-        let d = self.vnodes.get(&dir).ok_or(KError::Noent)?;
-        let VnodeKind::Directory { entries } = &d.kind else {
-            return Err(KError::Notdir);
-        };
-        if entries.contains_key(name) {
-            return Err(KError::Exist);
-        }
-        let v = self.alloc(VnodeKind::Regular { data: Vec::new() }, 1);
-        let d = self.vnodes.get_mut(&dir).expect("checked above");
-        let VnodeKind::Directory { entries } = &mut d.kind else { unreachable!() };
-        entries.insert(name.to_string(), v);
-        self.namecache.insert((dir, name.to_string()), v);
-        Ok(v)
+    pub(crate) fn create_file(&mut self, path: &str) -> Result<VnodeId> {
+        self.create(path, VnodeKind::Regular { data: Vec::new() }, 1)
     }
 
     /// Creates a directory at an absolute path.
     pub fn mkdir(&mut self, path: &str) -> Result<VnodeId> {
+        self.create(path, VnodeKind::Directory { entries: BTreeMap::new() }, 2)
+    }
+
+    fn create(&mut self, path: &str, kind: VnodeKind, nlink: u32) -> Result<VnodeId> {
         let (dirpath, name) = Self::split_path(path)?;
         let dir = self.lookup_path(dirpath)?;
-        let d = self.vnodes.get(&dir).ok_or(KError::Noent)?;
-        let VnodeKind::Directory { entries } = &d.kind else {
+        let d = self.vnodes.get_mut(&dir).ok_or(KError::Noent)?;
+        let VnodeKind::Directory { entries } = &mut d.kind else {
             return Err(KError::Notdir);
         };
-        if entries.contains_key(name) {
+        let Entry::Vacant(slot) = entries.entry(name.to_string()) else {
             return Err(KError::Exist);
-        }
-        let v = self.alloc(VnodeKind::Directory { entries: BTreeMap::new() }, 2);
-        let d = self.vnodes.get_mut(&dir).expect("checked above");
-        let VnodeKind::Directory { entries } = &mut d.kind else { unreachable!() };
-        entries.insert(name.to_string(), v);
+        };
+        let v = VnodeId(self.next);
+        self.next += 1;
+        slot.insert(v);
+        self.vnodes.insert(v, Vnode { id: v, kind, nlink, open_refs: 0 });
         self.namecache.insert((dir, name.to_string()), v);
         Ok(v)
     }
 
     /// Unlinks a path. The vnode survives while it has links or open
     /// references (the "anonymous file" case of §5.2).
-    pub fn unlink(&mut self, path: &str) -> Result<()> {
+    pub(crate) fn unlink(&mut self, path: &str) -> Result<()> {
         let (dirpath, name) = Self::split_path(path)?;
         let dir = self.lookup_path(dirpath)?;
         let d = self.vnodes.get_mut(&dir).ok_or(KError::Noent)?;
@@ -206,7 +190,7 @@ impl Vfs {
     }
 
     /// Drops an open reference, reclaiming the vnode if fully dead.
-    pub fn open_unref(&mut self, v: VnodeId) -> Result<()> {
+    pub(crate) fn open_unref(&mut self, v: VnodeId) -> Result<()> {
         let vn = self.vnodes.get_mut(&v).ok_or(KError::Noent)?;
         vn.open_refs = vn.open_refs.saturating_sub(1);
         self.maybe_reclaim(v);
@@ -222,7 +206,7 @@ impl Vfs {
     }
 
     /// Reads from a regular file at `offset`.
-    pub fn read_at(&self, v: VnodeId, offset: u64, len: usize) -> Result<Vec<u8>> {
+    pub(crate) fn read_at(&self, v: VnodeId, offset: u64, len: usize) -> Result<Vec<u8>> {
         let vn = self.vnode(v)?;
         let VnodeKind::Regular { data } = &vn.kind else { return Err(KError::Isdir) };
         let start = (offset as usize).min(data.len());
@@ -231,7 +215,7 @@ impl Vfs {
     }
 
     /// Writes to a regular file at `offset`, growing it as needed.
-    pub fn write_at(&mut self, v: VnodeId, offset: u64, buf: &[u8]) -> Result<usize> {
+    pub(crate) fn write_at(&mut self, v: VnodeId, offset: u64, buf: &[u8]) -> Result<usize> {
         let vn = self.vnode_mut(v)?;
         let VnodeKind::Regular { data } = &mut vn.kind else { return Err(KError::Isdir) };
         let start = offset as usize;
@@ -243,20 +227,12 @@ impl Vfs {
     }
 
     /// Size of a regular file.
-    pub fn size(&self, v: VnodeId) -> Result<u64> {
+    pub(crate) fn size(&self, v: VnodeId) -> Result<u64> {
         let vn = self.vnode(v)?;
         match &vn.kind {
             VnodeKind::Regular { data } => Ok(data.len() as u64),
             VnodeKind::Directory { .. } => Err(KError::Isdir),
         }
-    }
-
-    /// Truncates a regular file.
-    pub fn truncate(&mut self, v: VnodeId, len: u64) -> Result<()> {
-        let vn = self.vnode_mut(v)?;
-        let VnodeKind::Regular { data } = &mut vn.kind else { return Err(KError::Isdir) };
-        data.resize(len as usize, 0);
-        Ok(())
     }
 }
 

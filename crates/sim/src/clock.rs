@@ -61,11 +61,6 @@ impl Clock {
             }
         }
     }
-
-    /// Resets the clock to zero. Only used by test helpers.
-    pub fn reset(&self) {
-        self.ns.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A scoped stopwatch over a [`Clock`], for measuring the virtual duration

@@ -103,13 +103,13 @@ impl Default for CostModel {
 
 impl CostModel {
     /// Cost of copying `bytes` of memory.
-    pub fn memcpy_ns(&self, bytes: u64) -> u64 {
+    pub(crate) fn memcpy_ns(&self, bytes: u64) -> u64 {
         // Round up so tiny copies are never free.
         (bytes.saturating_mul(1_000_000_000)).div_ceil(self.memcpy_bytes_per_sec)
     }
 
     /// Cost of encoding `bytes` into a checkpoint record.
-    pub fn encode_ns(&self, bytes: u64) -> u64 {
+    pub(crate) fn encode_ns(&self, bytes: u64) -> u64 {
         (bytes * self.encode_byte_ns_x100).div_ceil(100)
     }
 

@@ -63,7 +63,7 @@ impl<E: Eq> Engine<E> {
 
     /// Creates an engine over an existing clock (shared with device models
     /// so IO completions and request events interleave on one timeline).
-    pub fn with_clock(clock: Clock) -> Self {
+    pub(crate) fn with_clock(clock: Clock) -> Self {
         Self { clock, heap: BinaryHeap::new(), seq: 0, trace: Trace::disabled() }
     }
 
@@ -91,11 +91,6 @@ impl<E: Eq> Engine<E> {
         self.heap.push(Reverse(Scheduled { at, seq, event }));
     }
 
-    /// Schedules `event` `delta` ns from now.
-    pub fn schedule_in(&mut self, delta: u64, event: E) {
-        self.schedule_at(self.clock.now() + delta, event);
-    }
-
     /// Pops the next event, advancing the clock to its timestamp.
     /// (Deliberately not an `Iterator`: popping advances the clock, and
     /// callers interleave schedules between pops.)
@@ -108,11 +103,6 @@ impl<E: Eq> Engine<E> {
                 .instant("sim", "des.dispatch", &[("seq", s.seq), ("pending", self.heap.len() as u64)]);
         }
         Some((s.at, s.event))
-    }
-
-    /// Number of pending events.
-    pub fn pending(&self) -> usize {
-        self.heap.len()
     }
 }
 
@@ -139,16 +129,11 @@ impl Fifo {
 
     /// Serves work arriving at `arrival` taking `service_ns`; returns
     /// `(start, completion)`.
-    pub fn serve(&mut self, arrival: u64, service_ns: u64) -> (u64, u64) {
+    pub(crate) fn serve(&mut self, arrival: u64, service_ns: u64) -> (u64, u64) {
         let start = arrival.max(self.next_free);
         let done = start + service_ns;
         self.next_free = done;
         (start, done)
-    }
-
-    /// Time at which the server next becomes idle.
-    pub fn next_free(&self) -> u64 {
-        self.next_free
     }
 }
 
@@ -179,18 +164,6 @@ impl ServerPool {
         self.free_at.push(Reverse(done));
         (start, done)
     }
-
-    /// Blocks every server until `until` (a stop-the-world pause).
-    pub fn block_all_until(&mut self, until: u64) {
-        let k = self.free_at.len();
-        let mut v: Vec<u64> = Vec::with_capacity(k);
-        while let Some(Reverse(f)) = self.free_at.pop() {
-            v.push(f.max(until));
-        }
-        for f in v {
-            self.free_at.push(Reverse(f));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -211,13 +184,6 @@ mod tests {
         assert_eq!(p.serve(0, 10), (0, 10));
         assert_eq!(p.serve(0, 10), (0, 10)); // second server
         assert_eq!(p.serve(0, 10), (10, 20)); // queued
-    }
-
-    #[test]
-    fn pool_block_all() {
-        let mut p = ServerPool::new(2);
-        p.block_all_until(50);
-        assert_eq!(p.serve(0, 10), (50, 60));
     }
 
     #[test]
@@ -244,14 +210,5 @@ mod tests {
         assert_eq!(evs[0].name, "des.dispatch");
         assert_eq!((evs[0].ts, evs[1].ts), (5, 9));
         assert_eq!(evs[0].args, vec![("seq", 0), ("pending", 1)]);
-    }
-
-    #[test]
-    fn schedule_in_is_relative() {
-        let mut eng: Engine<u32> = Engine::new();
-        eng.schedule_at(10, 1);
-        assert_eq!(eng.next(), Some((10, 1)));
-        eng.schedule_in(5, 2);
-        assert_eq!(eng.next(), Some((15, 2)));
     }
 }

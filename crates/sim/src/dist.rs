@@ -35,13 +35,13 @@ pub struct LogNormal {
 
 impl LogNormal {
     /// Creates a log-normal with the given location/scale.
-    pub fn new(mu: f64, sigma: f64) -> Self {
+    pub(crate) fn new(mu: f64, sigma: f64) -> Self {
         assert!(sigma > 0.0, "sigma must be positive");
         Self { mu, sigma }
     }
 
     /// Draws one sample.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         (self.mu + self.sigma * standard_normal(rng)).exp()
     }
 }

@@ -85,11 +85,6 @@ impl Fabric {
     pub fn stats(&self) -> FabricStats {
         self.stats
     }
-
-    /// The link model in force.
-    pub fn model(&self) -> LinkModel {
-        self.model
-    }
 }
 
 #[cfg(test)]

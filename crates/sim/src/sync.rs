@@ -6,8 +6,6 @@
 //! past a panicking test, so this wrapper recovers the guard either way
 //! and keeps call sites to a single expression.
 
-use std::sync::TryLockError;
-
 /// A mutual-exclusion lock whose `lock()` returns the guard directly.
 #[derive(Debug)]
 pub struct Mutex<T: ?Sized> {
@@ -22,14 +20,6 @@ impl<T> Mutex<T> {
     pub fn new(value: T) -> Self {
         Self { inner: std::sync::Mutex::new(value) }
     }
-
-    /// Consumes the lock, returning the value.
-    pub fn into_inner(self) -> T {
-        match self.inner.into_inner() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -38,23 +28,6 @@ impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         match self.inner.lock() {
             Ok(g) => g,
-            Err(p) => p.into_inner(),
-        }
-    }
-
-    /// Attempts the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(g),
-            Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        match self.inner.get_mut() {
-            Ok(v) => v,
             Err(p) => p.into_inner(),
         }
     }
@@ -70,15 +43,6 @@ mod tests {
         let m = Mutex::new(1u64);
         *m.lock() += 41;
         assert_eq!(*m.lock(), 42);
-    }
-
-    #[test]
-    fn try_lock_fails_while_held() {
-        let m = Mutex::new(0u8);
-        let g = m.lock();
-        assert!(m.try_lock().is_none());
-        drop(g);
-        assert!(m.try_lock().is_some());
     }
 
     #[test]

@@ -202,7 +202,7 @@ pub struct QueueStats {
 
 impl QueueStats {
     /// Sums two snapshots (striping aggregation).
-    pub fn merge(self, other: QueueStats) -> QueueStats {
+    pub(crate) fn merge(self, other: QueueStats) -> QueueStats {
         QueueStats {
             depth: self.depth + other.depth,
             bytes_in_flight: self.bytes_in_flight + other.bytes_in_flight,

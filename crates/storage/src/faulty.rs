@@ -153,7 +153,7 @@ pub struct FaultyDevice {
 
 impl FaultyDevice {
     /// Wraps `inner` with the given plan.
-    pub fn new(inner: Box<dyn BlockDevice + Send>, plan: FaultPlan) -> Self {
+    pub(crate) fn new(inner: Box<dyn BlockDevice + Send>, plan: FaultPlan) -> Self {
         let state = FaultState {
             rng: DetRng::seed_from_u64(plan.seed),
             plan,
@@ -166,7 +166,7 @@ impl FaultyDevice {
 
     /// The handle that arms, disarms and inspects this injector from
     /// outside.
-    pub fn handle(&self) -> FaultHandle {
+    pub(crate) fn handle(&self) -> FaultHandle {
         FaultHandle(self.state.clone())
     }
 

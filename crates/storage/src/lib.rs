@@ -50,7 +50,7 @@ pub fn testbed_array(clock: &Clock, per_device_bytes: u64) -> SharedDevice {
 }
 
 /// A TLC-NAND variant of the testbed: four commodity flash devices
-/// ([`NvmeParams::tlc_nand`]) striped at 64 KiB. Used by the group
+/// (`NvmeParams::tlc_nand`) striped at 64 KiB. Used by the group
 /// scaling benchmarks, where the latency-bound durability point (rather
 /// than Optane's microsecond commits) is what a checkpoint scheduler
 /// has to hide.

@@ -49,7 +49,7 @@ impl NvmeParams {
     /// contrast to Optane for checkpoint scheduling: commits are
     /// latency-bound, so overlapping many groups' flushes hides most of
     /// the wait.
-    pub fn tlc_nand() -> Self {
+    pub(crate) fn tlc_nand() -> Self {
         Self {
             read_latency_ns: 80_000,
             write_latency_ns: 500_000,

@@ -156,7 +156,7 @@ impl Raid1 {
     ///
     /// Returns [`DeviceError::BadConfig`] for fewer than two members or
     /// heterogeneous geometry.
-    pub fn new(members: Vec<impl BlockDevice + Send + 'static>) -> Result<(Self, MirrorHandle)> {
+    pub(crate) fn new(members: Vec<impl BlockDevice + Send + 'static>) -> Result<(Self, MirrorHandle)> {
         if members.len() < 2 {
             return Err(DeviceError::BadConfig { reason: "raid1 needs at least two mirrors" });
         }

@@ -75,7 +75,7 @@ pub struct CausalEvent {
 
 impl CausalEvent {
     /// Completion time: when this hop's effect exists.
-    pub fn done(&self) -> u64 {
+    pub(crate) fn done(&self) -> u64 {
         self.ts + self.dur
     }
 }
@@ -141,7 +141,7 @@ impl CausalGraph {
     }
 
     /// Appends a hop, returning its index for later `deps` references.
-    pub fn add(&mut self, ev: CausalEvent) -> usize {
+    pub(crate) fn add(&mut self, ev: CausalEvent) -> usize {
         self.events.push(ev);
         self.events.len() - 1
     }

@@ -120,7 +120,7 @@ impl Trace {
     /// A recording handle with an explicit event-ring capacity (clamped
     /// to ≥ 1). Probes and histograms are unaffected by the cap: probes
     /// run before eviction, histograms aggregate in place.
-    pub fn recording_with_cap(now: impl Fn() -> u64 + Send + Sync + 'static, cap: usize) -> Self {
+    pub(crate) fn recording_with_cap(now: impl Fn() -> u64 + Send + Sync + 'static, cap: usize) -> Self {
         Self {
             inner: Some(Arc::new(Inner {
                 now: Box::new(now),

@@ -50,13 +50,13 @@ impl ProbeSpec {
     }
 
     /// Restricts to one phase.
-    pub fn phase(mut self, phase: Phase) -> Self {
+    pub(crate) fn phase(mut self, phase: Phase) -> Self {
         self.phase = Some(phase);
         self
     }
 
     /// Whether `ev` satisfies every populated field.
-    pub fn matches(&self, ev: &TraceEvent) -> bool {
+    pub(crate) fn matches(&self, ev: &TraceEvent) -> bool {
         self.name_prefix.as_ref().is_none_or(|p| ev.name.starts_with(p.as_ref()))
             && self.cat.is_none_or(|c| ev.cat == c)
             && self.phase.is_none_or(|ph| ev.ph == ph)

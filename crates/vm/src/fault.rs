@@ -49,7 +49,7 @@ impl Vm {
     /// `write` selects a write fault. Returns [`VmError::NeedsPage`] if
     /// the page is swapped out: the caller's pager fetches it, calls
     /// [`Vm::install_page`], and retries.
-    pub fn resolve_fault(
+    pub(crate) fn resolve_fault(
         &mut self,
         space: SpaceId,
         vpn: u64,
@@ -350,7 +350,7 @@ mod tests {
             other => panic!("expected NeedsPage, got {other:?}"),
         }
         // Pager brings the page back and the read succeeds.
-        let mut page = crate::types::zero_page();
+        let mut page = aurora_frames::PageRef::zero();
         vm.arena.make_mut(&mut page)[0] = 9;
         vm.install_page(top, 0, page, false).unwrap();
         vm.read(s, a, &mut buf).unwrap();

@@ -79,11 +79,6 @@ impl VmObject {
             .filter(|s| matches!(s, PageSlot::Resident { dirty: true, .. }))
             .count() as u64
     }
-
-    /// Size in bytes.
-    pub fn size_bytes(&self) -> u64 {
-        self.size_pages * PAGE_SIZE as u64
-    }
 }
 
 impl Vm {
@@ -248,7 +243,7 @@ impl Vm {
     }
 
     /// Reads a resident page's bytes (used by the checkpoint flusher).
-    pub fn page_bytes(&self, obj: ObjId, pindex: u64) -> Result<&[u8; PAGE_SIZE], VmError> {
+    pub(crate) fn page_bytes(&self, obj: ObjId, pindex: u64) -> Result<&[u8; PAGE_SIZE], VmError> {
         let o = self.objects.get(&obj).ok_or(VmError::NoSuchObject(obj))?;
         match o.pages.get(&pindex) {
             Some(PageSlot::Resident { frame, .. }) => {
@@ -350,7 +345,6 @@ impl Vm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::zero_page;
 
     #[test]
     fn create_and_unref_destroys() {
@@ -365,7 +359,7 @@ mod tests {
     fn install_and_read_page() {
         let mut vm = Vm::new();
         let o = vm.create_object(ObjKind::Anonymous, 4);
-        let mut p = zero_page();
+        let mut p = aurora_frames::PageRef::zero();
         vm.arena.make_mut(&mut p)[0] = 0xAB;
         vm.install_page(o, 2, p, true).unwrap();
         assert_eq!(vm.page_bytes(o, 2).unwrap()[0], 0xAB);
@@ -376,14 +370,14 @@ mod tests {
     fn install_out_of_range_rejected() {
         let mut vm = Vm::new();
         let o = vm.create_object(ObjKind::Anonymous, 2);
-        assert!(vm.install_page(o, 2, zero_page(), false).is_err());
+        assert!(vm.install_page(o, 2, aurora_frames::PageRef::zero(), false).is_err());
     }
 
     #[test]
     fn evict_requires_clean() {
         let mut vm = Vm::new();
         let o = vm.create_object(ObjKind::Anonymous, 4);
-        vm.install_page(o, 0, zero_page(), true).unwrap();
+        vm.install_page(o, 0, aurora_frames::PageRef::zero(), true).unwrap();
         assert!(vm.evict_page(o, 0).is_err(), "dirty page must not evict");
         vm.mark_clean(o, 0).unwrap();
         vm.evict_page(o, 0).unwrap();
@@ -395,8 +389,8 @@ mod tests {
     fn reinstall_replaces_frame() {
         let mut vm = Vm::new();
         let o = vm.create_object(ObjKind::Anonymous, 1);
-        vm.install_page(o, 0, zero_page(), false).unwrap();
-        let mut p = zero_page();
+        vm.install_page(o, 0, aurora_frames::PageRef::zero(), false).unwrap();
+        let mut p = aurora_frames::PageRef::zero();
         vm.arena.make_mut(&mut p)[1] = 7;
         vm.install_page(o, 0, p, false).unwrap();
         assert_eq!(vm.resident_frames(), 1, "old frame must be freed");

@@ -28,27 +28,27 @@ pub struct Pmap {
 
 impl Pmap {
     /// Creates an empty pmap.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Looks up a PTE.
-    pub fn get(&self, vpn: u64) -> Option<&Pte> {
+    pub(crate) fn get(&self, vpn: u64) -> Option<&Pte> {
         self.ptes.get(&vpn)
     }
 
     /// Installs (or replaces) a PTE.
-    pub fn install(&mut self, vpn: u64, pte: Pte) -> Option<Pte> {
+    pub(crate) fn install(&mut self, vpn: u64, pte: Pte) -> Option<Pte> {
         self.ptes.insert(vpn, pte)
     }
 
     /// Removes a PTE, returning it.
-    pub fn remove(&mut self, vpn: u64) -> Option<Pte> {
+    pub(crate) fn remove(&mut self, vpn: u64) -> Option<Pte> {
         self.ptes.remove(&vpn)
     }
 
     /// Clears the writable bit of a PTE; returns true if it was writable.
-    pub fn write_protect(&mut self, vpn: u64) -> bool {
+    pub(crate) fn write_protect(&mut self, vpn: u64) -> bool {
         match self.ptes.get_mut(&vpn) {
             Some(pte) if pte.writable => {
                 pte.writable = false;
@@ -60,7 +60,7 @@ impl Pmap {
 
     /// Marks an access: sets accessed, and dirty for writes. The PTE must
     /// exist and (for writes) be writable — callers fault first.
-    pub fn mark_access(&mut self, vpn: u64, write: bool) {
+    pub(crate) fn mark_access(&mut self, vpn: u64, write: bool) {
         let pte = self.ptes.get_mut(&vpn).expect("access to unmapped vpn");
         pte.accessed = true;
         if write {
@@ -71,7 +71,7 @@ impl Pmap {
 
     /// Removes every PTE in `[start_vpn, end_vpn)`, returning them (the
     /// caller unregisters pv entries).
-    pub fn remove_range(&mut self, start_vpn: u64, end_vpn: u64) -> Vec<(u64, Pte)> {
+    pub(crate) fn remove_range(&mut self, start_vpn: u64, end_vpn: u64) -> Vec<(u64, Pte)> {
         let keys: Vec<u64> = self.ptes.range(start_vpn..end_vpn).map(|(&k, _)| k).collect();
         keys.into_iter().map(|k| (k, self.ptes.remove(&k).expect("just listed"))).collect()
     }

@@ -60,7 +60,7 @@ impl Vm {
     /// object's single reference. `system` shadows inherit the parent's
     /// lineage (they are the same logical object for the store); fork
     /// shadows get a fresh lineage.
-    pub fn make_shadow(&mut self, parent: ObjId, system: bool) -> Result<ObjId, VmError> {
+    pub(crate) fn make_shadow(&mut self, parent: ObjId, system: bool) -> Result<ObjId, VmError> {
         let p = self.objects.get_mut(&parent).ok_or(VmError::NoSuchObject(parent))?;
         p.shadow_count += 1;
         let size_pages = p.size_pages;

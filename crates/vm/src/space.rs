@@ -36,18 +36,13 @@ pub struct VmMapEntry {
 }
 
 impl VmMapEntry {
-    /// Pages covered by the entry.
-    pub fn pages(&self) -> u64 {
-        (self.end - self.start) / PAGE_SIZE as u64
-    }
-
     /// Virtual page number of `start`.
-    pub fn start_vpn(&self) -> u64 {
+    pub(crate) fn start_vpn(&self) -> u64 {
         self.start / PAGE_SIZE as u64
     }
 
     /// True if `addr` falls inside the entry.
-    pub fn contains(&self, addr: u64) -> bool {
+    pub(crate) fn contains(&self, addr: u64) -> bool {
         (self.start..self.end).contains(&addr)
     }
 }

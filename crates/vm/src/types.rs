@@ -31,13 +31,6 @@ pub struct Lineage(pub u64);
 /// the frame; mutation goes through [`FrameArena::make_mut`].
 pub type PageData = PageRef;
 
-/// The shared zero frame. No allocation: every call hands out a ref to
-/// one process-wide frame of zeros; the first write through an arena
-/// materializes a private copy.
-pub fn zero_page() -> PageData {
-    PageRef::zero()
-}
-
 /// Memory protection bits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Prot(pub u8);
@@ -57,13 +50,8 @@ impl Prot {
     pub const RX: Prot = Prot(5);
 
     /// True if all bits of `other` are present.
-    pub fn contains(self, other: Prot) -> bool {
+    pub(crate) fn contains(self, other: Prot) -> bool {
         self.0 & other.0 == other.0
-    }
-
-    /// Union of protections.
-    pub fn union(self, other: Prot) -> Prot {
-        Prot(self.0 | other.0)
     }
 }
 
@@ -122,18 +110,19 @@ mod tests {
         assert!(Prot::RW.contains(Prot::READ));
         assert!(Prot::RW.contains(Prot::WRITE));
         assert!(!Prot::READ.contains(Prot::WRITE));
-        assert!(Prot::READ.union(Prot::EXEC).contains(Prot::EXEC));
+        assert!(Prot::RX.contains(Prot::EXEC));
     }
 
     #[test]
     fn zero_page_is_zero() {
-        assert!(zero_page().iter().all(|&b| b == 0));
+        let z: PageData = PageRef::zero();
+        assert!(z.iter().all(|&b| b == 0));
     }
 
     #[test]
     fn zero_page_is_one_shared_frame() {
-        let a = zero_page();
-        let b = zero_page();
-        assert!(PageRef::ptr_eq(&a, &b), "zero_page must not allocate");
+        let a: PageData = PageRef::zero();
+        let b: PageData = PageRef::zero();
+        assert!(PageRef::ptr_eq(&a, &b), "the zero page must not allocate");
     }
 }

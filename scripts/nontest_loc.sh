@@ -3,7 +3,9 @@
 # file's lines before its first `#[cfg(test)]` (the whole file when it
 # has none); `tests/`, `benches/` and `target/` directories are not
 # counted at all. Comments and blank lines count — the number is for
-# comparing a tree with its parent, not for judging either.
+# comparing a tree with its parent, not for judging either. A second
+# column counts the `pub fn`s among those same lines (`pub(crate) fn`
+# and friends are not public, so they do not count).
 #
 #   usage: scripts/nontest_loc.sh [--against REV] [PATH…]
 #
@@ -27,8 +29,8 @@ if [ $# -eq 0 ]; then
     per_file=0
 fi
 
-# count ROOT PATH… → "<lines> <path>" per file, paths relative to ROOT
-# (a PATH that does not exist in ROOT counts nothing).
+# count ROOT PATH… → "<lines> <pub fns> <path>" per file, paths relative
+# to ROOT (a PATH that does not exist in ROOT counts nothing).
 count() {
     (
         cd "$1"
@@ -37,37 +39,43 @@ count() {
             -not -path '*/tests/*' -not -path '*/benches/*' -not -path '*/target/*' 2>/dev/null |
             sort |
             while read -r f; do
-                awk -v f="$f" '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0, f }' "$f"
+                awk -v f="$f" '
+                    /#\[cfg\(test\)\]/ { exit }
+                    { n++ }
+                    /^[ \t]*pub (const |unsafe |async )*fn / { p++ }
+                    END { print n + 0, p + 0, f }' "$f"
             done
     )
 }
 
-# rows → "<kind> <path> <lines>", kind f(ile) / c(rate) / t(otal), in
-# table order.
+# rows → "<kind> <path> <lines> <pub fns>", kind f(ile) / c(rate) /
+# t(otal), in table order.
 rows() {
     awk -v per_file="$per_file" '
         {
-            crate = $2
+            crate = $3
             if (!sub(/\/src\/.*/, "", crate)) crate = "."
             if (!(crate in lines)) order[++crates] = crate
             lines[crate] += $1
-            files[crate] = files[crate] sprintf("f %s %d\n", $2, $1)
+            pubs[crate] += $2
+            files[crate] = files[crate] sprintf("f %s %d %d\n", $3, $1, $2)
             total += $1
+            total_pubs += $2
         }
         END {
             for (i = 1; i <= crates; i++) {
                 if (per_file) printf "%s", files[order[i]]
-                printf "c %s %d\n", order[i], lines[order[i]]
+                printf "c %s %d %d\n", order[i], lines[order[i]], pubs[order[i]]
             }
-            printf "t total %d\n", total
+            printf "t total %d %d\n", total, total_pubs
         }'
 }
 
 if [ -z "$against" ]; then
     count . "$@" | rows | awk '
-        BEGIN { print "| path | non-test lines |"; print "|---|---:|" }
-        $1 == "f" { printf "| `%s` | %d |\n", $2, $3; next }
-        { printf "| **%s** | **%d** |\n", $2, $3 }'
+        BEGIN { print "| path | non-test lines | pub fn |"; print "|---|---:|---:|" }
+        $1 == "f" { printf "| `%s` | %d | %d |\n", $2, $3, $4; next }
+        { printf "| **%s** | **%d** | **%d** |\n", $2, $3, $4 }'
     exit
 fi
 
@@ -77,10 +85,11 @@ git archive "$against" | tar -x -C "$parent"
 # Parent rows first, then the change's: a path only in the parent was
 # deleted (→ 0), a path only in the change is new (0 →).
 { count "$parent" "$@" | rows | sed 's/^/p /'; count . "$@" | rows | sed 's/^/c /'; } | awk -v rev="$against" '
-    $1 == "p" { was[$3] = $4; kind[$3] = $2; if (!($3 in seen)) { seen[$3] = 1; order[++n] = $3 } next }
-    { now[$3] = $4; kind[$3] = $2; if (!($3 in seen)) { seen[$3] = 1; order[++n] = $3 } }
+    $1 == "p" { was[$3] = $4; pwas[$3] = $5; kind[$3] = $2; if (!($3 in seen)) { seen[$3] = 1; order[++n] = $3 } next }
+    { now[$3] = $4; pnow[$3] = $5; kind[$3] = $2; if (!($3 in seen)) { seen[$3] = 1; order[++n] = $3 } }
     END {
-        printf "| path | %s | change | delta |\n|---|---:|---:|---:|\n", rev
+        printf "| path | %s | change | delta | pub fn %s | pub fn change | pub fn delta |\n", rev, rev
+        printf "|---|---:|---:|---:|---:|---:|---:|\n"
         for (i = 1; i <= n; i++) {
             p = order[i]
             if (kind[p] == "t") continue
@@ -88,9 +97,10 @@ git archive "$against" | tar -x -C "$parent"
         }
         row("total")
     }
-    function row(p,    d, name) {
+    function row(p,    d, pd, name) {
         d = now[p] - was[p]
-        if (kind[p] == "f" && d == 0) return
+        pd = pnow[p] - pwas[p]
+        if (kind[p] == "f" && d == 0 && pd == 0) return
         name = kind[p] == "f" ? "`" p "`" : "**" p "**"
-        printf "| %s | %d | %d | %+d |\n", name, was[p], now[p], d
+        printf "| %s | %d | %d | %+d | %d | %d | %+d |\n", name, was[p], now[p], d, pwas[p], pnow[p], pd
     }'
