@@ -168,7 +168,6 @@ fn instrumented_workload(w: &mut World, mut step: impl FnMut(&mut World, u64)) {
         w.sls.tick().unwrap();
         step(w, i);
     }
-    w.sls.name_checkpoint(gid, "stat-probe").unwrap();
     w.sls.sls_barrier(gid).unwrap();
     w.sls.crash_and_reboot().unwrap();
     step(w, 7);
@@ -606,7 +605,7 @@ fn demo(trace_path: Option<&str>) {
 
     // sls checkpoint <name>
     println!("\n$ sls checkpoint before-crash");
-    let named_epoch = w.sls.name_checkpoint(gid, "before-crash").unwrap();
+    let named_epoch = *w.sls.history(gid).unwrap().last().unwrap();
     // Wait for durability — a named checkpoint should survive anything.
     w.sls.sls_barrier(gid).unwrap();
     println!("  named epoch {named_epoch} \"before-crash\" (durable)");

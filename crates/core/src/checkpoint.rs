@@ -6,7 +6,7 @@
 use crate::{GroupId, Sls, SlsError};
 use aurora_posix::file::FileKind;
 use aurora_posix::{Kernel, Pid, Tid};
-use aurora_vm::{ObjId, ObjKind};
+use aurora_vm::ObjId;
 use std::collections::{BTreeSet, VecDeque};
 
 /// Where and why a checkpoint gave up: the failing stage, how many
@@ -119,7 +119,8 @@ pub struct Reach {
     pub threads: Vec<Tid>,
     /// Reachable open-file descriptions (including in-flight ones).
     pub files: Vec<u64>,
-    /// Reachable vnodes plus the whole file-system namespace.
+    /// The whole file-system namespace (every descriptor's vnode is in
+    /// it).
     pub vnodes: BTreeSet<u64>,
     /// Reachable pipes.
     pub pipes: BTreeSet<u64>,
@@ -141,22 +142,17 @@ pub struct Reach {
 impl Reach {
     /// Walks the object graph from the group's persistent processes.
     pub fn collect(k: &Kernel, pids: &[Pid]) -> Result<Reach, SlsError> {
-        let mut r = Reach { procs: pids.to_vec(), ..Reach::default() };
+        // The whole file-system namespace: the Aurora FS is itself part
+        // of the single level store, so every vnode persists (§5.2).
+        let vnodes = k.vfs.vnode_ids().into_iter().map(|v| v.0).collect();
+        let mut r = Reach { procs: pids.to_vec(), vnodes, ..Reach::default() };
         let mut seen_files: BTreeSet<u64> = BTreeSet::new();
         let mut file_queue: VecDeque<u64> = VecDeque::new();
         let mut seen_mem: BTreeSet<u64> = BTreeSet::new();
 
-        let add_chain = |k: &Kernel, top: ObjId, seen: &mut BTreeSet<u64>, out: &mut Vec<ObjId>,
-                             vnodes: &mut BTreeSet<u64>|
+        let add_chain = |k: &Kernel, top: ObjId, seen: &mut BTreeSet<u64>, out: &mut Vec<ObjId>|
          -> Result<(), SlsError> {
-            for obj in k.vm.chain_of(top)? {
-                if seen.insert(obj.0) {
-                    out.push(obj);
-                    if let ObjKind::Vnode { vnode } = k.vm.object(obj)?.kind {
-                        vnodes.insert(vnode);
-                    }
-                }
-            }
+            out.extend(k.vm.chain_of(top)?.into_iter().filter(|obj| seen.insert(obj.0)));
             Ok(())
         };
 
@@ -169,7 +165,7 @@ impl Reach {
                 }
             }
             for entry in k.vm.entries(p.space)? {
-                add_chain(k, entry.object, &mut seen_mem, &mut r.mem_objs, &mut r.vnodes)?;
+                add_chain(k, entry.object, &mut seen_mem, &mut r.mem_objs)?;
             }
         }
 
@@ -180,9 +176,6 @@ impl Reach {
             r.files.push(fid);
             let f = k.files.get(aurora_posix::FileId(fid))?;
             match f.kind {
-                FileKind::Vnode(v) => {
-                    r.vnodes.insert(v.0);
-                }
                 FileKind::Pipe { pipe, .. } => {
                     r.pipes.insert(pipe);
                 }
@@ -207,17 +200,11 @@ impl Reach {
                 FileKind::ShmPosix(id) => {
                     r.shm_posix.insert(id);
                     if let Some(shm) = k.shm.posix.get(&id) {
-                        add_chain(k, shm.object, &mut seen_mem, &mut r.mem_objs, &mut r.vnodes)?;
+                        add_chain(k, shm.object, &mut seen_mem, &mut r.mem_objs)?;
                     }
                 }
-                FileKind::Device(_) => {}
+                FileKind::Vnode(_) | FileKind::Device(_) => {}
             }
-        }
-
-        // The whole file-system namespace: the Aurora FS is itself part
-        // of the single level store, so every vnode persists (§5.2).
-        for v in k.vfs.vnode_ids() {
-            r.vnodes.insert(v.0);
         }
 
         // SysV segments attached by the group (their objects are already

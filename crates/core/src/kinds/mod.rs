@@ -17,14 +17,14 @@ pub mod vm;
 use crate::checkpoint::Reach;
 use crate::error::SlsError;
 use crate::oidmap::{KObj, Kind, OidMap, MANIFEST};
+use crate::owed::OwedPages;
 use crate::restore::RestoreMode;
 use crate::wire::{record, Record};
 use crate::{CheckpointMode, LineageBinding, Sls};
-use aurora_objstore::{ObjectStore, Oid, StoreError, View, PAGE};
+use aurora_objstore::{ObjectStore, Oid, StoreError, View};
 use aurora_posix::ids::PidNamespace;
-use aurora_posix::vfs::VnodeKind;
-use aurora_posix::{Kernel, Pid, VnodeId};
-use aurora_vm::ObjId;
+use aurora_posix::{Kernel, Pid};
+use aurora_vm::{ObjId, ObjKind};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 record! {
@@ -55,6 +55,8 @@ pub struct AssignCtx<'a> {
     /// Lineages whose binding this assignment inserted (an abort's undo
     /// list).
     pub new_lineages: &'a mut Vec<u64>,
+    /// The clean file pages the group's next flush writes.
+    pub(crate) owed: &'a mut OwedPages,
 }
 
 /// State handed to [`KindDef::flush`] during the pipeline's Flush stage
@@ -68,8 +70,6 @@ pub struct FlushCtx<'a> {
     pub oids: &'a OidMap,
     /// The reachability scan this checkpoint serialized.
     pub reach: &'a Reach,
-    /// Content fingerprints of flushed vnodes (flush only what changed).
-    pub vnode_hash: &'a mut HashMap<VnodeId, u64>,
     /// Running count of pages flushed (updated by hooks).
     pub pages_flushed: u64,
     /// Running count of data bytes flushed (updated by hooks).
@@ -81,12 +81,12 @@ pub struct FlushCtx<'a> {
     /// How dirty pages are written: full images, or sub-page redo
     /// records ([`Sls::checkpoint_mode`](crate::Sls::checkpoint_mode)).
     pub mode: CheckpointMode,
-    /// Lineage bindings of the flushed memory objects: a restored
-    /// branch's floor/resume pin its redo chains to branch-visible
-    /// versions.
-    pub lineages: HashMap<u64, LineageBinding>,
-    /// Redo records appended by this flush (delta path only).
-    pub redo_records: u64,
+    /// The pager's lineage bindings: a restored branch's floor/resume
+    /// pin the redo chains of its VM objects (memory and file content)
+    /// to branch-visible versions.
+    pub lineages: &'a HashMap<u64, LineageBinding>,
+    /// The clean file pages this flush writes with the dirty ones.
+    pub(crate) owed: &'a OwedPages,
 }
 
 /// One image being rebuilt: what to restore from, and the restored
@@ -112,17 +112,12 @@ pub struct Rebuild<'a> {
     /// standalone existence, it restores only inside its process.
     pub(crate) owner: Option<Pid>,
     /// Pages the installed records want, queued for the restore's one
-    /// read plan: where they land, their store object, their indices.
-    reads: Vec<(PageSink, Oid, Vec<u64>)>,
-}
-
-/// Where a page a restore reads lands.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum PageSink {
-    /// A memory object's page.
-    Mem(ObjId),
-    /// A page of a regular file's contents.
-    Vnode(VnodeId),
+    /// read plan: the VM object they land in, its store object, their
+    /// indices.
+    reads: Vec<(ObjId, Oid, Vec<u64>)>,
+    /// Every VM object the restore made, with its store object; each
+    /// holds one reference for the restore.
+    pub(crate) objects: Vec<(Oid, ObjId)>,
 }
 
 impl<'a> Rebuild<'a> {
@@ -139,39 +134,61 @@ impl<'a> Rebuild<'a> {
             new_pids: Vec::new(),
             owner: None,
             reads: Vec::new(),
+            objects: Vec::new(),
         }
     }
 
-    /// Queues `pages` of store object `oid` for the restore's read plan,
-    /// to land in `sink` once every record is installed.
-    pub(crate) fn plan_pages(&mut self, sink: PageSink, oid: Oid, pages: Vec<u64>) {
-        self.reads.push((sink, oid, pages));
+    /// Creates the VM object of store object `oid` — a memory object or
+    /// a regular file's content — and brings its pages back as the mode
+    /// says: a full restore queues them for its one read plan, a lazy
+    /// one leaves them `Swapped` for the pager. The fresh lineage is
+    /// bound at once, pinned to this restore's branch: history ≤ epoch
+    /// plus whatever this instance commits from now on.
+    pub(crate) fn install_object(
+        &mut self,
+        oid: Oid,
+        kind: ObjKind,
+        size_pages: u64,
+    ) -> Result<ObjId, SlsError> {
+        let vm = &mut self.sls.kernel.vm;
+        let obj = vm.create_object(kind, size_pages);
+        self.objects.push((oid, obj));
+        let lineage = vm.object(obj)?.lineage.0;
+        let resume = self.sls.store.lock().current_epoch();
+        let binding = LineageBinding { oid, floor: self.epoch, resume };
+        self.sls.lineage_oids.lock().insert(lineage, binding);
+        // Device pages are re-injected, never read (§5.3).
+        if matches!(kind, ObjKind::Device { .. }) {
+            return Ok(obj);
+        }
+        // Size is epoch-granular: a page past the end was written by a
+        // future this restore rewound away from.
+        let mut pages = self.sls.store.lock().pages_at(oid, self.epoch).unwrap_or_default();
+        pages.retain(|&pi| pi < size_pages);
+        match self.mode {
+            RestoreMode::Full => self.reads.push((obj, oid, pages)),
+            RestoreMode::Lazy => {
+                for pi in pages {
+                    self.sls.kernel.vm.mark_swapped(obj, pi)?;
+                }
+            }
+        }
+        Ok(obj)
     }
 
-    /// Reads every queued page as one plan and lands each one: memory
-    /// pages install as shared refs of the store's cache frames (the
-    /// restored space shares them until its first write breaks COW),
-    /// file pages are copied into their vnode.
+    /// Reads every queued page as one plan and installs each one as a
+    /// shared ref of the store's cache frame (the restored object shares
+    /// it until its first write breaks COW).
     pub(crate) fn read_planned(&mut self) -> Result<(), SlsError> {
         let reads = std::mem::take(&mut self.reads);
         let pages: Vec<(Oid, u64)> =
             reads.iter().flat_map(|(_, oid, pis)| pis.iter().map(|&pi| (*oid, pi))).collect();
         let got = self.sls.store.lock().read_pages(View::Epoch(self.epoch), &pages)?;
         let mut got = got.into_iter();
-        let k = &mut self.sls.kernel;
-        for (sink, oid, pis) in reads {
+        for (obj, oid, pis) in reads {
             for (pi, page) in pis.into_iter().zip(&mut got) {
                 let page = page.ok_or(StoreError::NoSuchPage(oid, pi))?;
-                match sink {
-                    PageSink::Mem(obj) => k.vm.install_page(obj, pi, page, false)?,
-                    PageSink::Vnode(v) => {
-                        if let VnodeKind::Regular { data } = &mut k.vfs.vnode_mut(v)?.kind {
-                            let at = pi as usize * PAGE;
-                            let n = PAGE.min(data.len() - at);
-                            data[at..at + n].copy_from_slice(&page.bytes()[..n]);
-                        }
-                    }
-                }
+                self.sls.kernel.vm.install_page(obj, pi, page, false)?;
                 self.pages_read += 1;
             }
         }
@@ -229,7 +246,7 @@ pub trait KindDef: Record {
     /// everything the object references.
     fn capture(k: &Kernel, id: u64, oids: &OidMap) -> Result<Self, SlsError>;
 
-    /// Flushes this kind's bulk data (pages, file contents) during the
+    /// Flushes this kind's bulk data (memory and file pages) during the
     /// concurrent Flush stage. Default: records only, nothing extra.
     fn flush(ctx: &mut FlushCtx<'_>) -> Result<(), SlsError> {
         let _ = ctx;

@@ -7,7 +7,8 @@
 //! costs. In-flight descriptors inside socket buffers are wired up by
 //! the post-restore pass once the whole population exists.
 
-use super::{FlushCtx, KindDef, PageSink, Rebuild};
+use super::vm::flush_pages;
+use super::{AssignCtx, FlushCtx, KindDef, Rebuild};
 use crate::checkpoint::Reach;
 use crate::error::SlsError;
 use crate::oidmap::{KObj, Kind, OidMap};
@@ -25,7 +26,7 @@ use aurora_posix::socket::{Domain, InetAddr, Message, SockOpts, SockType, Socket
 use aurora_posix::vfs::{Vnode, VnodeKind};
 use aurora_posix::{Kernel, Pid, Tid, VnodeId};
 use aurora_sim::codec::{Decoder, Encoder};
-use aurora_vm::{Inherit, ObjId, Prot};
+use aurora_vm::{Inherit, ObjId, ObjKind, Prot};
 use std::collections::VecDeque;
 
 /// The object a restored reference should have produced.
@@ -424,8 +425,9 @@ impl KindDef for FileRecord {
 }
 
 record! {
-    /// A vnode record. Regular-file content is stored as the same store
-    /// object's pages; this record holds metadata and directory entries.
+    /// A vnode record. A regular file's content object is stored as the
+    /// same store object's pages; this record holds metadata and
+    /// directory entries.
     pub struct VnodeRecord = Kind::Vnode as u16, v 1 {
         /// Inode number (the checkpoint references inodes, not paths,
         /// §5.2).
@@ -458,7 +460,7 @@ impl KindDef for VnodeRecord {
         k.charge.locks(1);
         k.charge.misses(8);
         let (size, dirents) = match &v.kind {
-            VnodeKind::Regular { data } => (data.len() as u64, Vec::new()),
+            VnodeKind::Regular { size, .. } => (*size, Vec::new()),
             VnodeKind::Directory { entries } => {
                 (0, entries.iter().map(|(name, child)| (name.clone(), child.0)).collect())
             }
@@ -473,36 +475,31 @@ impl KindDef for VnodeRecord {
         })
     }
 
-    /// Reflushes changed regular-file contents as one batched page write
-    /// per vnode.
+    /// A regular file the group persists for the first time is owed
+    /// whole: another group's flush may have cleaned its pages.
+    fn assign_oid(ctx: &mut AssignCtx<'_>, ino: u64) -> Result<Oid, SlsError> {
+        let key = KObj(Kind::Vnode, ino);
+        if let Some(oid) = ctx.oids.get(key) {
+            return Ok(oid);
+        }
+        if let VnodeKind::Regular { obj, .. } = ctx.kernel.vfs.vnode(VnodeId(ino))?.kind {
+            ctx.owed.persisted_first(&ctx.kernel.vm, obj)?;
+        }
+        Ok(ctx.oids.get_or_create(ctx.store, key)?)
+    }
+
+    /// Flushes each regular file's dirty content pages, and the ones the
+    /// group owes, under the vnode's own OID through the same path as
+    /// memory pages.
     fn flush(ctx: &mut FlushCtx<'_>) -> Result<(), SlsError> {
-        let FlushCtx {
-            kernel, store, oids, reach, vnode_hash, pages_flushed, bytes_flushed, ..
-        } = ctx;
+        let (reach, owed) = (ctx.reach, ctx.owed);
         for &v in &reach.vnodes {
-            let vn = kernel.vfs.vnode(VnodeId(v))?;
-            let VnodeKind::Regular { data } = &vn.kind else { continue };
-            let hash = aurora_sim::content_hash(data);
-            if vnode_hash.get(&VnodeId(v)) == Some(&hash) {
+            let VnodeKind::Regular { obj, .. } = ctx.kernel.vfs.vnode(VnodeId(v))?.kind else {
                 continue;
-            }
-            let oid = oids.require(KObj(Kind::Vnode, v))?;
-            // File bytes live in the vnode, not in frames; page-align them
-            // into arena frames so they enter the cache like VM pages do.
-            let mut pages: Vec<(u64, aurora_objstore::PageRef)> =
-                Vec::with_capacity(data.len().div_ceil(PAGE));
-            let mut off = 0usize;
-            while off < data.len() {
-                let mut page = [0u8; PAGE];
-                let n = (data.len() - off).min(PAGE);
-                page[..n].copy_from_slice(&data[off..off + n]);
-                pages.push(((off / PAGE) as u64, store.arena().alloc(page)));
-                off += n;
-            }
-            store.write_pages(oid, &pages)?;
-            *pages_flushed += pages.len() as u64;
-            *bytes_flushed += data.len() as u64;
-            vnode_hash.insert(VnodeId(v), hash);
+            };
+            let oid = ctx.oids.require(KObj(Kind::Vnode, v))?;
+            let dirty = ctx.kernel.vm.dirty_page_indices(obj)?;
+            flush_pages(ctx, obj, oid, &dirty, &owed.of(obj))?;
         }
         Ok(())
     }
@@ -513,20 +510,20 @@ impl KindDef for VnodeRecord {
                 entries: self.dirents.iter().map(|(n, ino)| (n.clone(), VnodeId(*ino))).collect(),
             }
         } else {
-            // The contents arrive with the restore's read plan.
-            let pages = (0..self.size.div_ceil(PAGE as u64)).collect();
-            cx.plan_pages(PageSink::Vnode(VnodeId(self.ino)), oid, pages);
-            VnodeKind::Regular { data: vec![0u8; self.size as usize] }
+            let content = ObjKind::Vnode { vnode: self.ino };
+            let obj = cx.install_object(oid, content, self.size.div_ceil(PAGE as u64))?;
+            cx.sls.kernel.vm.ref_object(obj)?; // the vnode's reference
+            VnodeKind::Regular { obj, size: self.size }
         };
         let k = &mut cx.sls.kernel;
         k.charge.allocs(2);
         k.charge.locks(1);
-        k.vfs.insert_vnode(Vnode {
+        k.insert_vnode(Vnode {
             id: VnodeId(self.ino),
             kind,
             nlink: self.nlink,
             open_refs: 0, // re-counted as descriptions reference it
-        });
+        })?;
         Ok(self.ino)
     }
 }

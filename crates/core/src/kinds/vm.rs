@@ -3,20 +3,21 @@
 //! persisted, not a flat view ("Checkpointing the VM"). Flushing batches
 //! every object's dirty pages into one charged bulk write; restoring
 //! rebuilds chains bottom-up (backer first) and pins the lineage binding
-//! to the restored branch.
+//! to the restored branch. A regular file's content object flushes
+//! through the same `flush_pages`.
 
 use super::posix::ShmSysvRecord;
-use super::{AssignCtx, FlushCtx, KindDef, PageSink, Rebuild};
+use super::{AssignCtx, FlushCtx, KindDef, Rebuild};
 use crate::checkpoint::Reach;
 use crate::error::SlsError;
 use crate::oidmap::{KObj, Kind, OidMap};
-use crate::restore::RestoreMode;
 use crate::wire::{record, wire_enum};
 use crate::{CheckpointMode, LineageBinding};
-use aurora_objstore::{Oid, PAGE};
+use aurora_objstore::{Oid, PageRef, PAGE};
 use aurora_posix::Kernel;
-use aurora_vm::{ObjId, ObjKind};
+use aurora_vm::{ObjId, ObjKind, VmError};
 use std::collections::hash_map::Entry;
+use std::collections::BTreeSet;
 
 /// Largest contiguous changed span, in bytes, a Delta-mode flush logs
 /// as a sub-page redo record; a wider diff (or a page with no resident
@@ -94,108 +95,17 @@ impl KindDef for MemRecord {
     /// Flushes the frozen objects' dirty pages. Chains are collected
     /// top-down; flush BOTTOM-UP so that when two objects of one lineage
     /// hold the same page index (a fork shadow under a system shadow),
-    /// the newer version lands last and wins in the store. Each object's
-    /// pages go out as one charged bulk write.
-    ///
-    /// In delta mode each dirty page is diffed against its parent COW
-    /// shadow's copy (the page's content at the last checkpoint): the
-    /// changed span becomes a sub-page redo record, and only when the
-    /// span exceeds `REDO_DELTA_MAX` — or no parent copy is resident —
-    /// does the page fall back to a full image. The store demotes any
-    /// delta whose base doesn't match the version it would chain on.
+    /// the newer version lands last and wins in the store.
     fn flush(ctx: &mut FlushCtx<'_>) -> Result<(), SlsError> {
-        let FlushCtx {
-            kernel,
-            store,
-            oids,
-            reach,
-            pages_flushed,
-            bytes_flushed,
-            cleaned,
-            mode,
-            lineages,
-            redo_records,
-            ..
-        } = ctx;
+        let reach = ctx.reach;
         for &obj in reach.mem_objs.iter().rev() {
-            if matches!(kernel.vm.object(obj)?.kind, ObjKind::Device { .. }) {
+            let o = ctx.kernel.vm.object(obj)?;
+            if matches!(o.kind, ObjKind::Device { .. }) {
                 continue; // device pages are re-injected at restore (§5.3)
             }
-            let lineage = kernel.vm.object(obj)?.lineage.0;
-            let oid = oids.require(KObj(Kind::Mem, lineage))?;
-            // Ascending page order: LSN assignment is a pure function of
-            // the dirty set.
-            let dirty = kernel.vm.dirty_page_indices(obj)?;
-            if dirty.is_empty() {
-                continue;
-            }
-            match mode {
-                CheckpointMode::FullPage => {
-                    // Full-page mode. Frames travel into the store by
-                    // ref: the flush copies zero page bytes on the host.
-                    let mut batch: Vec<(u64, aurora_objstore::PageRef)> =
-                        Vec::with_capacity(dirty.len());
-                    for &pi in &dirty {
-                        batch.push((pi, kernel.vm.page_ref(obj, pi)?));
-                    }
-                    store.write_pages(oid, &batch)?;
-                    *pages_flushed += batch.len() as u64;
-                    *bytes_flushed += (batch.len() * PAGE) as u64;
-                }
-                CheckpointMode::Delta => {
-                    let mut batch: Vec<aurora_objstore::RedoWrite> =
-                        Vec::with_capacity(dirty.len());
-                    for &pi in &dirty {
-                        let page = kernel.vm.page_ref(obj, pi)?;
-                        let base = kernel.vm.backer_page_ref(obj, pi)?;
-                        let delta = match &base {
-                            // Shared frame ⇒ COW never broke ⇒ the page
-                            // is byte-identical to its committed parent
-                            // copy: a zero-length record marks the page
-                            // dirty-but-unchanged at this consistency
-                            // point without rewriting any bytes.
-                            Some(base) if aurora_objstore::PageRef::ptr_eq(base, &page) => {
-                                Some((0, Vec::new()))
-                            }
-                            Some(base) => match diff_span(base.bytes(), page.bytes()) {
-                                None => Some((0, Vec::new())),
-                                Some((off, len)) if len <= REDO_DELTA_MAX => {
-                                    Some((off as u32, page.bytes()[off..off + len].to_vec()))
-                                }
-                                // Span too wide: a full image is cheaper.
-                                Some(_) => None,
-                            },
-                            None => None,
-                        };
-                        // A delta names the content it was diffed against.
-                        let base_csum = match (&delta, &base) {
-                            (Some(_), Some(base)) => aurora_sim::content_hash(base.bytes()),
-                            _ => 0,
-                        };
-                        match &delta {
-                            Some((_, p)) => {
-                                *bytes_flushed += p.len() as u64;
-                                *redo_records += 1;
-                            }
-                            None => *bytes_flushed += PAGE as u64,
-                        }
-                        batch.push(aurora_objstore::RedoWrite {
-                            pindex: pi,
-                            page,
-                            delta,
-                            base_csum,
-                        });
-                    }
-                    let pin = lineages.get(&lineage).copied();
-                    let (floor, resume) = pin.map(|b| (b.floor, b.resume)).unwrap_or((u64::MAX, 0));
-                    store.append_redo_pinned(oid, &batch, floor, resume)?;
-                    *pages_flushed += batch.len() as u64;
-                }
-            }
-            for &pi in &dirty {
-                kernel.vm.mark_clean(obj, pi)?;
-                cleaned.push((obj, pi));
-            }
+            let oid = ctx.oids.require(KObj(Kind::Mem, o.lineage.0))?;
+            let dirty = ctx.kernel.vm.dirty_page_indices(obj)?;
+            flush_pages(ctx, obj, oid, &dirty, &[])?;
         }
         Ok(())
     }
@@ -212,31 +122,11 @@ impl KindDef for MemRecord {
             (MemKind::Device, _) => ObjKind::Device { dev: 1 }, // re-injected device page (§5.3)
             _ => ObjKind::Anonymous,
         };
-        let (epoch, sls) = (cx.epoch, &mut *cx.sls);
-        sls.kernel.charge.allocs(1);
-        sls.kernel.charge.locks(1);
-        let obj = sls.kernel.vm.create_object(kind, self.size_pages);
+        cx.sls.kernel.charge.allocs(1);
+        cx.sls.kernel.charge.locks(1);
+        let obj = cx.install_object(oid, kind, self.size_pages)?;
         if let Some(b) = backer {
-            sls.kernel.vm.set_backer(obj, b)?;
-        }
-        // Bind the fresh lineage immediately so lazy faults can page in
-        // — pinned to this restore's branch: history ≤ epoch plus
-        // whatever this instance commits from now on.
-        let lineage = sls.kernel.vm.object(obj)?.lineage.0;
-        let resume = sls.store.lock().current_epoch();
-        sls.lineage_oids.lock().insert(lineage, LineageBinding { oid, floor: epoch, resume });
-        // Populate pages: a full restore queues them for its one read
-        // plan; a lazy one leaves them for the pager.
-        if self.kind != MemKind::Device {
-            let pages = sls.store.lock().pages_at(oid, epoch).unwrap_or_default();
-            match cx.mode {
-                RestoreMode::Full => cx.plan_pages(PageSink::Mem(obj), oid, pages),
-                RestoreMode::Lazy => {
-                    for pi in pages {
-                        sls.kernel.vm.mark_swapped(obj, pi)?;
-                    }
-                }
-            }
+            cx.sls.kernel.vm.set_backer(obj, b)?;
         }
         Ok(obj.0)
     }
@@ -256,6 +146,101 @@ impl KindDef for MemRecord {
         }
         Ok(())
     }
+}
+
+/// Flushes the `dirty` pages of one VM object — a memory object's or a
+/// regular file's content — and the clean ones its group `owed`, under
+/// store object `oid`, as one charged bulk write in ascending page order
+/// (LSN assignment is a pure function of the set); then marks the dirty
+/// ones clean and records them in `cleaned` so an abort can dirty them
+/// again.
+///
+/// In delta mode each dirty page is diffed against its parent COW
+/// shadow's copy (the page's content at the last checkpoint): the
+/// changed span becomes a sub-page redo record, and only when the span
+/// exceeds `REDO_DELTA_MAX` — or no parent copy is resident, as for a
+/// file's pages — does the page fall back to a full image. The store
+/// demotes any delta whose base doesn't match the version it would
+/// chain on.
+pub(super) fn flush_pages(
+    ctx: &mut FlushCtx<'_>,
+    obj: ObjId,
+    oid: Oid,
+    dirty: &[u64],
+    owed: &[u64],
+) -> Result<(), SlsError> {
+    let FlushCtx { kernel, store, pages_flushed, bytes_flushed, cleaned, mode, lineages, .. } = ctx;
+    let merged: Vec<u64>;
+    let pages = if owed.is_empty() {
+        dirty
+    } else {
+        merged = dirty.iter().chain(owed).copied().collect::<BTreeSet<u64>>().into_iter().collect();
+        &merged
+    };
+    if pages.is_empty() {
+        return Ok(());
+    }
+    let pin = lineages.get(&kernel.vm.object(obj)?.lineage.0).copied();
+    // Frames travel into the store by ref: the flush copies zero page
+    // bytes on the host. An owed page a lazy restore left in the store
+    // is read from the store object its lineage is bound to.
+    let mut frames = Vec::with_capacity(pages.len());
+    for &pi in pages {
+        frames.push(match (kernel.vm.page_ref(obj, pi), pin) {
+            (Err(VmError::NeedsPage { .. }), Some(b)) => {
+                store.read_page_pinned(b.oid, pi, b.floor, b.resume)?
+            }
+            (page, _) => page?,
+        });
+    }
+    match mode {
+        CheckpointMode::FullPage => {
+            let batch: Vec<(u64, PageRef)> = pages.iter().copied().zip(frames).collect();
+            store.write_pages(oid, &batch)?;
+            *pages_flushed += batch.len() as u64;
+            *bytes_flushed += (batch.len() * PAGE) as u64;
+        }
+        CheckpointMode::Delta => {
+            let mut batch: Vec<aurora_objstore::RedoWrite> = Vec::with_capacity(pages.len());
+            for (&pi, page) in pages.iter().zip(frames) {
+                let base = kernel.vm.backer_page_ref(obj, pi)?;
+                let delta = match &base {
+                    // Shared frame ⇒ COW never broke ⇒ the page is
+                    // byte-identical to its committed parent copy: a
+                    // zero-length record marks the page
+                    // dirty-but-unchanged at this consistency point
+                    // without rewriting any bytes.
+                    Some(base) if aurora_objstore::PageRef::ptr_eq(base, &page) => {
+                        Some((0, Vec::new()))
+                    }
+                    Some(base) => match diff_span(base.bytes(), page.bytes()) {
+                        None => Some((0, Vec::new())),
+                        Some((off, len)) if len <= REDO_DELTA_MAX => {
+                            Some((off as u32, page.bytes()[off..off + len].to_vec()))
+                        }
+                        // Span too wide: a full image is cheaper.
+                        Some(_) => None,
+                    },
+                    None => None,
+                };
+                // A delta names the content it was diffed against.
+                let base_csum = match (&delta, &base) {
+                    (Some(_), Some(base)) => aurora_sim::content_hash(base.bytes()),
+                    _ => 0,
+                };
+                *bytes_flushed += delta.as_ref().map_or(PAGE, |(_, p)| p.len()) as u64;
+                batch.push(aurora_objstore::RedoWrite { pindex: pi, page, delta, base_csum });
+            }
+            let (floor, resume) = pin.map(|b| (b.floor, b.resume)).unwrap_or((u64::MAX, 0));
+            store.append_redo_pinned(oid, &batch, floor, resume)?;
+            *pages_flushed += batch.len() as u64;
+        }
+    }
+    for &pi in dirty {
+        kernel.vm.mark_clean(obj, pi)?;
+        cleaned.push((obj, pi));
+    }
+    Ok(())
 }
 
 /// The contiguous byte span where `new` differs from `base`:

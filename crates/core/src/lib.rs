@@ -31,6 +31,7 @@ pub mod error;
 pub mod extsync;
 pub mod kinds;
 pub mod oidmap;
+mod owed;
 pub mod pipeline;
 pub mod restore;
 mod scheduler;
@@ -51,11 +52,12 @@ pub use sendrecv::{ApplyReport, DeltaStats};
 pub use aurora_frames::{FrameArena, FrameGauges, PageRef};
 
 use aurora_objstore::{ObjectStore, Oid};
-use aurora_posix::{Kernel, Pid, VnodeId};
+use aurora_posix::{Kernel, Pid};
 use aurora_sim::units::MS;
 use aurora_vm::CollapseMode;
 use oidmap::OidMap;
 use aurora_sim::sync::Mutex;
+use owed::OwedPages;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -165,10 +167,8 @@ pub(crate) struct Group {
     /// the group's quorum durable watermark (set by `aurora-cluster` as
     /// follower acks arrive).
     pub release_gate: Option<u64>,
-    /// Content fingerprints of flushed vnodes (flush only what changed).
-    pub vnode_hash: HashMap<VnodeId, u64>,
-    /// Named (user-visible) checkpoints: name → store epoch.
-    pub named: HashMap<String, u64>,
+    /// Clean file pages this group's next flush writes ([`owed`]).
+    pub owed: OwedPages,
     /// Stats of the group's most recent checkpoint (per-group gauge
     /// source).
     pub last_stats: Option<CheckpointStats>,
@@ -193,8 +193,7 @@ impl Group {
             last_checkpoint_ns: 0,
             sealed: VecDeque::new(),
             release_gate: None,
-            vnode_hash: HashMap::new(),
-            named: HashMap::new(),
+            owed: OwedPages::default(),
             last_stats: None,
             last_quiesce_width_ns: None,
             shadow_pages: None,
@@ -540,14 +539,6 @@ impl Sls {
         Ok(&self.groups.get(&gid).ok_or(SlsError::NoSuchGroup(gid))?.epochs)
     }
 
-    /// Names the group's latest checkpoint (`sls checkpoint <name>`).
-    pub fn name_checkpoint(&mut self, gid: GroupId, name: &str) -> Result<u64, SlsError> {
-        let g = self.groups.get_mut(&gid).ok_or(SlsError::NoSuchGroup(gid))?;
-        let epoch = *g.epochs.last().ok_or(SlsError::NoCheckpoint(gid))?;
-        g.named.insert(name.to_string(), epoch);
-        Ok(epoch)
-    }
-
     /// Periodic driver: checkpoints every group whose period has elapsed
     /// through [`checkpoint_all`](Sls::checkpoint_all), so the stop
     /// windows of several due groups stagger against each other's
@@ -624,7 +615,6 @@ impl Sls {
                 break;
             }
             let dropped = g.epochs.remove(0);
-            g.named.retain(|_, &mut e| e != dropped);
             let mut store = self.store.lock();
             // The group's epochs are the store's epochs in this
             // single-tenant configuration; drop the oldest store

@@ -20,10 +20,11 @@
 use crate::checkpoint::{CheckpointStats, Reach, StageFailure};
 use crate::kinds::{AssignCtx, FlushCtx, KindOps, ManifestRecord, KINDS};
 use crate::oidmap::{KObj, Kind, OidMap, MANIFEST};
+use crate::owed::OwedPages;
 use crate::wire::Record;
 use crate::{GroupId, SealedBatch, Sls, SlsError};
 use aurora_objstore::{CommitInfo, Oid};
-use aurora_posix::{Pid, VnodeId};
+use aurora_posix::Pid;
 use aurora_vm::{CollapseMode, ObjId, SpaceId};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -74,11 +75,13 @@ pub struct FlushOut {
 /// captured before the Serialize stage so an abort can restore it.
 struct Snapshot {
     oidmap: OidMap,
-    vnode_hash: HashMap<VnodeId, u64>,
     /// The pager bindings this run's Serialize inserted — an undo list,
     /// not a copy of the cross-group map: other groups' runs insert
     /// theirs in between, and an abort must not erase them.
     new_lineages: Vec<u64>,
+    /// The owed file pages this run's flush wrote: an abort owes them
+    /// again.
+    owed: OwedPages,
 }
 
 /// Where a [`GroupRun`] is in its checkpoint. The Stop phase runs the
@@ -355,11 +358,8 @@ impl GroupRun {
     /// Captures the live-world state the later stages mutate.
     fn snapshot(&self, sls: &Sls) -> Result<Snapshot, SlsError> {
         let g = sls.groups.get(&self.gid).ok_or(SlsError::NoSuchGroup(self.gid))?;
-        Ok(Snapshot {
-            oidmap: g.oidmap.clone(),
-            vnode_hash: g.vnode_hash.clone(),
-            new_lineages: Vec::new(),
-        })
+        let oidmap = g.oidmap.clone();
+        Ok(Snapshot { oidmap, new_lineages: Vec::new(), owed: OwedPages::default() })
     }
 
     /// Runs `op` up to `MAX_ATTEMPTS` times, retrying only transient
@@ -400,11 +400,12 @@ impl GroupRun {
 
     /// Rolls the live world back after a stage exhausted its retries:
     /// the group's uncommitted draft epoch is discarded (its staged
-    /// blocks freed), the group's OID map and vnode fingerprints revert
-    /// to their pre-serialize snapshot, the pager bindings its Serialize
-    /// inserted are dropped, and every page a flush attempt marked clean
-    /// is dirtied again. Other groups' in-flight drafts and bindings are
-    /// untouched. The failed checkpoint is reported via
+    /// blocks freed), the group's OID map reverts to its pre-serialize
+    /// snapshot, the pager bindings its Serialize inserted are dropped,
+    /// every page a flush attempt marked clean is dirtied again, and the
+    /// file pages it wrote because the group owed them are owed again.
+    /// Other groups' in-flight drafts and bindings are untouched. The
+    /// failed checkpoint is reported via
     /// [`CheckpointStats::failure`]; nothing of it remains visible.
     fn abort(&mut self, sls: &mut Sls, stage: &'static str, attempts: u32, cause: SlsError) {
         let trace = sls.kernel.charge.trace();
@@ -423,7 +424,7 @@ impl GroupRun {
         if let Some(snap) = self.snap.take() {
             if let Some(g) = sls.groups.get_mut(&self.gid) {
                 g.oidmap = snap.oidmap;
-                g.vnode_hash = snap.vnode_hash;
+                g.owed.extend(snap.owed);
             }
             let mut lineages = sls.lineage_oids.lock();
             for lineage in snap.new_lineages {
@@ -522,6 +523,7 @@ impl GroupRun {
                 oids: &mut g.oidmap,
                 lineages: &mut lineages,
                 new_lineages: &mut snap.new_lineages,
+                owed: &mut g.owed,
             };
             for (ops, ids) in &plan {
                 for &id in ids {
@@ -571,18 +573,8 @@ impl GroupRun {
     /// charged metadata batch, then each kind's bulk data through its
     /// flush hook, then the group manifest.
     fn flush(&mut self, sls: &mut Sls, s: &Serialized) -> Result<FlushOut, SlsError> {
-        // Only this flush's objects' bindings: never a copy of the whole
-        // cross-group map.
-        let lineages = {
-            let all = sls.lineage_oids.lock();
-            let mut mine = HashMap::with_capacity(s.reach.mem_objs.len());
-            for &obj in &s.reach.mem_objs {
-                let lineage = sls.kernel.vm.object(obj)?.lineage.0;
-                mine.extend(all.get(&lineage).map(|&b| (lineage, b)));
-            }
-            mine
-        };
         let g = sls.groups.get_mut(&self.gid).ok_or(SlsError::NoSuchGroup(self.gid))?;
+        let lineages = sls.lineage_oids.lock();
         let mut store = sls.store.lock();
         let mut out = FlushOut::default();
 
@@ -594,13 +586,12 @@ impl GroupRun {
             store: &mut store,
             oids: &g.oidmap,
             reach: &s.reach,
-            vnode_hash: &mut g.vnode_hash,
             pages_flushed: 0,
             bytes_flushed: 0,
             cleaned: Vec::new(),
             mode: sls.checkpoint_mode,
-            lineages,
-            redo_records: 0,
+            lineages: &lineages,
+            owed: &g.owed,
         };
         // No `?` inside the hook loop: pages a partial flush marked
         // clean must reach `cleaned_pages` even when a later hook fails,
@@ -614,8 +605,7 @@ impl GroupRun {
         }
         out.pages_flushed += ctx.pages_flushed;
         out.bytes_flushed += ctx.bytes_flushed;
-        let cleaned = ctx.cleaned;
-        self.cleaned_pages.extend(cleaned);
+        self.cleaned_pages.extend(ctx.cleaned);
         hook_res?;
 
         // The manifest, every checkpoint (the tree may have changed).
@@ -634,6 +624,12 @@ impl GroupRun {
         };
         store.create_object(g.manifest, aurora_objstore::ObjectKind::Posix(MANIFEST))?;
         store.set_meta(g.manifest, &manifest.to_bytes())?;
+        // Written: the other groups owe the file pages this run cleaned,
+        // and the run holds the pages this group owed until it commits.
+        let owed = std::mem::take(&mut g.owed);
+        drop((store, lineages));
+        sls.owe_cleaned(self.gid, &self.cleaned_pages);
+        self.snap.as_mut().expect("snapshot taken before Serialize").owed.extend(owed);
         Ok(out)
     }
 

@@ -13,6 +13,7 @@ use crate::oidmap::{Kind, MANIFEST};
 use crate::{GroupId, Sls, SlsError, SlsOptions};
 use aurora_objstore::{ObjectKind, Oid, View};
 use aurora_posix::Pid;
+use aurora_vm::ObjId;
 
 /// How to bring memory back (§6, "lazy restores").
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -70,8 +71,9 @@ impl Sls {
     /// overlaid with its content as of the target LSN (one read plan
     /// under [`View::Lsn`], chain replay in the store) and left dirty,
     /// so the branch's next checkpoint re-commits the overlay. The
-    /// object namespace (and object sizes) resolve at base-epoch
-    /// granularity; page *content* resolves at record granularity.
+    /// object namespace (and object and file sizes) resolve at
+    /// base-epoch granularity; page *content* — memory and file pages
+    /// alike — resolves at record granularity.
     ///
     /// [`epoch_for_lsn`]: aurora_objstore::ObjectStore::epoch_for_lsn
     pub fn restore_at(
@@ -129,18 +131,18 @@ impl Sls {
         // Every record is installed: read the pages they queued as one
         // plan, all issued together.
         cx.read_planned()?;
-        let Rebuild { ids, mut pages_read, pid_ns, new_pids, .. } = cx;
+        let Rebuild { ids, mut pages_read, pid_ns, new_pids, objects, .. } = cx;
 
-        // Point-in-time roll-forward: overlay every restored page that
-        // changed after the base epoch with its content as of the target
-        // LSN — one more plan, chain replay in the store — left dirty so
-        // the branch's next checkpoint re-commits it.
+        // Point-in-time roll-forward: overlay every restored page — of a
+        // memory object or a file's content — that changed after the
+        // base epoch with its content as of the target LSN — one more
+        // plan, chain replay in the store — left dirty so the branch's
+        // next checkpoint re-commits it.
         if let Some(lsn) = overlay {
             let changed = self.store.lock().modified_since(epoch);
             let mut wants: Vec<(Oid, u64)> = Vec::new();
-            let mut dests: Vec<aurora_vm::ObjId> = Vec::new();
-            for (&(_, oid), &id) in ids.iter().filter(|((kind, _), _)| *kind == Kind::Mem) {
-                let obj = aurora_vm::ObjId(id);
+            let mut dests: Vec<ObjId> = Vec::new();
+            for &(oid, obj) in &objects {
                 let size_pages = self.kernel.vm.object(obj)?.size_pages;
                 // `changed` is sorted by oid: this object's pages are one run.
                 let from = changed.partition_point(|&(o, _)| o < oid);
@@ -172,13 +174,12 @@ impl Sls {
             }
         }
 
-        // Each memory object was created holding one reference for the
-        // restore; its mappings, shadows and shm segments took their own.
-        // Drop the restore's, so the objects die with their last user.
-        for (&(kind, _), &id) in &ids {
-            if kind == Kind::Mem {
-                self.kernel.vm.unref_object(aurora_vm::ObjId(id))?;
-            }
+        // Each VM object was created holding one reference for the
+        // restore; its mappings, shadows, shm segments and vnode took
+        // their own. Drop the restore's, so the objects die with their
+        // last user.
+        for &(_, obj) in &objects {
+            self.kernel.vm.unref_object(obj)?;
         }
 
         // Register the restored group so subsequent checkpoints continue
@@ -206,6 +207,9 @@ impl Sls {
         group.epochs = vec![epoch];
         group.last_checkpoint_ns = clock.now();
         let gid = group.id;
+        // The namespace is shared: the restored group and every other
+        // live one owe the file pages this restore changed under them.
+        self.owe_restored(epoch, &objects)?;
 
         Ok(RestoreReport {
             group: gid,

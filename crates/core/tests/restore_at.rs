@@ -296,3 +296,44 @@ fn a_corrupt_record_fails_the_whole_restore_and_registers_no_group() {
         assert!(w.sls.groups().is_empty(), "a failed restore registers no group");
     }
 }
+
+/// `restore_at` rolls file content forward like memory: a file page and
+/// two memory pages change in one epoch; restoring at the LSN after the
+/// file's record and before the last memory record brings the file's
+/// new content and only the first memory page's.
+#[test]
+fn restore_at_rolls_file_pages_forward_too() {
+    let mut w = World::quickstart();
+    let pid = w.spawn_counter_app();
+    let addr = {
+        let space = w.sls.kernel.proc(pid).unwrap().space;
+        w.sls.kernel.vm.entries(space).unwrap()[0].start
+    };
+    let k = &mut w.sls.kernel;
+    let fd = k.open(pid, "/log", aurora_posix::file::OpenFlags::RDWR, true).unwrap();
+    k.write(pid, fd, b"old file").unwrap();
+    k.mem_write(pid, addr + PAGE_SIZE as u64, b"old page 1").unwrap();
+    let gid = w.sls.attach(pid, SlsOptions::default()).unwrap();
+    w.sls.sls_checkpoint(gid).unwrap();
+
+    // Epoch N+1: the file record comes first (vnodes flush before
+    // memory), then one record per memory page in page order.
+    let k = &mut w.sls.kernel;
+    k.lseek(pid, fd, 0).unwrap();
+    k.write(pid, fd, b"new file").unwrap();
+    k.mem_write(pid, addr, b"new page 0").unwrap();
+    k.mem_write(pid, addr + PAGE_SIZE as u64, b"new page 1").unwrap();
+    let cp = w.sls.sls_checkpoint(gid).unwrap();
+    w.sls.sls_barrier(gid).unwrap();
+    let lsn = w.sls.store().lock().epoch_cpl(cp.epoch).unwrap() - 1;
+
+    let r = w.sls.sls_restore_at(gid, lsn, RestoreMode::Full).unwrap();
+    let (k, p) = (&mut w.sls.kernel, r.pids[0]);
+    k.lseek(p, fd, 0).unwrap();
+    assert_eq!(k.read(p, fd, 8).unwrap(), b"new file", "the file rolled forward");
+    let mut page = [0u8; 10];
+    k.mem_read(p, addr, &mut page).unwrap();
+    assert_eq!(&page, b"new page 0");
+    k.mem_read(p, addr + PAGE_SIZE as u64, &mut page).unwrap();
+    assert_eq!(&page, b"old page 1", "the target LSN is inside the epoch");
+}

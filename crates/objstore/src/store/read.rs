@@ -81,6 +81,13 @@ impl ObjectStore {
         Ok(self.locate(oid, pindex, View::Epoch(epoch))?.epoch)
     }
 
+    /// The checksum of a page's content as of `epoch`: two versions —
+    /// of one store object or of two — with different checksums hold
+    /// different bytes.
+    pub fn page_csum(&self, oid: Oid, pindex: u64, epoch: u64) -> Result<u64> {
+        Ok(self.locate(oid, pindex, View::Epoch(epoch))?.csum)
+    }
+
     /// Reads one page as of `epoch`: a one-page [read plan](Self::read_pages).
     pub fn read_page(&mut self, oid: Oid, pindex: u64, epoch: u64) -> Result<PageRef> {
         self.check_epoch(epoch)?;

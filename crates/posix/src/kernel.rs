@@ -12,7 +12,7 @@ use crate::pty::Pty;
 use crate::shm::{PosixShm, ShmRegistry, SysvShm};
 use crate::socket::{Domain, InetAddr, Message, SockType, Socket, TcpState};
 use crate::table::Table;
-use crate::vfs::Vfs;
+use crate::vfs::{Vfs, Vnode, VnodeKind};
 use aurora_sim::cost::Charge;
 use aurora_sim::{Clock, CostModel};
 use aurora_vm::{Inherit, ObjId, ObjKind, PageData, Prot, Vm, VmError};
@@ -283,13 +283,24 @@ impl Kernel {
     // Memory
     // ------------------------------------------------------------------
 
-    fn page_in(&mut self, obj: ObjId, pindex: u64) -> Result<()> {
-        let lineage = self.vm.object(obj)?.lineage.0;
-        let pager = self.pager.as_mut().ok_or(KError::Vm(VmError::NeedsPage { obj, pindex }))?;
-        let data =
-            pager.page_in(lineage, pindex)?.ok_or(KError::Vm(VmError::NeedsPage { obj, pindex }))?;
-        self.vm.install_page(obj, pindex, data, false)?;
-        Ok(())
+    /// Runs a VM access, paging every swapped page it needs in from the
+    /// store and retrying, until it succeeds or fails otherwise.
+    fn paging<T>(
+        &mut self,
+        mut access: impl FnMut(&mut Vm) -> std::result::Result<T, VmError>,
+    ) -> Result<T> {
+        loop {
+            match access(&mut self.vm) {
+                Err(VmError::NeedsPage { obj, pindex }) => {
+                    let needs = KError::Vm(VmError::NeedsPage { obj, pindex });
+                    let lineage = self.vm.object(obj)?.lineage.0;
+                    let pager = self.pager.as_mut().ok_or(needs)?;
+                    let data = pager.page_in(lineage, pindex)?.ok_or(needs)?;
+                    self.vm.install_page(obj, pindex, data, false)?;
+                }
+                done => return Ok(done?),
+            }
+        }
     }
 
     /// Maps `pages` of fresh anonymous memory into `pid`'s space.
@@ -327,13 +338,7 @@ impl Kernel {
     pub fn mem_write(&mut self, pid: Pid, addr: u64, data: &[u8]) -> Result<()> {
         let space = self.proc(pid)?.space;
         let before = self.vm.stats;
-        loop {
-            match self.vm.write(space, addr, data) {
-                Ok(()) => break,
-                Err(VmError::NeedsPage { obj, pindex }) => self.page_in(obj, pindex)?,
-                Err(e) => return Err(e.into()),
-            }
-        }
+        self.paging(|vm| vm.write(space, addr, data))?;
         self.charge_vm_delta(before);
         Ok(())
     }
@@ -342,13 +347,7 @@ impl Kernel {
     pub fn mem_read(&mut self, pid: Pid, addr: u64, buf: &mut [u8]) -> Result<()> {
         let space = self.proc(pid)?.space;
         let before = self.vm.stats;
-        loop {
-            match self.vm.read(space, addr, buf) {
-                Ok(()) => break,
-                Err(VmError::NeedsPage { obj, pindex }) => self.page_in(obj, pindex)?,
-                Err(e) => return Err(e.into()),
-            }
-        }
+        self.paging(|vm| vm.read(space, addr, buf))?;
         self.charge_vm_delta(before);
         Ok(())
     }
@@ -357,13 +356,7 @@ impl Kernel {
     pub fn mem_touch(&mut self, pid: Pid, addr: u64, len: u64) -> Result<()> {
         let space = self.proc(pid)?.space;
         let before = self.vm.stats;
-        loop {
-            match self.vm.touch(space, addr, len) {
-                Ok(()) => break,
-                Err(VmError::NeedsPage { obj, pindex }) => self.page_in(obj, pindex)?,
-                Err(e) => return Err(e.into()),
-            }
-        }
+        self.paging(|vm| vm.touch(space, addr, len))?;
         self.charge_vm_delta(before);
         Ok(())
     }
@@ -390,7 +383,10 @@ impl Kernel {
         let kind = file.kind;
         self.files.remove(id);
         match kind {
-            FileKind::Vnode(v) => self.vfs.open_unref(v)?,
+            FileKind::Vnode(v) => {
+                let gone = self.vfs.open_unref(v)?;
+                self.drop_content(gone)?;
+            }
             FileKind::Pipe { pipe, end } => {
                 if let Ok(p) = self.pipes.get_mut(pipe) {
                     match end {
@@ -451,7 +447,10 @@ impl Kernel {
         self.syscall_cost();
         let v = match self.vfs.lookup_path(path) {
             Ok(v) => v,
-            Err(KError::Noent) if create => self.vfs.create_file(path)?,
+            Err(KError::Noent) if create => {
+                let vm = &mut self.vm;
+                self.vfs.create_file(path, |v| vm.create_object(ObjKind::Vnode { vnode: v.0 }, 0))?
+            }
             Err(e) => return Err(e),
         };
         self.vfs.open_ref(v)?;
@@ -469,7 +468,9 @@ impl Kernel {
         }
         match kind {
             FileKind::Vnode(v) => {
-                let data = self.vfs.read_at(v, offset, len)?;
+                let (obj, size) = self.vfs.regular(v)?;
+                let mut data = vec![0u8; len.min(size.saturating_sub(offset) as usize)];
+                self.paging(|vm| vm.object_read(obj, offset, &mut data))?;
                 self.charge.memcpy(data.len() as u64);
                 self.files.get_mut(fid)?.offset += data.len() as u64;
                 Ok(data)
@@ -498,11 +499,16 @@ impl Kernel {
         }
         match kind {
             FileKind::Vnode(v) => {
-                let at = if flags.append { self.vfs.size(v)? } else { offset };
-                let n = self.vfs.write_at(v, at, data)?;
-                self.charge.memcpy(n as u64);
-                self.files.get_mut(fid)?.offset = at + n as u64;
-                Ok(n)
+                let (obj, size) = self.vfs.regular(v)?;
+                let at = if flags.append { size } else { offset };
+                self.paging(|vm| vm.object_write(obj, at, data))?;
+                let end = at + data.len() as u64;
+                if let VnodeKind::Regular { size, .. } = &mut self.vfs.vnode_mut(v)?.kind {
+                    *size = (*size).max(end);
+                }
+                self.charge.memcpy(data.len() as u64);
+                self.files.get_mut(fid)?.offset = end;
+                Ok(data.len())
             }
             FileKind::Pipe { pipe, end: PipeEnd::Write } => {
                 let p = self.pipes.get_mut(pipe)?;
@@ -528,7 +534,24 @@ impl Kernel {
     /// Removes a path (`unlink`). The vnode survives while open (§5.2).
     pub fn unlink(&mut self, _pid: Pid, path: &str) -> Result<()> {
         self.syscall_cost();
-        self.vfs.unlink(path)
+        let gone = self.vfs.unlink(path)?;
+        self.drop_content(gone)
+    }
+
+    /// Inserts a vnode with a specific id (restore path); the content
+    /// object of the vnode it replaces goes with it.
+    pub fn insert_vnode(&mut self, vnode: Vnode) -> Result<()> {
+        let gone = self.vfs.insert_vnode(vnode);
+        self.drop_content(gone)
+    }
+
+    /// Drops a vnode's reference to its content object once the vnode
+    /// itself is gone.
+    fn drop_content(&mut self, gone: Option<Vnode>) -> Result<()> {
+        if let Some(Vnode { kind: VnodeKind::Regular { obj, .. }, .. }) = gone {
+            self.vm.unref_object(obj)?;
+        }
+        Ok(())
     }
 
     /// Creates a pipe; returns (read fd, write fd).
@@ -971,6 +994,39 @@ mod tests {
             panic!("not a pty")
         };
         assert_eq!(pty, 1, "pts numbers are not reused");
+    }
+
+    #[test]
+    fn read_write_grow() {
+        let mut k = Kernel::boot();
+        let p = k.spawn("a");
+        let fd = k.open(p, "/f", OpenFlags::RDWR, true).unwrap();
+        k.lseek(p, fd, 4).unwrap();
+        k.write(p, fd, b"data").unwrap();
+        let v = k.vfs.lookup_path("/f").unwrap();
+        assert_eq!(k.vfs.regular(v).unwrap().1, 8);
+        k.lseek(p, fd, 0).unwrap();
+        assert_eq!(k.read(p, fd, 8).unwrap(), b"\0\0\0\0data");
+        k.lseek(p, fd, 100).unwrap();
+        assert_eq!(k.read(p, fd, 4).unwrap(), b"", "read past EOF is empty");
+    }
+
+    #[test]
+    fn anonymous_file_survives_unlink_while_open() {
+        let mut k = Kernel::boot();
+        let p = k.spawn("a");
+        let objects = k.vm.object_count();
+        let fd = k.open(p, "/anon", OpenFlags::RDWR, true).unwrap();
+        k.unlink(p, "/anon").unwrap();
+        assert_eq!(k.vfs.lookup_path("/anon"), Err(KError::Noent));
+        // Still readable through the open reference.
+        k.write(p, fd, b"still here").unwrap();
+        k.lseek(p, fd, 0).unwrap();
+        assert_eq!(k.read(p, fd, 10).unwrap(), b"still here");
+        // Last close reclaims the vnode and its content object.
+        k.close(p, fd).unwrap();
+        assert_eq!(k.vfs.vnode_ids(), [crate::vfs::ROOT]);
+        assert_eq!(k.vm.object_count(), objects);
     }
 
     #[test]

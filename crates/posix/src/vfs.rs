@@ -4,8 +4,14 @@
 //! but still-open ("anonymous") file survives until its last close. The
 //! Aurora file system additionally persists such files across crashes via
 //! a hidden link count (§5.2); the serializer reads `open_refs` from here.
+//!
+//! A regular file's content is a VM object (the unified page cache): the
+//! vnode holds one reference to it, and the kernel reads and writes it
+//! through the object's pages, so files checkpoint, restore and fault in
+//! exactly like memory.
 
 use crate::error::{KError, Result};
+use aurora_vm::ObjId;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
@@ -16,10 +22,12 @@ pub struct VnodeId(pub u64);
 /// Vnode type.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum VnodeKind {
-    /// Regular file with contents.
+    /// Regular file: its content object and its size.
     Regular {
-        /// File contents.
-        data: Vec<u8>,
+        /// The VM object holding the content's pages.
+        obj: ObjId,
+        /// File size in bytes.
+        size: u64,
     },
     /// Directory with named entries.
     Directory {
@@ -91,10 +99,11 @@ impl Vfs {
         self.vnodes.get_mut(&id).ok_or(KError::Noent)
     }
 
-    /// Inserts a vnode with a specific id (restore path).
-    pub fn insert_vnode(&mut self, vnode: Vnode) {
+    /// Inserts a vnode with a specific id (restore path); returns the
+    /// vnode it replaced.
+    pub(crate) fn insert_vnode(&mut self, vnode: Vnode) -> Option<Vnode> {
         self.next = self.next.max(vnode.id.0 + 1);
-        self.vnodes.insert(vnode.id, vnode);
+        self.vnodes.insert(vnode.id, vnode)
     }
 
     /// All vnode ids (serializer).
@@ -138,17 +147,27 @@ impl Vfs {
         Ok((if dir.is_empty() { "/" } else { dir }, name))
     }
 
-    /// Creates a regular file at an absolute path.
-    pub(crate) fn create_file(&mut self, path: &str) -> Result<VnodeId> {
-        self.create(path, VnodeKind::Regular { data: Vec::new() }, 1)
+    /// Creates an empty regular file at an absolute path; `content`
+    /// makes its content object for the new vnode.
+    pub(crate) fn create_file(
+        &mut self,
+        path: &str,
+        content: impl FnOnce(VnodeId) -> ObjId,
+    ) -> Result<VnodeId> {
+        self.create(path, |v| VnodeKind::Regular { obj: content(v), size: 0 }, 1)
     }
 
     /// Creates a directory at an absolute path.
     pub fn mkdir(&mut self, path: &str) -> Result<VnodeId> {
-        self.create(path, VnodeKind::Directory { entries: BTreeMap::new() }, 2)
+        self.create(path, |_| VnodeKind::Directory { entries: BTreeMap::new() }, 2)
     }
 
-    fn create(&mut self, path: &str, kind: VnodeKind, nlink: u32) -> Result<VnodeId> {
+    fn create(
+        &mut self,
+        path: &str,
+        kind: impl FnOnce(VnodeId) -> VnodeKind,
+        nlink: u32,
+    ) -> Result<VnodeId> {
         let (dirpath, name) = Self::split_path(path)?;
         let dir = self.lookup_path(dirpath)?;
         let d = self.vnodes.get_mut(&dir).ok_or(KError::Noent)?;
@@ -161,14 +180,15 @@ impl Vfs {
         let v = VnodeId(self.next);
         self.next += 1;
         slot.insert(v);
-        self.vnodes.insert(v, Vnode { id: v, kind, nlink, open_refs: 0 });
+        self.vnodes.insert(v, Vnode { id: v, kind: kind(v), nlink, open_refs: 0 });
         self.namecache.insert((dir, name.to_string()), v);
         Ok(v)
     }
 
     /// Unlinks a path. The vnode survives while it has links or open
-    /// references (the "anonymous file" case of §5.2).
-    pub(crate) fn unlink(&mut self, path: &str) -> Result<()> {
+    /// references (the "anonymous file" case of §5.2); returns it if it
+    /// did not.
+    pub(crate) fn unlink(&mut self, path: &str) -> Result<Option<Vnode>> {
         let (dirpath, name) = Self::split_path(path)?;
         let dir = self.lookup_path(dirpath)?;
         let d = self.vnodes.get_mut(&dir).ok_or(KError::Noent)?;
@@ -179,8 +199,7 @@ impl Vfs {
         self.namecache.remove(&(dir, name.to_string()));
         let vn = self.vnodes.get_mut(&v).ok_or(KError::Noent)?;
         vn.nlink = vn.nlink.saturating_sub(1);
-        self.maybe_reclaim(v);
-        Ok(())
+        Ok(self.maybe_reclaim(v))
     }
 
     /// Adds an open reference (an open-file description now points here).
@@ -189,48 +208,26 @@ impl Vfs {
         Ok(())
     }
 
-    /// Drops an open reference, reclaiming the vnode if fully dead.
-    pub(crate) fn open_unref(&mut self, v: VnodeId) -> Result<()> {
+    /// Drops an open reference; returns the vnode if that reclaimed it.
+    pub(crate) fn open_unref(&mut self, v: VnodeId) -> Result<Option<Vnode>> {
         let vn = self.vnodes.get_mut(&v).ok_or(KError::Noent)?;
         vn.open_refs = vn.open_refs.saturating_sub(1);
-        self.maybe_reclaim(v);
-        Ok(())
+        Ok(self.maybe_reclaim(v))
     }
 
-    fn maybe_reclaim(&mut self, v: VnodeId) {
-        if let Some(vn) = self.vnodes.get(&v) {
-            if vn.nlink == 0 && vn.open_refs == 0 {
-                self.vnodes.remove(&v);
-            }
+    fn maybe_reclaim(&mut self, v: VnodeId) -> Option<Vnode> {
+        let vn = self.vnodes.get(&v)?;
+        if vn.nlink == 0 && vn.open_refs == 0 {
+            self.vnodes.remove(&v)
+        } else {
+            None
         }
     }
 
-    /// Reads from a regular file at `offset`.
-    pub(crate) fn read_at(&self, v: VnodeId, offset: u64, len: usize) -> Result<Vec<u8>> {
-        let vn = self.vnode(v)?;
-        let VnodeKind::Regular { data } = &vn.kind else { return Err(KError::Isdir) };
-        let start = (offset as usize).min(data.len());
-        let end = (start + len).min(data.len());
-        Ok(data[start..end].to_vec())
-    }
-
-    /// Writes to a regular file at `offset`, growing it as needed.
-    pub(crate) fn write_at(&mut self, v: VnodeId, offset: u64, buf: &[u8]) -> Result<usize> {
-        let vn = self.vnode_mut(v)?;
-        let VnodeKind::Regular { data } = &mut vn.kind else { return Err(KError::Isdir) };
-        let start = offset as usize;
-        if data.len() < start + buf.len() {
-            data.resize(start + buf.len(), 0);
-        }
-        data[start..start + buf.len()].copy_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    /// Size of a regular file.
-    pub(crate) fn size(&self, v: VnodeId) -> Result<u64> {
-        let vn = self.vnode(v)?;
-        match &vn.kind {
-            VnodeKind::Regular { data } => Ok(data.len() as u64),
+    /// A regular file's content object and size.
+    pub fn regular(&self, v: VnodeId) -> Result<(ObjId, u64)> {
+        match self.vnode(v)?.kind {
+            VnodeKind::Regular { obj, size } => Ok((obj, size)),
             VnodeKind::Directory { .. } => Err(KError::Isdir),
         }
     }
@@ -244,46 +241,21 @@ mod tests {
     fn create_lookup_roundtrip() {
         let mut fs = Vfs::new();
         fs.mkdir("/tmp").unwrap();
-        let v = fs.create_file("/tmp/a.txt").unwrap();
+        let v = fs.create_file("/tmp/a.txt", |_| ObjId(0)).unwrap();
         assert_eq!(fs.lookup_path("/tmp/a.txt").unwrap(), v);
     }
 
     #[test]
     fn duplicate_create_fails() {
         let mut fs = Vfs::new();
-        fs.create_file("/x").unwrap();
-        assert_eq!(fs.create_file("/x"), Err(KError::Exist));
-    }
-
-    #[test]
-    fn read_write_grow() {
-        let mut fs = Vfs::new();
-        let v = fs.create_file("/f").unwrap();
-        fs.write_at(v, 4, b"data").unwrap();
-        assert_eq!(fs.size(v).unwrap(), 8);
-        assert_eq!(fs.read_at(v, 0, 8).unwrap(), b"\0\0\0\0data");
-        assert_eq!(fs.read_at(v, 100, 4).unwrap(), b"", "read past EOF is empty");
-    }
-
-    #[test]
-    fn anonymous_file_survives_unlink_while_open() {
-        let mut fs = Vfs::new();
-        let v = fs.create_file("/anon").unwrap();
-        fs.open_ref(v).unwrap();
-        fs.unlink("/anon").unwrap();
-        assert_eq!(fs.lookup_path("/anon"), Err(KError::Noent));
-        // Still readable through the open reference.
-        fs.write_at(v, 0, b"still here").unwrap();
-        assert_eq!(fs.read_at(v, 0, 10).unwrap(), b"still here");
-        // Last close reclaims it.
-        fs.open_unref(v).unwrap();
-        assert_eq!(fs.read_at(v, 0, 1), Err(KError::Noent));
+        fs.create_file("/x", |_| ObjId(0)).unwrap();
+        assert_eq!(fs.create_file("/x", |_| ObjId(0)), Err(KError::Exist));
     }
 
     #[test]
     fn namecache_hits_after_first_lookup() {
         let mut fs = Vfs::new();
-        fs.create_file("/hot").unwrap();
+        fs.create_file("/hot", |_| ObjId(0)).unwrap();
         fs.lookup_path("/hot").unwrap();
         let h0 = fs.cache_hits;
         fs.lookup_path("/hot").unwrap();
@@ -293,7 +265,7 @@ mod tests {
     #[test]
     fn unlink_invalidates_namecache() {
         let mut fs = Vfs::new();
-        fs.create_file("/gone").unwrap();
+        fs.create_file("/gone", |_| ObjId(0)).unwrap();
         fs.lookup_path("/gone").unwrap();
         fs.unlink("/gone").unwrap();
         assert_eq!(fs.lookup_path("/gone"), Err(KError::Noent));
@@ -304,7 +276,7 @@ mod tests {
         let mut fs = Vfs::new();
         fs.mkdir("/a").unwrap();
         fs.mkdir("/a/b").unwrap();
-        let v = fs.create_file("/a/b/c").unwrap();
+        let v = fs.create_file("/a/b/c", |_| ObjId(0)).unwrap();
         assert_eq!(fs.lookup_path("/a/b/c").unwrap(), v);
         assert_eq!(fs.lookup_path("/a/x"), Err(KError::Noent));
     }

@@ -10,8 +10,6 @@
 //! * [`cost::CostModel`] — calibrated per-primitive costs (lock acquire,
 //!   cache-missing pointer chase, PTE update, TLB shootdown IPI, page
 //!   copy, …) with the paper-derived calibration documented in one place.
-//! * [`des`] — a small discrete-event engine used by the client/server
-//!   experiment harnesses (Memcached, RocksDB).
 //! * [`net`] — the latency/bandwidth/loss message fabric connecting
 //!   simulated nodes in multi-node (cluster) experiments.
 //! * [`stats`] — mean / standard deviation over repeated runs.
@@ -26,7 +24,6 @@
 pub mod clock;
 pub mod codec;
 pub mod cost;
-pub mod des;
 pub mod dist;
 pub mod hash;
 pub mod net;

@@ -8,9 +8,26 @@
 //! (or that it never does); the caller owns the event queue that
 //! delivers it.
 
-use crate::des::Fifo;
 use crate::rng::{DetRng, Rng};
 use std::collections::HashMap;
+
+/// A single FIFO server: a sender's NIC serializing one message at a
+/// time.
+#[derive(Clone, Debug, Default)]
+struct Fifo {
+    next_free: u64,
+}
+
+impl Fifo {
+    /// Serves work arriving at `arrival` taking `service_ns`; returns
+    /// `(start, completion)`.
+    fn serve(&mut self, arrival: u64, service_ns: u64) -> (u64, u64) {
+        let start = arrival.max(self.next_free);
+        let done = start + service_ns;
+        self.next_free = done;
+        (start, done)
+    }
+}
 
 /// Link parameters shared by every node pair in a [`Fabric`].
 #[derive(Clone, Copy, Debug)]
@@ -90,6 +107,14 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fifo_queues_back_to_back() {
+        let mut f = Fifo::default();
+        assert_eq!(f.serve(0, 10), (0, 10));
+        assert_eq!(f.serve(5, 10), (10, 20)); // waits for the first
+        assert_eq!(f.serve(100, 10), (100, 110)); // idle gap
+    }
 
     #[test]
     fn latency_and_bandwidth_add() {

@@ -1,6 +1,6 @@
 //! `aurora-trace` — the deterministic tracing and metrics substrate.
 //!
-//! Every layer of the Aurora reproduction (DES dispatch, device I/O,
+//! Every layer of the Aurora reproduction (cost charges, device I/O,
 //! object-store epochs, VM faults, POSIX quiesce, the checkpoint
 //! pipeline, external synchrony) reports what it does through a shared
 //! [`Trace`] handle. Three properties make it fit a simulated OS:

@@ -1,4 +1,5 @@
-//! The page-fault handler, and byte-level access through it.
+//! The page-fault handler, and byte-level access through it (and
+//! through an object's own pages, for files).
 //!
 //! Faults resolve a virtual page against the entry's shadow chain: the
 //! handler searches the top object first and falls through to backers
@@ -160,13 +161,41 @@ impl Vm {
 
     /// Reads `buf.len()` bytes at `addr`, faulting pages as needed.
     pub fn read(&mut self, space: SpaceId, addr: u64, buf: &mut [u8]) -> Result<(), VmError> {
+        self.copy_out(addr, buf, |vm, vpn| vm.resolve_fault(space, vpn, false))
+    }
+
+    /// Writes `data` at `addr`, faulting/COW-breaking pages as needed.
+    pub fn write(&mut self, space: SpaceId, addr: u64, data: &[u8]) -> Result<(), VmError> {
+        self.copy_in(addr, data, |vm, vpn| vm.resolve_fault(space, vpn, true))
+    }
+
+    /// Reads `buf.len()` bytes at byte `offset` of `obj`'s own pages —
+    /// the file read path: no address space, no shadow chain.
+    pub fn object_read(&mut self, obj: ObjId, offset: u64, buf: &mut [u8]) -> Result<(), VmError> {
+        self.copy_out(offset, buf, |vm, pindex| vm.object_page(obj, pindex, false))
+    }
+
+    /// Writes `data` at byte `offset` of `obj`'s own pages, growing the
+    /// object to cover it — the file write path. A page the store's
+    /// cache shares breaks COW on its first byte, as mapped memory does.
+    pub fn object_write(&mut self, obj: ObjId, offset: u64, data: &[u8]) -> Result<(), VmError> {
+        self.copy_in(offset, data, |vm, pindex| vm.object_page(obj, pindex, true))
+    }
+
+    /// The read loop every byte access shares: `frame_of` resolves each
+    /// page number the range touches to a resident frame.
+    fn copy_out(
+        &mut self,
+        at: u64,
+        buf: &mut [u8],
+        mut frame_of: impl FnMut(&mut Vm, u64) -> Result<FrameId, VmError>,
+    ) -> Result<(), VmError> {
         let mut done = 0usize;
         while done < buf.len() {
-            let cur = addr + done as u64;
-            let vpn = cur / PAGE_SIZE as u64;
+            let cur = at + done as u64;
             let off = (cur % PAGE_SIZE as u64) as usize;
             let chunk = (PAGE_SIZE - off).min(buf.len() - done);
-            let frame = self.resolve_fault(space, vpn, false)?;
+            let frame = frame_of(self, cur / PAGE_SIZE as u64)?;
             let data = self.frames.get(&frame).expect("resident frame");
             buf[done..done + chunk].copy_from_slice(&data[off..off + chunk]);
             done += chunk;
@@ -174,21 +203,50 @@ impl Vm {
         Ok(())
     }
 
-    /// Writes `data` at `addr`, faulting/COW-breaking pages as needed.
-    pub fn write(&mut self, space: SpaceId, addr: u64, data: &[u8]) -> Result<(), VmError> {
+    /// The write loop every byte access shares; see [`Vm::copy_out`].
+    fn copy_in(
+        &mut self,
+        at: u64,
+        data: &[u8],
+        mut frame_of: impl FnMut(&mut Vm, u64) -> Result<FrameId, VmError>,
+    ) -> Result<(), VmError> {
         let mut done = 0usize;
         while done < data.len() {
-            let cur = addr + done as u64;
-            let vpn = cur / PAGE_SIZE as u64;
+            let cur = at + done as u64;
             let off = (cur % PAGE_SIZE as u64) as usize;
             let chunk = (PAGE_SIZE - off).min(data.len() - done);
-            let frame = self.resolve_fault(space, vpn, true)?;
+            let frame = frame_of(self, cur / PAGE_SIZE as u64)?;
             let page =
                 self.arena.make_mut(self.frames.get_mut(&frame).expect("resident frame"));
             page[off..off + chunk].copy_from_slice(&data[done..done + chunk]);
             done += chunk;
         }
         Ok(())
+    }
+
+    /// Resolves page `pindex` of `obj` itself for a byte access. A write
+    /// dirties the page; a missing page zero-fills dirty, like a fault
+    /// past the end of a shadow chain (a write past the object's end
+    /// grows it first); a swapped one raises [`VmError::NeedsPage`].
+    fn object_page(&mut self, obj: ObjId, pindex: u64, write: bool) -> Result<FrameId, VmError> {
+        let o = self.objects.get_mut(&obj).ok_or(VmError::NoSuchObject(obj))?;
+        match o.pages.get_mut(&pindex) {
+            Some(PageSlot::Resident { frame, dirty }) => {
+                *dirty |= write;
+                return Ok(*frame);
+            }
+            Some(PageSlot::Swapped) => return Err(VmError::NeedsPage { obj, pindex }),
+            None if write => o.size_pages = o.size_pages.max(pindex + 1),
+            None if pindex >= o.size_pages => {
+                return Err(VmError::BadRange(pindex * PAGE_SIZE as u64))
+            }
+            None => {}
+        }
+        let frame = self.alloc_frame(self.arena.zero());
+        let o = self.objects.get_mut(&obj).expect("checked above");
+        o.pages.insert(pindex, PageSlot::Resident { frame, dirty: true });
+        self.stats.zero_fills += 1;
+        Ok(frame)
     }
 
     /// Touches (write-faults) every page in `[addr, addr+len)` without
@@ -242,6 +300,29 @@ mod tests {
         let mut buf = vec![0u8; data.len()];
         vm.read(s, a, &mut buf).unwrap();
         assert_eq!(buf, data);
+    }
+
+    #[test]
+    fn object_writes_grow_the_object_and_break_cow_on_shared_frames() {
+        let mut vm = Vm::new();
+        let o = vm.create_object(crate::object::ObjKind::Vnode { vnode: 2 }, 0);
+        let data: Vec<u8> = (0..PAGE_SIZE + 100).map(|i| (i % 251) as u8).collect();
+        vm.object_write(o, 10, &data).unwrap();
+        assert_eq!(vm.object(o).unwrap().size_pages, 2);
+        let mut buf = vec![0u8; data.len() + 10];
+        vm.object_read(o, 0, &mut buf).unwrap();
+        assert_eq!((&buf[..10], &buf[10..]), (&[0u8; 10][..], &data[..]));
+        assert_eq!(vm.dirty_page_indices(o).unwrap(), [0, 1]);
+        // A flushed page is shared with the store's cache: the next write
+        // copies it, and the shared frame keeps the flushed bytes.
+        let flushed = vm.page_ref(o, 0).unwrap();
+        vm.mark_clean(o, 0).unwrap();
+        vm.object_write(o, 10, b"new").unwrap();
+        assert_eq!(&flushed[10..13], &data[..3]);
+        assert_eq!(vm.dirty_page_indices(o).unwrap(), [0, 1]);
+        // A read past the end is a bad range, not a zero-fill.
+        let past_end = vm.object_read(o, 2 * PAGE_SIZE as u64, &mut [0]);
+        assert!(matches!(past_end, Err(VmError::BadRange(_))));
     }
 
     #[test]
